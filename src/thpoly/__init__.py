@@ -13,7 +13,7 @@ from .formats import (dump_dmx, dump_smx, load_dmx, load_smx, parse_dmx,
                       save_smx)
 from .poly import Poly, berlekamp_massey, interpolate, poly_gcd, poly_lcm
 from .structured import (THMatrix, ToeplitzCore, compress_pair, core_multiply,
-                         flip_conjugate, from_hankel, from_toeplitz,
+                         core_power, flip_conjugate, from_hankel, from_toeplitz,
                          random_structured)
 from .wiedemann import (AnnihilatorReport, BlockSequence, BsgsPlan, PolyMatrix,
                         annihilates_sequence, bsgs_sequence, charpoly_generic,
@@ -28,8 +28,9 @@ __all__ = [
     "MultCounter", "Poly", "PolyMatrix", "PrimeField", "THMatrix",
     "ToeplitzCore", "annihilates_sequence", "berlekamp_massey",
     "bsgs_sequence", "charpoly_generic", "compress_pair", "core_multiply",
-    "dense_add", "dense_charpoly", "dense_matvec", "dense_minpoly",
-    "dense_mul", "dense_rank", "dense_to_structured", "dense_transpose",
+    "core_power", "dense_add", "dense_charpoly", "dense_matvec",
+    "dense_minpoly", "dense_mul", "dense_rank", "dense_to_structured",
+    "dense_transpose",
     "derive_seed", "displacement_rank", "dump_dmx", "dump_smx",
     "exhaustive_lfsr", "flip_conjugate", "from_hankel", "from_toeplitz",
     "interpolate", "is_prime", "krylov_sequence_naive", "load_dmx",

@@ -15,7 +15,7 @@ import sys
 from . import bench as bench_mod
 from .dense import DenseMatrix, dense_charpoly, dense_minpoly
 from .errors import NotGenericError, ThpolyError
-from .field import PrimeField
+from .field import PrimeField, derive_seed
 from .formats import (dump_dmx, load_dmx, load_smx, poly_from_line,
                       poly_to_line, save_smx)
 from .selftest import run_selftest
@@ -62,11 +62,16 @@ def cmd_charpoly(args) -> int:
     beta = args.beta
     for attempt in range(args.retries):
         # fresh seeds cannot fix a non-cyclic matrix, so the block size
-        # escalates as well (up to n the determinant always reaches degree n)
+        # escalates as well (up to n the determinant always reaches degree n);
+        # retries draw derived seeds, so no attempt of one user seed repeats
+        # an attempt of another
         beta_k = min(A.n, beta * 4 ** attempt)
+        attempt_seed = (seed if attempt == 0
+                        else derive_seed(seed, "charpoly-retry", attempt))
         try:
-            report = charpoly_generic(A, beta_k, seed + attempt)
+            report = charpoly_generic(A, beta_k, attempt_seed)
             print(poly_to_line(report.polynomial))
+            print(f"verified=true mults={report.field_mult_count}")
             return EXIT_OK
         except NotGenericError as exc:
             last = exc

@@ -231,6 +231,46 @@ def core_multiply(A: ToeplitzCore, B: ToeplitzCore,
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
 
+def core_power(A: ToeplitzCore, s: int,
+               counter: MultCounter | None = None) -> ToeplitzCore:
+    """Core of A**s from the unrolled product rule.
+
+    Unrolling D(A A^k) = D(A) A^k + M D(A^k) - (Z A e_n)(e_n^T A^k Z^T)
+    with M = Z A Z^T gives
+        D(A^s) = sum_{i<s} M^i G H^T A^(s-1-i)
+                 - sum_{i<s-1} M^i (Z A e_n)(e_n^T A^(s-1-i) Z^T),
+    so the generators come from two Krylov blocks of width alpha+1,
+    M^i [G | Z A e_n] and (A^T)^k [H | e_n]: 2(s-1) block matvecs and one
+    compression of width alpha s + s - 1, instead of a compressed core
+    product per square-and-multiply step.
+    """
+    if s < 1:
+        raise ValueError("exponent must be positive")
+    if s == 1 or A.width == 0:
+        return A
+    field = A.field
+    n = A.n
+    a = A.width
+    en = field.unit_vector(n, n - 1).reshape(n, 1)
+    At = A.swapped()
+    left = [np.concatenate([A.G, _down_block(field, A.matvec_block(en, counter))],
+                           axis=1)]
+    right = [np.concatenate([A.H, en], axis=1)]
+    for _ in range(s - 1):
+        left.append(_down_block(field, A.matvec_block(_up_block(field, left[-1]),
+                                                      counter)))
+        right.append(At.matvec_block(right[-1], counter))
+    # term i pairs M^i G with (A^T)^(s-1-i) H; correction i < s-1 pairs
+    # -M^i Z A e_n with Z (A^T)^(s-1-i) e_n
+    G = [left[i][:, :a] for i in range(s)]
+    H = [right[s - 1 - i][:, :a] for i in range(s)]
+    G += [-left[i][:, a:] % field.p for i in range(s - 1)]
+    H += [_down_block(field, right[s - 1 - i][:, a:]) for i in range(s - 1)]
+    G, H = compress_pair(field, np.concatenate(G, axis=1),
+                         np.concatenate(H, axis=1), counter)
+    return ToeplitzCore(field, n, G, H)
+
+
 def flip_conjugate(core: ToeplitzCore,
                    counter: MultCounter | None = None) -> ToeplitzCore:
     """Core of J C J, using D_down(J C J) = J D_up(C) J.
@@ -416,9 +456,13 @@ class THMatrix:
                         _core_concat(field, n, q_terms, counter))
 
     def power(self, k: int, counter: MultCounter | None = None) -> "THMatrix":
-        """A**k by square-and-multiply, compressing after every step."""
+        """A**k.  Toeplitz-like matrices (Q = 0) use the unrolled product
+        rule of `core_power`; otherwise square-and-multiply, compressing
+        after every step."""
         if k < 1:
             raise ValueError("exponent must be positive")
+        if self.Q.width == 0:
+            return THMatrix(self.field, core_power(self.P, k, counter), self.Q)
         result = None
         base = self
         while k:

@@ -1,7 +1,9 @@
-from thpoly import (DenseMatrix, PrimeField, displacement_rank,
+from thpoly import (DenseMatrix, Poly, PrimeField, displacement_rank,
                     from_toeplitz, load_dmx, load_smx, random_structured,
                     save_smx)
+from thpoly import cli
 from thpoly.cli import main
+from thpoly.errors import NotGenericError
 from thpoly.selftest import run_selftest
 
 P_NTT = 2013265921
@@ -119,6 +121,39 @@ def test_charpoly_shift(tmp_path, capsys):
     code, out, _ = run(capsys, "charpoly", path, "--seed", 2)
     assert code == 0
     assert out.splitlines()[0] == "0 0 0 0 0 1"
+
+
+def test_charpoly_prints_verified_and_mults(tmp_path, capsys):
+    smx = tmp_path / "v.smx"
+    save_smx(random_structured(F, 12, 2, 1, 4), smx)
+    code, out, _ = run(capsys, "charpoly", smx, "--beta", 2, "--seed", 3)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert len(lines[0].split()) == 13
+    assert lines[1].startswith("verified=true mults=")
+    assert int(lines[1].split("mults=")[1]) > 0
+
+
+def test_charpoly_retry_seeds_distinct_across_user_seeds(tmp_path, capsys,
+                                                         monkeypatch):
+    path = tmp_path / "eye4.smx"
+    write_identity_smx(path, 4)
+    seen = {}
+
+    def never_generic(A, beta, seed):
+        seen.setdefault(user_seed, []).append(seed)
+        raise NotGenericError(0, Poly.zero(A.field))
+
+    monkeypatch.setattr(cli, "charpoly_generic", never_generic)
+    for user_seed in range(8):
+        code, _, _ = run(capsys, "charpoly", path, "--seed", user_seed,
+                         "--retries", 3)
+        assert code == 4
+        assert seen[user_seed][0] == user_seed
+    for user_seed in range(7):
+        assert not set(seen[user_seed]) & set(seen[user_seed + 1])
+    assert len({s for seeds in seen.values() for s in seeds}) == 8 * 3
 
 
 def test_charpoly_not_generic_exit(tmp_path, capsys):

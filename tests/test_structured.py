@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from thpoly import (PrimeField, THMatrix, ToeplitzCore, compress_pair,
-                    core_multiply, flip_conjugate, from_hankel, from_toeplitz,
-                    random_structured)
+from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
+                    compress_pair, core_multiply, flip_conjugate,
+                    from_hankel, from_toeplitz, random_structured)
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
@@ -290,6 +290,59 @@ def test_power_examples():
     assert Zn.alpha == 0
     fifth = A.power(5).reconstruct()
     assert np.array_equal(fifth, _ref.mat_pow(f, A.reconstruct(), 5))
+
+
+@pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1])
+def test_toeplitz_power_unrolled_vs_dense(p):
+    f = PrimeField(p)
+    for n in (1, 2, 5, 17, 33):
+        for a in range(4):
+            A = random_structured(f, n, a, 0, 100 * n + a)
+            dense = A.reconstruct()
+            for s in (1, 2, 3, 7, 11):
+                B = A.power(s)
+                assert B.kind == KIND_TOEPLITZ
+                assert np.array_equal(B.reconstruct(), _ref.mat_pow(f, dense, s))
+                if s == 1:
+                    assert B.P is A.P              # returned as given
+                else:
+                    assert B.P.width <= min(s * (a + 1) - 1, n)
+
+
+def test_toeplitz_power_cheaper_than_multiply_chain():
+    f = PrimeField(P_NTT)
+    A = random_structured(f, 64, 2, 0, 31)
+    for s in (2, 7, 12):
+        fast = MultCounter()
+        B = A.power(s, fast)
+        chain = MultCounter()
+        C = A
+        for _ in range(s - 1):
+            C = C.multiply(A, chain)
+        assert np.array_equal(B.reconstruct(), C.reconstruct())
+        assert B.P.width == C.P.width
+        assert fast.mults < chain.mults
+
+
+def test_hankel_power_keeps_square_and_multiply(monkeypatch):
+    import thpoly.structured as structured
+    f = PrimeField(101)
+    calls = []
+
+    def counting_multiply(A, B, counter=None):
+        calls.append(1)
+        return core_multiply(A, B, counter)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("core_power used on a Hankel-like input")
+
+    monkeypatch.setattr(structured, "core_multiply", counting_multiply)
+    monkeypatch.setattr(structured, "core_power", refuse)
+    H = random_structured(f, 9, 0, 2, 32)
+    assert H.kind == KIND_HANKEL
+    got = H.power(5).reconstruct()
+    assert np.array_equal(got, _ref.mat_pow(f, H.reconstruct(), 5))
+    assert calls
 
 
 def test_transpose_examples():

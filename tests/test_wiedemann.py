@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from thpoly import (BlockSequence, BsgsPlan, DenseMatrix, Poly, PolyMatrix,
-                    PrimeField, THMatrix, annihilates_sequence,
+from thpoly import (BlockSequence, BsgsPlan, DenseMatrix, MultCounter, Poly,
+                    PolyMatrix, PrimeField, THMatrix, annihilates_sequence,
                     berlekamp_massey, bsgs_sequence, charpoly_generic,
                     dense_charpoly, dense_minpoly, dense_to_structured,
                     from_toeplitz, krylov_sequence_naive,
@@ -341,6 +341,35 @@ def test_verify_oracle_and_perturbed():
     A = random_structured(F, 10, 2, 1, 91)
     mp = dense_minpoly(DenseMatrix(F, A.reconstruct()))
     assert verify_annihilates(A, mp, 2, 2)
+    for i in range(int(mp.degree)):
+        bumped = mp.to_list()
+        bumped[i] = (bumped[i] + i + 1) % F.p
+        assert not verify_annihilates(A, Poly(F, bumped), 2, 2)
+
+
+def per_trial_verify_cost(A, f):
+    """Mults of one single-vector Horner check of f(A) b = 0."""
+    matvec = 2 * A.alpha * A.field.conv_charge(A.n, A.n)
+    return A.n + int(f.degree) * (matvec + A.n)
+
+
+@pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1])
+def test_verify_batched_count_and_reject(p):
+    # p = 2^61 - 1 runs the object-dtype path, 101 the non-NTT block matvec
+    field = PrimeField(p)
+    A = random_structured(field, 11, 2, 1, 92)
+    mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
+    for trials in (1, 2, 3):
+        counter = MultCounter()
+        assert verify_annihilates(A, mp, trials, 5, counter)
+        assert counter.mults == trials * per_trial_verify_cost(A, mp)
     bumped = mp.to_list()
-    bumped[0] = (bumped[0] + 1) % F.p
-    assert not verify_annihilates(A, Poly(F, bumped), 2, 2)
+    bumped[1] = (bumped[1] + 1) % field.p
+    assert not verify_annihilates(A, Poly(field, bumped), 3, 6)
+
+
+def test_verify_zero_polynomial_accepts_free():
+    counter = MultCounter()
+    A = random_structured(F, 8, 2, 1, 94)
+    assert verify_annihilates(A, Poly.zero(F), 2, 7, counter)
+    assert counter.mults == 0
