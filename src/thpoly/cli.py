@@ -110,6 +110,14 @@ def cmd_oracle_minpoly(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     out = []
     for tok in text.split(","):
@@ -165,20 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("path")
     mp.add_argument("--mode", choices=("naive", "bsgs"), default="bsgs")
     mp.add_argument("--seed", type=int, default=None)
-    mp.add_argument("--trials", type=int, default=2)
+    mp.add_argument("--trials", type=positive_int, default=2)
     mp.set_defaults(func=cmd_minpoly)
 
     cp = sub.add_parser("charpoly", help="characteristic polynomial of an SMX matrix")
     cp.add_argument("path")
     cp.add_argument("--beta", type=int, default=1)
     cp.add_argument("--seed", type=int, default=None)
-    cp.add_argument("--retries", type=int, default=3)
+    cp.add_argument("--retries", type=positive_int, default=3)
     cp.set_defaults(func=cmd_charpoly)
 
     ver = sub.add_parser("verify", help="check that a polynomial annihilates an SMX matrix")
     ver.add_argument("path")
     ver.add_argument("poly")
-    ver.add_argument("--trials", type=int, default=2)
+    ver.add_argument("--trials", type=positive_int, default=2)
     ver.add_argument("--seed", type=int, default=None)
     ver.set_defaults(func=cmd_verify)
 

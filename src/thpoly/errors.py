@@ -69,10 +69,6 @@ class SingularEverywhereError(ThpolyError, ValueError):
     pass
 
 
-class CompressionFailedError(ThpolyError, RuntimeError):
-    pass
-
-
 class GuardExceededError(ThpolyError, ValueError):
     pass
 

@@ -1,7 +1,7 @@
 """Exact dense Gaussian elimination helpers used across the library.
 
 Everything here is O(n^3)-style reference machinery: generator
-compression, rank factorizations, small determinants and solves.  Row
+compression, rank factorizations and small determinants.  Row
 operations are vectorized per row; one product is charged per touched
 entry.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counting import MultCounter
-from .errors import DimensionMismatchError, SingularEverywhereError
+from .errors import DimensionMismatchError
 from .field import PrimeField
 
 
@@ -62,18 +62,6 @@ def independent_rows(field: PrimeField, M: np.ndarray,
                      counter: MultCounter | None = None) -> list[int]:
     """Indices of a maximal set of linearly independent rows."""
     return rref(field, M.T.copy(), counter)[1]
-
-
-def solve_square(field: PrimeField, A: np.ndarray, B: np.ndarray,
-                 counter: MultCounter | None = None) -> np.ndarray:
-    """Solve A X = B for invertible square A."""
-    n = A.shape[0]
-    if A.shape[1] != n or B.shape[0] != n:
-        raise DimensionMismatchError("solve_square needs square A matching B")
-    R, pivots = rref(field, np.concatenate([A, B], axis=1), counter)
-    if pivots[:n] != list(range(n)):
-        raise SingularEverywhereError("matrix is singular")
-    return R[:, n:].copy()
 
 
 def det(field: PrimeField, M: np.ndarray,

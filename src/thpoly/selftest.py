@@ -23,6 +23,7 @@ from .wiedemann import (BsgsPlan, bsgs_sequence, charpoly_generic,
 
 _P_SMALL = 101
 _P_NTT = 2013265921
+_P_BIG = (1 << 61) - 1      # object dtype, no NTT
 
 
 def _fields():
@@ -145,22 +146,24 @@ def check_compress_widths():
 
 
 def check_homomorphism():
-    field = PrimeField(_P_NTT)
-    for seed in range(8):
-        n = 5 + seed
-        A = random_structured(field, n, 2, 1, seed)
-        B = random_structured(field, n, 1, 2, seed + 100)
-        da, db = A.reconstruct(), B.reconstruct()
-        assert np.array_equal((A + B).reconstruct(), (da + db) % field.p)
-        assert np.array_equal(A.multiply(B).reconstruct(),
-                              field.matmul(da, db))
-        assert np.array_equal(A.power(3).reconstruct(),
-                              field.matmul(field.matmul(da, da), da))
-        assert np.array_equal(A.transpose().reconstruct(), da.T)
-        v = field.rand_vec(field.rng(seed), n)
-        assert np.array_equal(A.matvec(v), field.matvec_dense(da, v))
-        assert A.trace() == int(np.trace(da) % field.p)
-    return "reconstruct commutes with the structured algebra"
+    # the non-NTT and object-dtype primes take the column-loop matvec
+    for p in (_P_SMALL, _P_NTT, _P_BIG):
+        field = PrimeField(p)
+        for seed in range(8):
+            n = 5 + seed
+            A = random_structured(field, n, 2, 1, seed)
+            B = random_structured(field, n, 1, 2, seed + 100)
+            da, db = A.reconstruct(), B.reconstruct()
+            assert np.array_equal((A + B).reconstruct(), (da + db) % field.p)
+            assert np.array_equal(A.multiply(B).reconstruct(),
+                                  field.matmul(da, db))
+            assert np.array_equal(A.power(3).reconstruct(),
+                                  field.matmul(field.matmul(da, da), da))
+            assert np.array_equal(A.transpose().reconstruct(), da.T)
+            v = field.rand_vec(field.rng(seed), n)
+            assert np.array_equal(A.matvec(v), field.matvec_dense(da, v))
+            assert A.trace() == int(np.trace(da) % field.p)
+    return "reconstruct commutes with the structured algebra at three primes"
 
 
 def check_bsgs_equivalence():

@@ -21,23 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from .counting import MultCounter
-from .errors import (BadLengthError, CompressionFailedError,
-                     CornerMismatchError, DimensionMismatchError,
-                     FieldMismatchError, LengthMismatchError, TooLargeError)
-from .field import PrimeField, derive_seed
-from .linalg import independent_rows, rank_factor, solve_square
+from .errors import (BadLengthError, CornerMismatchError,
+                     DimensionMismatchError, FieldMismatchError,
+                     LengthMismatchError, TooLargeError)
+from .field import PrimeField
+from .linalg import rank_factor
 
 RECONSTRUCT_GUARD = 4096
 
 KIND_TOEPLITZ = "toeplitz-like"
 KIND_HANKEL = "hankel-like"
 KIND_TH = "toeplitz+hankel-like"
-
-
-def _down(field: PrimeField, v: np.ndarray) -> np.ndarray:
-    out = field.zeros(len(v))
-    out[1:] = v[:-1]
-    return out
 
 
 def _down_block(field: PrimeField, V: np.ndarray) -> np.ndarray:
@@ -89,31 +83,14 @@ class ToeplitzCore:
     def __repr__(self) -> str:
         return f"ToeplitzCore(n={self.n}, width={self.width}, p={self.field.p})"
 
-    def matvec(self, v: np.ndarray, counter: MultCounter | None = None) -> np.ndarray:
-        """C v via two triangular-Toeplitz products per generator column."""
-        n = self.n
-        if len(v) != n:
-            raise LengthMismatchError(f"vector length {len(v)} != {n}")
-        field = self.field
-        out = field.zeros(n)
-        for j in range(self.width):
-            # U(h) v is a correlation: coefficient n-1-i of h(x) * rev(v)(x)
-            c = field.conv(self.H[:, j], v[::-1], counter)
-            u = c[n - 1::-1][:n]
-            d = field.conv(self.G[:, j], u, counter)
-            out = (out + d[:n]) % field.p
-        return out
-
-    def matvec_t(self, v: np.ndarray, counter: MultCounter | None = None) -> np.ndarray:
-        """C^T v; the transpose core swaps the generator roles."""
-        return self.swapped().matvec(v, counter)
-
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """C V for an n x k block, charged as k independent matvecs.
+        """C V for an n x k block: two triangular-Toeplitz products (two
+        convolutions, and their charge) per generator and block column.
 
         On the NTT path all transforms of one stage run as a single
-        batched pass; the result is identical to the column loop.
+        batched pass; otherwise the columns go through `field.conv` one
+        at a time.  Both give identical residues.
         """
         field = self.field
         n = self.n
@@ -128,7 +105,13 @@ class ToeplitzCore:
         if n == 1 or not field._ntt_ok(2 * n - 1):
             out = field.zeros((n, k))
             for c in range(k):
-                out[:, c] = self.matvec(V[:, c], None)
+                rv = V[::-1, c]
+                for j in range(w):
+                    # U(h) v is a correlation: coefficient n-1-i of
+                    # h(x) * rev(v)(x)
+                    u = field.conv(self.H[:, j], rv)[n - 1::-1]
+                    d = field.conv(self.G[:, j], u)[:n]
+                    out[:, c] = (out[:, c] + d) % field.p
             return out
         size = 1 << (2 * n - 2).bit_length()
         p = field.p
@@ -221,12 +204,12 @@ def core_multiply(A: ToeplitzCore, B: ToeplitzCore,
     n = A.n
     if A.width == 0 or B.width == 0:
         return ToeplitzCore.zero(field, n)
-    en = field.unit_vector(n, n - 1)
+    en = field.unit_vector(n, n - 1).reshape(n, 1)
     mid = _down_block(field, A.matvec_block(_up_block(field, B.G), counter))
-    last_g = (-_down(field, A.matvec(en, counter)) % field.p).reshape(n, 1)
+    last_g = -_down_block(field, A.matvec_block(en, counter)) % field.p
     G = np.concatenate([A.G, mid, last_g], axis=1)
     bth = B.matvec_t_block(A.H, counter)
-    last_h = _down(field, B.matvec_t(en, counter)).reshape(n, 1)
+    last_h = _down_block(field, B.matvec_t_block(en, counter))
     H = np.concatenate([bth, B.H, last_h], axis=1)
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
@@ -275,51 +258,23 @@ def flip_conjugate(core: ToeplitzCore,
                    counter: MultCounter | None = None) -> ToeplitzCore:
     """Core of J C J, using D_down(J C J) = J D_up(C) J.
 
-    A rank factorization of D_up(C) = C - Z^T C Z is recovered by applying
-    it to width+4 random vectors, extracting a column basis, solving for
-    the right factor on independent rows, and verifying the factorization
-    on two fresh random vectors.  Sampling seeds derive from the generator
-    content, so the result is a pure function of the core.
+    Conjugating D_down(C) = G H^T by Z, with Z^T Z = I - e_n e_n^T, gives
+        C - Z^T C Z = -(Z^T G)(Z^T H)^T + e_n (C^T e_n)^T
+                      + (C e_n - c_nn e_n) e_n^T,
+    so two matvecs yield generators of width alpha+2 for D_up(C);
+    reversing the rows of both factors conjugates them by J.
     """
     field = core.field
     n = core.n
     if core.width == 0:
         return ToeplitzCore.zero(field, n)
-
-    def up_disp_apply_block(X):
-        # (C - Z^T C Z) X
-        Y = core.matvec_block(X, counter)
-        Y2 = core.matvec_block(_down_block(field, X), counter)
-        return (Y - _up_block(field, Y2)) % field.p
-
-    for attempt in range(3):
-        seed = derive_seed("flip_conjugate", attempt, core.n, core.G, core.H)
-        rng = field.rng(seed)
-        X = field.rand_mat(rng, (n, core.width + 4))
-        Y = up_disp_apply_block(X)
-        basis, _ = rank_factor(field, Y, counter)
-        r = basis.shape[1]
-        if r == 0:
-            continue
-        rows = independent_rows(field, basis, counter)
-        E1 = field.zeros((n, r))
-        E2 = field.zeros((n, r))
-        for k, i in enumerate(rows):
-            E1[i, k] = 1
-            if i < n - 1:
-                E2[i + 1, k] = 1
-        M1 = core.matvec_t_block(E1, counter)
-        M2 = core.matvec_t_block(E2, counter)
-        D = ((M1 - _up_block(field, M2)) % field.p).T.copy()
-        Wt = solve_square(field, basis[rows, :], D, counter)   # basis @ Wt = D_up(C)
-        X2 = field.rand_mat(rng, (n, 2))
-        lhs = field.matmul(basis, field.matmul(Wt, X2, counter), counter)
-        ok = np.array_equal(lhs, up_disp_apply_block(X2))
-        if ok:
-            G = basis[::-1, :].copy()
-            H = Wt.T[::-1, :].copy()
-            return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
-    raise CompressionFailedError("randomized displacement factorization failed 3 times")
+    en = field.unit_vector(n, n - 1).reshape(n, 1)
+    col = core.matvec_block(en, counter)
+    col[n - 1, 0] = 0                           # C e_n - c_nn e_n
+    row = core.matvec_t_block(en, counter)
+    G = np.concatenate([-_up_block(field, core.G) % field.p, en, col], axis=1)
+    H = np.concatenate([_up_block(field, core.H), row, en], axis=1)
+    return ToeplitzCore(field, n, *compress_pair(field, G[::-1], H[::-1], counter))
 
 
 def _core_concat(field: PrimeField, n: int, cores,
@@ -381,25 +336,19 @@ class THMatrix:
 
     # -- linear maps ----------------------------------------------------------
 
-    def matvec(self, v, counter: MultCounter | None = None) -> np.ndarray:
-        """A v = P v + reverse(Q v); cost O(alpha M(n))."""
+    def _column(self, v) -> np.ndarray:
         v = self.field.asvec(v)
         if len(v) != self.n:
             raise LengthMismatchError(f"vector length {len(v)} != {self.n}")
-        out = self.P.matvec(v, counter)
-        if self.Q.width:
-            out = (out + self.Q.matvec(v, counter)[::-1]) % self.field.p
-        return out
+        return v.reshape(self.n, 1)
+
+    def matvec(self, v, counter: MultCounter | None = None) -> np.ndarray:
+        """A v, the width-1 case of `matvec_block`; cost O(alpha M(n))."""
+        return self.matvec_block(self._column(v), counter)[:, 0]
 
     def matvec_t(self, v, counter: MultCounter | None = None) -> np.ndarray:
-        """A^T v = P^T v + Q^T (J v)."""
-        v = self.field.asvec(v)
-        if len(v) != self.n:
-            raise LengthMismatchError(f"vector length {len(v)} != {self.n}")
-        out = self.P.matvec_t(v, counter)
-        if self.Q.width:
-            out = (out + self.Q.matvec_t(v[::-1], counter)) % self.field.p
-        return out
+        """A^T v, the width-1 case of `matvec_t_block`."""
+        return self.matvec_t_block(self._column(v), counter)[:, 0]
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:

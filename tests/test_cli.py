@@ -1,3 +1,5 @@
+import pytest
+
 from thpoly import (DenseMatrix, Poly, PrimeField, displacement_rank,
                     from_toeplitz, load_dmx, load_smx, random_structured,
                     save_smx)
@@ -193,6 +195,20 @@ def test_verify_accept_reject(tmp_path, capsys):
     assert code == 0 and out.strip() == "accept"
     code, out, _ = run(capsys, "verify", smx, bad, "--seed", 1)
     assert code == 3 and out.strip() == "reject"
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, count):
+    smx = tmp_path / "eye.smx"
+    write_identity_smx(smx, 5)
+    code, out, err = run(capsys, "charpoly", smx, "--retries", count, "--seed", 1)
+    assert code == 2 and out == "" and "--retries" in err
+    # rejected while parsing, before any file is opened
+    missing = tmp_path / "missing.smx"
+    for args in (["minpoly", missing], ["verify", missing, tmp_path / "f.poly"]):
+        code, out, err = run(capsys, *args, "--trials", count, "--seed", 1)
+        assert code == 2 and out == "" and "--trials" in err
+        assert "No such file" not in err
 
 
 # -- reconstruct ------------------------------------------------------------------

@@ -206,6 +206,39 @@ def test_matvec_block_matches_columns_small_field():
     assert np.array_equal(A.matvec_block(V), cols)
 
 
+# Mults charged for one A v and one A^T v, 2 * alpha * conv_charge(n, n),
+# written out as numbers so that any change to the charge shows.
+MATVEC_PINS = (
+    (101, 1, 1, 1, 4),                  # n = 1, non-NTT column loop
+    (P_NTT, 1, 2, 0, 8),                # n = 1 at an NTT prime
+    (101, 9, 2, 1, 486),                # non-NTT column loop
+    ((1 << 61) - 1, 7, 2, 1, 294),      # object dtype
+    (P_NTT, 16, 2, 2, 2432),            # batched NTT
+    (P_NTT, 16, 3, 0, 1824),            # zero-width Q
+    (101, 5, 0, 2, 100),                # zero-width P
+    ((1 << 61) - 1, 5, 0, 0, 0),        # zero matrix
+)
+
+
+@pytest.mark.parametrize("p,n,alpha_t,alpha_h,mults", MATVEC_PINS)
+def test_matvec_is_width_one_block(p, n, alpha_t, alpha_h, mults):
+    f = PrimeField(p)
+    A = random_structured(f, n, alpha_t, alpha_h, n + alpha_t)
+    dense = A.reconstruct()
+    v = f.rand_vec(f.rng(3), n)
+    assert mults == 2 * A.alpha * f.conv_charge(n, n)
+    for apply, block, M in ((A.matvec, A.matvec_block, dense),
+                            (A.matvec_t, A.matvec_t_block, dense.T.copy())):
+        counter = MultCounter()
+        out = apply(v, counter)
+        assert counter.mults == mults
+        assert out.shape == (n,) and out.dtype == f.dtype
+        assert np.array_equal(out, f.matvec_dense(M, v))
+        assert np.array_equal(out, block(v.reshape(n, 1))[:, 0])
+    with pytest.raises(LengthMismatchError):
+        A.matvec_t(f.zeros(n + 1))
+
+
 # -- core algebra --------------------------------------------------------------------
 
 
@@ -235,10 +268,17 @@ def test_flip_conjugate_cases():
     Z = from_toeplitz(f, [0, 1] + [0] * (n - 2), [0] * n).P
     flipped = flip_conjugate(Z)
     assert np.array_equal(flipped.dense(), np.diag([1] * (n - 1), 1))
-    C = random_structured(f, n, 2, 0, 14).P
-    J = exchange(n)
-    want = f.matmul(f.matmul(J, C.dense()), J)
-    assert np.array_equal(flip_conjugate(C).dense(), want)
+    # the closed form against J C J from the dense matrix, over tiny,
+    # non-NTT, NTT and object-dtype primes, down to n = 1 and width 0
+    for p in (3, 101, P_NTT, (1 << 61) - 1):
+        f = PrimeField(p)
+        for n in (1, 2, 5, 17, 64):
+            for width in range(4):
+                C = random_structured(f, n, width, 0, 10 * n + width).P
+                want = C.dense()[::-1, ::-1].copy()
+                got = flip_conjugate(C)
+                assert np.array_equal(got.dense(), want), (p, n, width)
+                assert got.width == rank(f, dense_displacement_down(f, want))
 
 
 def test_flip_conjugate_deterministic():
