@@ -5,12 +5,15 @@ int64 when p < 2**31 (so a product of two residues fits 62 bits), dtype
 object with Python ints otherwise.  Convolutions go through an iterative
 radix-2 NTT when the modulus supports one and through Kronecker
 substitution (binary segmentation into one big-integer product) otherwise;
-both paths are exact and return identical residues.
+both paths are exact and return identical residues.  Batched products of
+int64 polynomial matrices (`conv_matmul`) run on floating-point FFTs over
+b-bit limbs, exact by an a-priori rounding-error bound.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -23,6 +26,14 @@ MAX_MODULUS = 1 << 62
 _INT64_LIMIT = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Rounding error of one FFT product (Percival 2003, to first order): with
+# unit roundoff 2**-53, a size-N FFT product of x and y is off by at most
+# ||x||_2 ||y||_2 * 3 lg N * (2 + sqrt 5) * 2**-53 in every coefficient.
+_FFT_ERROR = 3 * (2 + math.sqrt(5)) * 2.0 ** -53
+# Error budget per output coefficient: np.rint is exact below 1/2, and the
+# factor of two covers the higher-order terms the bound above drops.
+_FFT_ROUNDING = 0.25
 
 
 def _v2(n: int) -> int:
@@ -305,6 +316,74 @@ class PrimeField:
         coeffs = [int.from_bytes(raw[i * w:(i + 1) * w], "little") % self.p
                   for i in range(out_len)]
         return self.asvec(coeffs)
+
+    # -- exact floating-point FFT products (int64 fields) --------------------
+
+    def fft_limbs(self, la: int, lb: int) -> tuple[int, int, int]:
+        """(b, L, terms) for exact FFT products of lengths la and lb.
+
+        Residues split into L limbs of b bits, so a limb vector x of length
+        la has ||x||_2 <= (2**b - 1) sqrt(la).  One limb product then errs
+        by at most e = (2**b - 1)**2 sqrt(la lb) * 3 lg N * (2 + sqrt 5) *
+        2**-53 (lg N taken as at least 1), and an output limb diagonal of
+        one term sums at most L limb products.  `terms` is how many such
+        terms may be summed in the frequency domain before one inverse
+        transform while terms * L * e stays below 1/4, so np.rint returns
+        the exact integer (which is below 2**53, since |x.y| <= ||x|| ||y||).
+        L is the smallest limb count that allows one term.
+        """
+        size = 1 << max(0, la + lb - 2).bit_length()
+        lg = max(1, size.bit_length() - 1)
+        bits = (self.p - 1).bit_length()
+        for count in range(1, bits + 1):
+            b = -(-bits // count)
+            err = ((1 << b) - 1) ** 2 * math.sqrt(la * lb) * lg * _FFT_ERROR
+            terms = int(_FFT_ROUNDING / (count * err))
+            if terms >= 1:
+                return b, count, terms
+        raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
+
+    def conv_matmul(self, a: np.ndarray, b: np.ndarray,
+                    out_len: int) -> np.ndarray:
+        """Exact polynomial matrix product for int64 fields.
+
+        a is (I, T, la) and b is (T, J, lb), coefficients on the last axis;
+        returns the (I, J, out_len) int64 residues of the first out_len
+        coefficients of sum_t a[i, t] * b[t, j].  Residues are split into
+        limbs (`fft_limbs`) and transformed with numpy.fft.rfft at the
+        power-of-two size la + lb - 1 needs.  Each output limb diagonal
+        (limb pairs l + l' = d) sums its limb products over at most `terms`
+        generator terms in the frequency domain, is transformed back and
+        rounded with np.rint, and adds 2**(b d) times its value mod p.  One
+        diagonal at a time keeps the intermediates to one spectrum.
+        """
+        if self.dtype is object:
+            raise TooLargeError(f"float-FFT products need p < 2**31, got {self.p}")
+        I, T, la = a.shape
+        J, lb = b.shape[1:]
+        out = np.zeros((I, J, out_len), dtype=np.int64)
+        if T == 0 or la == 0 or lb == 0:
+            return out
+        p = self.p
+        size = 1 << (la + lb - 2).bit_length()
+        bits, count, terms = self.fft_limbs(la, lb)
+        mask = (1 << bits) - 1
+
+        def spectra(x):
+            limbs = np.stack([(x >> (bits * l)) & mask for l in range(count)])
+            return np.fft.rfft(limbs.astype(np.float64), n=size, axis=-1)
+
+        fa, fb = spectra(a), spectra(b)
+        for t in range(0, T, terms):
+            ta, tb = fa[:, :, t:t + terms], fb[:, t:t + terms]
+            for d in range(2 * count - 1):
+                spec = sum(np.einsum("itf,tjf->ijf", ta[l], tb[d - l])
+                           for l in range(max(0, d - count + 1),
+                                          min(d, count - 1) + 1))
+                raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
+                limb = np.rint(raw).astype(np.int64) % p
+                out = (out + limb * pow(2, bits * d, p)) % p
+        return out
 
     def _pad(self, a, size) -> np.ndarray:
         out = np.zeros(size, dtype=np.int64)

@@ -2,7 +2,8 @@
 
 Every check is deterministic (fixed seeds, no timing in the output), so
 two runs in the same environment print identical summaries.  Exit code 0
-only when every check passes.
+only when every check passes.  Checks fail through `_expect`, which raises
+whatever the interpreter's optimize flag (`python -O` strips `assert`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .formats import (dump_dmx, dump_smx, parse_dmx, parse_smx, poly_from_line,
                       poly_to_line)
 from .linalg import rank
 from .poly import Poly, berlekamp_massey, poly_gcd
-from .structured import THMatrix, from_hankel, from_toeplitz, random_structured
+from .structured import (RECONSTRUCT_GUARD, THMatrix, ToeplitzCore,
+                         from_hankel, from_toeplitz, random_structured)
 from .wiedemann import (BsgsPlan, bsgs_sequence, charpoly_generic,
                         krylov_sequence_naive, minimal_matrix_generator,
                         minpoly, structured_projectors, verify_annihilates)
@@ -24,6 +26,11 @@ from .wiedemann import (BsgsPlan, bsgs_sequence, charpoly_generic,
 _P_SMALL = 101
 _P_NTT = 2013265921
 _P_BIG = (1 << 61) - 1      # object dtype, no NTT
+
+
+def _expect(condition) -> None:
+    if not condition:
+        raise AssertionError
 
 
 def _fields():
@@ -35,14 +42,15 @@ def check_field_arithmetic():
         rng = field.rng(11)
         for _ in range(200):
             a, b, c = (int(x) for x in field.rand_vec(rng, 3))
-            assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-            assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b),
-                                                              field.mul(a, c))
+            _expect(field.mul(field.mul(a, b), c)
+                    == field.mul(a, field.mul(b, c)))
+            _expect(field.mul(a, field.add(b, c)) == field.add(field.mul(a, b),
+                                                               field.mul(a, c)))
             if a:
-                assert field.mul(a, field.inv(a)) == 1
+                _expect(field.mul(a, field.inv(a)) == 1)
     f7 = PrimeField(7)
-    assert f7.inv(3) == 5
-    assert f7.batch_inv([1, 2, 4]) == [1, 4, 2]
+    _expect(f7.inv(3) == 5)
+    _expect(f7.batch_inv([1, 2, 4]) == [1, 4, 2])
     return "field arithmetic"
 
 
@@ -55,7 +63,7 @@ def check_poly_paths():
         b = field.rand_vec(rng, db + 1)
         via_ntt = field.conv(a, b, method="ntt")
         via_basic = field.conv(a, b, method="basic")
-        assert np.array_equal(via_ntt, via_basic)
+        _expect(np.array_equal(via_ntt, via_basic))
     return "poly_mul NTT path == fallback path"
 
 
@@ -68,11 +76,11 @@ def check_poly_division():
         if b.is_zero():
             continue
         q, r = a.divrem(b)
-        assert q.mul(b).add(r) == a
-        assert r.degree < b.degree
+        _expect(q.mul(b).add(r) == a)
+        _expect(r.degree < b.degree)
         g = poly_gcd(a.mul(b), b)
         (qq, rr) = a.mul(b).divrem(g)
-        assert rr.is_zero()
+        _expect(rr.is_zero())
     return "divrem identity and gcd divisibility"
 
 
@@ -84,11 +92,11 @@ def check_berlekamp_massey():
         seq = [int(x) for x in rng.integers(0, 5, size=length)]
         bm = berlekamp_massey(f5, seq)
         brute = exhaustive_lfsr(f5, seq, 6)
-        assert brute is not None and bm.degree == brute.degree
+        _expect(brute is not None and bm.degree == brute.degree)
         d = int(bm.degree)
         for i in range(length - d):
             acc = sum(bm.coeff(t) * seq[i + t] for t in range(d + 1)) % 5
-            assert acc == 0
+            _expect(acc == 0)
     return "berlekamp_massey minimality vs exhaustive search"
 
 
@@ -101,7 +109,7 @@ def check_displacement_roundtrip():
                 shifted = field.zeros(dense.shape)
                 shifted[1:, 1:] = dense[:-1, :-1]
                 disp = (dense - shifted) % field.p
-                assert np.array_equal(disp, field.matmul(core.G, core.H.T))
+                _expect(np.array_equal(disp, field.matmul(core.G, core.H.T)))
     return "displacement round-trip"
 
 
@@ -118,13 +126,13 @@ def check_ingestion():
         for i in range(n):
             for j in range(n):
                 want = col[i - j] if i >= j else row[j - i]
-                assert dense[i, j] == want
+                _expect(dense[i, j] == want)
         v = field.rand_vec(rng, 2 * n - 1)
         Hm = from_hankel(field, v)
         dh = Hm.reconstruct()
         for i in range(n):
             for j in range(n):
-                assert dh[i, j] == v[i + j]
+                _expect(dh[i, j] == v[i + j])
     return "Toeplitz/Hankel ingestion matches dense entrywise"
 
 
@@ -140,13 +148,14 @@ def check_compress_widths():
         H = field.rand_mat(rng, (n, 6))
         G2, H2 = compress_pair(field, G, H)
         prod = field.matmul(G, H.T)
-        assert np.array_equal(field.matmul(G2, H2.T), prod)
-        assert G2.shape[1] == rank(field, prod)
+        _expect(np.array_equal(field.matmul(G2, H2.T), prod))
+        _expect(G2.shape[1] == rank(field, prod))
     return "compression reaches the dense displacement rank"
 
 
 def check_homomorphism():
-    # the non-NTT and object-dtype primes take the column-loop matvec
+    # the object-dtype prime takes the column-loop matvec, the others the
+    # float-FFT kernel
     for p in (_P_SMALL, _P_NTT, _P_BIG):
         field = PrimeField(p)
         for seed in range(8):
@@ -154,16 +163,32 @@ def check_homomorphism():
             A = random_structured(field, n, 2, 1, seed)
             B = random_structured(field, n, 1, 2, seed + 100)
             da, db = A.reconstruct(), B.reconstruct()
-            assert np.array_equal((A + B).reconstruct(), (da + db) % field.p)
-            assert np.array_equal(A.multiply(B).reconstruct(),
-                                  field.matmul(da, db))
-            assert np.array_equal(A.power(3).reconstruct(),
-                                  field.matmul(field.matmul(da, da), da))
-            assert np.array_equal(A.transpose().reconstruct(), da.T)
+            _expect(np.array_equal((A + B).reconstruct(), (da + db) % field.p))
+            _expect(np.array_equal(A.multiply(B).reconstruct(),
+                                   field.matmul(da, db)))
+            _expect(np.array_equal(A.power(3).reconstruct(),
+                                   field.matmul(field.matmul(da, da), da)))
+            _expect(np.array_equal(A.transpose().reconstruct(), da.T))
             v = field.rand_vec(field.rng(seed), n)
-            assert np.array_equal(A.matvec(v), field.matvec_dense(da, v))
-            assert A.trace() == int(np.trace(da) % field.p)
+            _expect(np.array_equal(A.matvec(v), field.matvec_dense(da, v)))
+            _expect(A.trace() == int(np.trace(da) % field.p))
     return "reconstruct commutes with the structured algebra at three primes"
+
+
+def check_fft_kernel():
+    # FFT rounding depends on the installed numpy: run the kernel at the
+    # largest n that still uses 16-bit limbs, where one generator fills the
+    # error budget, on all-(p-1) inputs (the largest limbs)
+    for p in ((1 << 31) - 1, _P_NTT):
+        field = PrimeField(p)
+        n = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
+                if field.fft_limbs(m, m)[0] == 16)
+        G = np.full((n, 2), p - 1, dtype=np.int64)
+        core = ToeplitzCore(field, n, G, G)
+        V = np.full((n, 2), p - 1, dtype=np.int64)
+        _expect(np.array_equal(core.matvec_block(V),
+                               field.matmul(core.dense(), V)))
+    return "float-FFT matvec exact at the widest 16-bit-limb size"
 
 
 def check_bsgs_equivalence():
@@ -176,7 +201,7 @@ def check_bsgs_equivalence():
         plan = BsgsPlan(beta=beta, s=1 + seed % 3, L=2 * (n // beta) + 2)
         naive = krylov_sequence_naive(A, U, V, plan.L)
         fast = bsgs_sequence(A, U, V, plan)
-        assert np.array_equal(naive.terms, fast.terms)
+        _expect(np.array_equal(naive.terms, fast.terms))
     return "bsgs sequence identical to the naive schedule"
 
 
@@ -193,11 +218,11 @@ def check_generator_vs_bm():
         bm = berlekamp_massey(field, seq)
         terms = np.asarray(seq, dtype=np.int64).reshape(-1, 1, 1)
         F = minimal_matrix_generator(BlockSequence(field, 1, terms), d)
-        assert F.entries[0][0] == bm
+        _expect(F.entries[0][0] == bm)
     zero = BlockSequence(field, 2, np.zeros((9, 2, 2), dtype=np.int64))
     F = minimal_matrix_generator(zero, 2)
-    assert F.entries[0][0] == Poly.one(field) and F.entries[1][1] == Poly.one(field)
-    assert F.entries[0][1].is_zero() and F.entries[1][0].is_zero()
+    _expect(F.entries[0][0] == Poly.one(field) and F.entries[1][1] == Poly.one(field))
+    _expect(F.entries[0][1].is_zero() and F.entries[1][0].is_zero())
     return "matrix generator matches scalar Berlekamp-Massey"
 
 
@@ -208,8 +233,8 @@ def check_minpoly_vs_oracle():
         oracle = dense_minpoly(DenseMatrix(field, A.reconstruct()))
         for mode in ("naive", "bsgs"):
             report = minpoly(A, seed, mode=mode)
-            assert report.verified
-            assert report.polynomial == oracle
+            _expect(report.verified)
+            _expect(report.polynomial == oracle)
     return "minpoly (both modes) matches the dense oracle"
 
 
@@ -219,9 +244,9 @@ def check_charpoly_vs_oracle():
         A = random_structured(field, 10, 2, 2, seed)
         oracle = dense_charpoly(DenseMatrix(field, A.reconstruct()))
         report = charpoly_generic(A, 1 + seed % 2, seed)
-        assert report.polynomial == oracle
-        assert report.polynomial.degree == 10
-        assert report.polynomial.leading() == 1
+        _expect(report.polynomial == oracle)
+        _expect(report.polynomial.degree == 10)
+        _expect(report.polynomial.leading() == 1)
     return "charpoly matches the dense oracle with certificates"
 
 
@@ -229,29 +254,29 @@ def check_verification():
     field = PrimeField(_P_NTT)
     eye = THMatrix.identity(field, 6)
     x_minus_1 = Poly(field, [field.p - 1, 1])
-    assert verify_annihilates(eye, x_minus_1, 2, 5)
-    assert not verify_annihilates(eye, Poly(field, [0, 1]), 2, 5)
+    _expect(verify_annihilates(eye, x_minus_1, 2, 5))
+    _expect(not verify_annihilates(eye, Poly(field, [0, 1]), 2, 5))
     return "annihilation verifier accepts/rejects correctly"
 
 
 def check_roundtrips():
     field = PrimeField(_P_SMALL)
     A = random_structured(field, 7, 2, 1, 3)
-    assert dump_smx(parse_smx(dump_smx(A))) == dump_smx(A)
+    _expect(dump_smx(parse_smx(dump_smx(A))) == dump_smx(A))
     M = DenseMatrix(field, A.reconstruct())
-    assert dump_dmx(parse_dmx(dump_dmx(M))) == dump_dmx(M)
+    _expect(dump_dmx(parse_dmx(dump_dmx(M))) == dump_dmx(M))
     f = Poly(field, [3, 0, 5, 1])
-    assert poly_from_line(field, poly_to_line(f)) == f
-    assert poly_from_line(field, "") == Poly.zero(field)
+    _expect(poly_from_line(field, poly_to_line(f)) == f)
+    _expect(poly_from_line(field, "") == Poly.zero(field))
     # only the Toeplitz part has small down-shift displacement rank; the
     # Hankel part is small-rank after J-conjugation
     T = random_structured(field, 7, 2, 0, 5)
-    assert displacement_rank(DenseMatrix(field, T.reconstruct())) <= 2
+    _expect(displacement_rank(DenseMatrix(field, T.reconstruct())) <= 2)
     Hm = random_structured(field, 7, 0, 2, 6)
     flipped = DenseMatrix(field, Hm.reconstruct()[::-1, :].copy())
-    assert displacement_rank(flipped) <= 2
+    _expect(displacement_rank(flipped) <= 2)
     rt = dense_to_structured(M)
-    assert np.array_equal(rt.reconstruct(), M.rows)
+    _expect(np.array_equal(rt.reconstruct(), M.rows))
     return "SMX/DMX/polynomial round-trips"
 
 
@@ -259,13 +284,13 @@ def check_determinism():
     field = PrimeField(_P_NTT)
     A = random_structured(field, 9, 2, 1, 21)
     B = random_structured(field, 9, 2, 1, 21)
-    assert np.array_equal(A.P.G, B.P.G) and np.array_equal(A.Q.H, B.Q.H)
+    _expect(np.array_equal(A.P.G, B.P.G) and np.array_equal(A.Q.H, B.Q.H))
     r1 = minpoly(A, 4)
     r2 = minpoly(B, 4)
-    assert r1 == r2
+    _expect(r1 == r2)
     c1 = charpoly_generic(A, 2, 4)
     c2 = charpoly_generic(B, 2, 4)
-    assert c1 == c2
+    _expect(c1 == c2)
     return "seeded runs are reproducible including counters"
 
 
@@ -278,6 +303,7 @@ CHECKS = (
     check_ingestion,
     check_compress_widths,
     check_homomorphism,
+    check_fft_kernel,
     check_bsgs_equivalence,
     check_generator_vs_bm,
     check_minpoly_vs_oracle,

@@ -88,9 +88,11 @@ class ToeplitzCore:
         """C V for an n x k block: two triangular-Toeplitz products (two
         convolutions, and their charge) per generator and block column.
 
-        On the NTT path all transforms of one stage run as a single
-        batched pass; otherwise the columns go through `field.conv` one
-        at a time.  Both give identical residues.
+        Int64 fields run both stages on the exact float-FFT kernel
+        `field.conv_matmul`, a chunk of generators at a time (as many as
+        one inverse transform may sum, `field.fft_limbs`), which bounds
+        the frequency-domain intermediates.  Object-dtype fields
+        (p > 2**31) go through `field.conv` one column at a time.
         """
         field = self.field
         n = self.n
@@ -102,7 +104,8 @@ class ToeplitzCore:
             return field.zeros((n, k))
         if counter is not None:
             counter.add(w * k * 2 * field.conv_charge(n, n))
-        if n == 1 or not field._ntt_ok(2 * n - 1):
+        p = field.p
+        if field.dtype is object:
             out = field.zeros((n, k))
             for c in range(k):
                 rv = V[::-1, c]
@@ -111,28 +114,18 @@ class ToeplitzCore:
                     # h(x) * rev(v)(x)
                     u = field.conv(self.H[:, j], rv)[n - 1::-1]
                     d = field.conv(self.G[:, j], u)[:n]
-                    out[:, c] = (out[:, c] + d) % field.p
+                    out[:, c] = (out[:, c] + d) % p
             return out
-        size = 1 << (2 * n - 2).bit_length()
-        p = field.p
-        vpad = np.zeros((k, size), dtype=np.int64)
-        vpad[:, :n] = V[::-1, :].T
-        fv = field.ntt_many(vpad, False)
-        hpad = np.zeros((w, size), dtype=np.int64)
-        hpad[:, :n] = self.H.T
-        fh = field.ntt_many(hpad, False)
-        mid = field.ntt_many((fh[:, None, :] * fv[None, :, :] % p)
-                             .reshape(w * k, size), True)
-        # U(h_j) v = correlation coefficients n-1 .. 0
-        upad = np.zeros((w * k, size), dtype=np.int64)
-        upad[:, :n] = mid[:, n - 1::-1]
-        fu = field.ntt_many(upad, False).reshape(w, k, size)
-        gpad = np.zeros((w, size), dtype=np.int64)
-        gpad[:, :n] = self.G.T
-        fg = field.ntt_many(gpad, False)
-        acc = (fg[:, None, :] * fu % p).sum(axis=0) % p
-        res = field.ntt_many(acc, True)[:, :n]
-        return res.T.copy()
+        rv = np.ascontiguousarray(V[::-1, :].T)[None]        # (1, k, n)
+        chunk = field.fft_limbs(n, n)[2]
+        out = np.zeros((1, k, n), dtype=np.int64)
+        for j in range(0, w, chunk):
+            H = self.H[:, j:j + chunk].T[:, None, :]          # (c, 1, n)
+            G = self.G[:, j:j + chunk].T[None]                # (1, c, n)
+            # U(h_j) v = correlation coefficients n-1 .. 0
+            u = field.conv_matmul(H, rv, n)[:, :, ::-1]
+            out = (out + field.conv_matmul(G, u, n)) % p
+        return out[0].T.copy()
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
@@ -147,21 +140,16 @@ class ToeplitzCore:
         return ToeplitzCore(self.field, self.n, G, H)
 
     def dense(self, counter: MultCounter | None = None) -> np.ndarray:
-        """Materialize sum_j L(g_j) U(h_j); cost O(n^2 alpha)."""
+        """Materialize C from its displacement D = G H^T: C[i, j] =
+        D[i, j] + C[i-1, j-1], so each diagonal of C is the running sum of
+        that diagonal of D; cost O(n^2 alpha)."""
         n = self.n
         if n > RECONSTRUCT_GUARD:
             raise TooLargeError(f"refusing to materialize n={n} > {RECONSTRUCT_GUARD}")
-        field = self.field
-        idx = np.subtract.outer(np.arange(n), np.arange(n))
-        lower = idx >= 0
-        upper = idx <= 0
-        pos = np.clip(idx, 0, n - 1)
-        neg = np.clip(-idx, 0, n - 1)
-        acc = field.zeros((n, n))
-        for j in range(self.width):
-            L = np.where(lower, self.G[:, j][pos], 0)
-            U = np.where(upper, self.H[:, j][neg], 0)
-            acc = (acc + field.matmul(L, U, counter)) % field.p
+        p = self.field.p
+        acc = self.field.matmul(self.G, self.H.T, counter)
+        for i in range(1, n):
+            acc[i, 1:] = (acc[i, 1:] + acc[i - 1, :-1]) % p
         return acc
 
 

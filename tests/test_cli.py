@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import thpoly
 from thpoly import (DenseMatrix, Poly, PrimeField, displacement_rank,
                     from_toeplitz, load_dmx, load_smx, random_structured,
                     save_smx)
@@ -279,6 +285,31 @@ def test_selftest_exit_one_on_failure():
     lines = []
     assert run_selftest(write=lines.append, checks=(broken,)) is False
     assert lines[-1].endswith("1 failures")
+
+
+# Runs check_homomorphism under `python -O` with the core matvec off by one
+# in row 0; -O strips assert statements, so a check written as one passes.
+_BROKEN_MATVEC_SELFTEST = """
+import sys
+from thpoly import selftest, structured
+good = structured.ToeplitzCore.matvec_block
+def off_by_one(self, V, counter=None):
+    out = good(self, V, counter)
+    out[0] = (out[0] + 1) % self.field.p
+    return out
+structured.ToeplitzCore.matvec_block = off_by_one
+print("optimize", sys.flags.optimize)
+sys.exit(0 if selftest.run_selftest(checks=(selftest.check_homomorphism,)) else 1)
+"""
+
+
+def test_selftest_fails_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(Path(thpoly.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_MATVEC_SELFTEST],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.stdout.startswith("optimize 1\n"), proc.stderr
+    assert "FAIL check_homomorphism" in proc.stdout
+    assert proc.returncode == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -94,3 +94,51 @@ def test_derive_seed_stable():
     b = derive_seed("tag", 7, np.arange(4))
     c = derive_seed("tag", 8, np.arange(4))
     assert a == b != c
+
+
+# (b, L, terms) of the float-FFT kernel: limb bits, limb count, generator
+# terms summed per inverse transform.  Written out so that any change to
+# the error bound shows; tests/test_structured.py::test_matvec_vs_dense
+# runs the kernel at these sizes on all-(p-1) inputs.
+FFT_LIMB_PINS = (
+    (3, 1, (2, 1, 19688067694484)),
+    (3, 256, (2, 1, 8545168270)),
+    (101, 256, (7, 1, 4768213)),
+    (P_NTT, 1, (16, 2, 20628)),
+    (P_NTT, 256, (16, 2, 8)),
+    (P_NTT, 1024, (16, 2, 1)),
+    (P_NTT, 1719, (16, 2, 1)),
+    (P_NTT, 1720, (11, 3, 682)),
+    ((1 << 31) - 1, 256, (16, 2, 8)),
+    ((1 << 31) - 1, 1719, (16, 2, 1)),
+    ((1 << 31) - 1, 1720, (11, 3, 682)),
+)
+
+
+@pytest.mark.parametrize("p,n,plan", FFT_LIMB_PINS)
+def test_fft_limbs_pins(p, n, plan):
+    assert PrimeField(p).fft_limbs(n, n) == plan
+
+
+@pytest.mark.parametrize("p,I,T,J,la,lb,out_len", [
+    (3, 1, 2, 1, 4, 3, 6),
+    (101, 2, 3, 2, 5, 7, 11),
+    ((1 << 31) - 1, 2, 1, 1, 1, 1, 1),
+    ((1 << 31) - 1, 2, 3, 2, 5, 7, 4),
+    ((1 << 31) - 1, 1, 3, 2, 1024, 1024, 1024),    # one term per transform
+    (P_NTT, 2, 0, 3, 4, 4, 7),                       # no terms
+])
+def test_conv_matmul_vs_exact_convolution(p, I, T, J, la, lb, out_len):
+    f = PrimeField(p)
+    rng = f.rng(I * 100 + T * 10 + la)
+    a = f.rand_mat(rng, (I * T, la)).reshape(I, T, la)
+    b = f.rand_mat(rng, (T * J, lb)).reshape(T, J, lb)
+    a[0, :1] = p - 1                   # some all-(p-1) rows
+    want = np.zeros((I, J, out_len), dtype=np.int64)
+    for i in range(I):
+        for j in range(J):
+            for t in range(T):
+                c = f.conv(a[i, t], b[t, j], method="basic")[:out_len]
+                want[i, j, :len(c)] = (want[i, j, :len(c)] + c) % p
+    out = f.conv_matmul(a, b, out_len)
+    assert out.dtype == np.int64 and np.array_equal(out, want)

@@ -164,6 +164,19 @@ def test_reconstruct_displacement_identity():
     assert np.array_equal(disp, f.matmul(core.G, core.H.T))
 
 
+@pytest.mark.parametrize("p", [3, 101, P_NTT, (1 << 61) - 1])
+def test_dense_is_sum_of_triangular_toeplitz_products(p):
+    # C = sum_j L(g_j) U(h_j), built entrywise from its definition
+    f = PrimeField(p)
+    for n, alpha in ((1, 1), (2, 0), (5, 3), (17, 2)):
+        A = random_structured(f, n, alpha, 0, n + alpha)
+        G, H = A.P.G, A.P.H
+        want = [[sum(int(G[i - t, j]) * int(H[c - t, j])
+                     for j in range(alpha) for t in range(min(i, c) + 1)) % p
+                 for c in range(n)] for i in range(n)]
+        assert A.P.dense().tolist() == want
+
+
 def test_reconstruct_guard():
     f = PrimeField(101)
     big = random_structured(f, 4097, 0, 0, 0)
@@ -182,6 +195,17 @@ def test_matvec_identity_and_shift():
     assert list(Z.matvec([1, 2, 3, 4])) == [0, 1, 2, 3]
 
 
+# All residues p-1, the largest limbs the float-FFT kernel sees.  At the
+# 31-bit primes n = 256 sums 8 generators per inverse transform (widths 8
+# and 9 straddle a chunk), n = 1719 is the largest n with 16-bit limbs (one
+# generator per transform) and n = 1720 takes 11-bit limbs; see
+# tests/test_field.py::test_fft_limbs_pins.  Widths are per core.
+WORST_CASES = ((3, 1, 1, 2), (3, 256, 2, 2), (3, 16, 0, 2), (3, 16, 2, 0)) + tuple(
+    (p, n, width, k) for p in (P_NTT, (1 << 31) - 1)
+    for n, width, k in ((1, 2, 2), (256, 8, 1), (256, 9, 2), (1719, 2, 2),
+                        (1720, 2, 1), (16, 0, 2), (16, 2, 0)))
+
+
 def test_matvec_vs_dense():
     f = PrimeField(P_NTT)
     A = random_structured(f, 16, 2, 2, 8)
@@ -195,25 +219,38 @@ def test_matvec_vs_dense():
                           f.matmul(dense.T.copy(), block))
     with pytest.raises(LengthMismatchError):
         A.matvec([1, 2, 3])
+    for p, n, width, k in WORST_CASES:
+        f = PrimeField(p)
+        G = np.full((n, width), p - 1, dtype=np.int64)
+        core = ToeplitzCore(f, n, G, G)
+        A = THMatrix(f, core, core)
+        dense = A.reconstruct()
+        block = np.full((n, k), p - 1, dtype=np.int64)
+        for apply, M in ((A.matvec_block, dense), (A.matvec_t_block, dense.T.copy())):
+            out = apply(block)
+            assert out.shape == (n, k) and out.dtype == np.int64
+            assert np.array_equal(out, f.matmul(M, block)), (p, n, width, k)
 
 
 def test_matvec_block_matches_columns_small_field():
-    # exercises the non-NTT fallback path of the block matvec
+    # columns and block run the same kernel, so both face the dense product
     f = PrimeField(101)
     A = random_structured(f, 9, 2, 1, 11)
     V = f.rand_mat(f.rng(12), (9, 4))
+    want = f.matmul(A.reconstruct(), V)
+    assert np.array_equal(A.matvec_block(V), want)
     cols = np.stack([A.matvec(V[:, c]) for c in range(4)], axis=1)
-    assert np.array_equal(A.matvec_block(V), cols)
+    assert np.array_equal(cols, want)
 
 
 # Mults charged for one A v and one A^T v, 2 * alpha * conv_charge(n, n),
 # written out as numbers so that any change to the charge shows.
 MATVEC_PINS = (
-    (101, 1, 1, 1, 4),                  # n = 1, non-NTT column loop
+    (101, 1, 1, 1, 4),                  # n = 1, non-NTT prime
     (P_NTT, 1, 2, 0, 8),                # n = 1 at an NTT prime
-    (101, 9, 2, 1, 486),                # non-NTT column loop
-    ((1 << 61) - 1, 7, 2, 1, 294),      # object dtype
-    (P_NTT, 16, 2, 2, 2432),            # batched NTT
+    (101, 9, 2, 1, 486),                # non-NTT prime
+    ((1 << 61) - 1, 7, 2, 1, 294),      # object dtype, column loop
+    (P_NTT, 16, 2, 2, 2432),            # NTT prime
     (P_NTT, 16, 3, 0, 1824),            # zero-width Q
     (101, 5, 0, 2, 100),                # zero-width P
     ((1 << 61) - 1, 5, 0, 0, 0),        # zero matrix
