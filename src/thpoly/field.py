@@ -2,12 +2,12 @@
 
 Residues are plain integers in [0, p).  Bulk data lives in numpy arrays:
 int64 when p < 2**31 (so a product of two residues fits 62 bits), dtype
-object with Python ints otherwise.  Convolutions go through an iterative
-radix-2 NTT when the modulus supports one and through Kronecker
-substitution (binary segmentation into one big-integer product) otherwise;
-both paths are exact and return identical residues.  Batched products of
-int64 polynomial matrices (`conv_matmul`) run on floating-point FFTs over
-b-bit limbs, exact by an a-priori rounding-error bound.
+object with Python ints otherwise.  Every residue is below 2**62, so it
+also fits int64 wherever a kernel needs it to.  Convolutions go through an
+iterative radix-2 NTT when the modulus supports one; every other product
+of polynomials, and every batched product of polynomial matrices
+(`conv_matmul`), runs on floating-point FFTs over b-bit limbs, exact by an
+a-priori rounding-error bound.  All paths return identical residues.
 """
 
 from __future__ import annotations
@@ -293,7 +293,8 @@ class PrimeField:
             counter.add(la * lb)
         if self.dtype is not object and min(la, lb) * (self.p - 1) ** 2 < (1 << 63):
             return np.convolve(a, b) % self.p
-        return self._conv_kronecker(a, b, out_len)
+        return self.conv_matmul(np.reshape(a, (1, 1, la)),
+                                np.reshape(b, (1, 1, lb)), out_len)[0, 0]
 
     def _conv_ntt(self, a, b, out_len, counter) -> np.ndarray:
         size = 1 << max(0, out_len - 1).bit_length()
@@ -305,19 +306,7 @@ class PrimeField:
         prod = fa * fb % self.p
         return self._ntt(prod, inverse=True)[:out_len]
 
-    def _conv_kronecker(self, a, b, out_len) -> np.ndarray:
-        # pack each polynomial into one integer at a digit width large
-        # enough that product coefficients never carry across digits
-        bound = min(len(a), len(b)) * (self.p - 1) ** 2
-        w = (bound.bit_length() + 7) // 8
-        ia = int.from_bytes(b"".join(int(x).to_bytes(w, "little") for x in a), "little")
-        ib = int.from_bytes(b"".join(int(x).to_bytes(w, "little") for x in b), "little")
-        raw = (ia * ib).to_bytes(w * (len(a) + len(b)), "little")
-        coeffs = [int.from_bytes(raw[i * w:(i + 1) * w], "little") % self.p
-                  for i in range(out_len)]
-        return self.asvec(coeffs)
-
-    # -- exact floating-point FFT products (int64 fields) --------------------
+    # -- exact floating-point FFT products -------------------------------------
 
     def fft_limbs(self, la: int, lb: int) -> tuple[int, int, int]:
         """(b, L, terms) for exact FFT products of lengths la and lb.
@@ -330,7 +319,10 @@ class PrimeField:
         terms may be summed in the frequency domain before one inverse
         transform while terms * L * e stays below 1/4, so np.rint returns
         the exact integer (which is below 2**53, since |x.y| <= ||x|| ||y||).
-        L is the smallest limb count that allows one term.
+        L is the smallest limb count that allows one term: for 31-bit
+        primes 16-bit limbs (L = 2) up to n = 1719, for p = 2**61 - 1
+        21-bit limbs (L = 3) up to n = 4, 16-bit (L = 4) up to n = 937
+        and 13-bit (L = 5) beyond.
         """
         size = 1 << max(0, la + lb - 2).bit_length()
         lg = max(1, size.bit_length() - 1)
@@ -345,44 +337,57 @@ class PrimeField:
 
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:
-        """Exact polynomial matrix product for int64 fields.
+        """Exact polynomial matrix product, the kernel of every block matvec.
 
         a is (I, T, la) and b is (T, J, lb), coefficients on the last axis;
-        returns the (I, J, out_len) int64 residues of the first out_len
-        coefficients of sum_t a[i, t] * b[t, j].  Residues are split into
-        limbs (`fft_limbs`) and transformed with numpy.fft.rfft at the
-        power-of-two size la + lb - 1 needs.  Each output limb diagonal
-        (limb pairs l + l' = d) sums its limb products over at most `terms`
-        generator terms in the frequency domain, is transformed back and
-        rounded with np.rint, and adds 2**(b d) times its value mod p.  One
-        diagonal at a time keeps the intermediates to one spectrum.
+        returns the (I, J, out_len) residues, in the field's dtype, of the
+        first out_len coefficients of sum_t a[i, t] * b[t, j].  Residues
+        (below 2**62, so int64) are split into limbs (`fft_limbs`) and
+        transformed with numpy.fft.rfft at the power-of-two size
+        la + lb - 1 needs.  Each output limb diagonal (limb pairs
+        l + l' = d) sums its limb products over at most `terms` generator
+        terms in the frequency domain, is transformed back and rounded
+        with np.rint, and stands for 2**(b d) times its value.  Int64
+        fields add the diagonals mod p one at a time, which keeps the
+        intermediates to one spectrum.  For p > 2**31 a diagonal (below
+        2**53) times 2**(b d) mod p overflows int64, so all 2L - 1
+        diagonals of a chunk of terms recombine in one object-dtype step.
         """
-        if self.dtype is object:
-            raise TooLargeError(f"float-FFT products need p < 2**31, got {self.p}")
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         I, T, la = a.shape
         J, lb = b.shape[1:]
-        out = np.zeros((I, J, out_len), dtype=np.int64)
+        out = self.zeros((I, J, out_len))
         if T == 0 or la == 0 or lb == 0:
             return out
         p = self.p
         size = 1 << (la + lb - 2).bit_length()
         bits, count, terms = self.fft_limbs(la, lb)
         mask = (1 << bits) - 1
+        weights = [pow(2, bits * d, p) for d in range(2 * count - 1)]
 
         def spectra(x):
             limbs = np.stack([(x >> (bits * l)) & mask for l in range(count)])
             return np.fft.rfft(limbs.astype(np.float64), n=size, axis=-1)
 
+        def diagonal(ta, tb, d):
+            spec = sum(np.einsum("itf,tjf->ijf", ta[l], tb[d - l])
+                       for l in range(max(0, d - count + 1), min(d, count - 1) + 1))
+            raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
+            return np.rint(raw).astype(np.int64)
+
         fa, fb = spectra(a), spectra(b)
         for t in range(0, T, terms):
             ta, tb = fa[:, :, t:t + terms], fb[:, t:t + terms]
-            for d in range(2 * count - 1):
-                spec = sum(np.einsum("itf,tjf->ijf", ta[l], tb[d - l])
-                           for l in range(max(0, d - count + 1),
-                                          min(d, count - 1) + 1))
-                raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
-                limb = np.rint(raw).astype(np.int64) % p
-                out = (out + limb * pow(2, bits * d, p)) % p
+            if self.dtype is object:
+                limbs = np.stack([diagonal(ta, tb, d) for d in range(2 * count - 1)])
+                recombined = np.tensordot(np.array(weights, dtype=object),
+                                          limbs.astype(object), 1)
+                out = (out + recombined) % p
+            else:
+                for d in range(2 * count - 1):
+                    limb = diagonal(ta, tb, d) % p
+                    out = (out + limb * weights[d]) % p
         return out
 
     def _pad(self, a, size) -> np.ndarray:

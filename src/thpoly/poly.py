@@ -109,13 +109,11 @@ class Poly:
             return Poly.zero(self.field)
         return Poly(self.field, self.field.vmul(self.coeffs, c, counter))
 
-    def mul(self, other: "Poly", counter: MultCounter | None = None,
-            method: str = "auto") -> "Poly":
+    def mul(self, other: "Poly", counter: MultCounter | None = None) -> "Poly":
         self._check_field(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.field)
-        return Poly(self.field, self.field.conv(self.coeffs, other.coeffs,
-                                                counter, method))
+        return Poly(self.field, self.field.conv(self.coeffs, other.coeffs, counter))
 
     def shift_up(self, k: int) -> "Poly":
         """Multiply by x**k."""

@@ -154,8 +154,6 @@ def check_compress_widths():
 
 
 def check_homomorphism():
-    # the object-dtype prime takes the column-loop matvec, the others the
-    # float-FFT kernel
     for p in (_P_SMALL, _P_NTT, _P_BIG):
         field = PrimeField(p)
         for seed in range(8):
@@ -179,13 +177,13 @@ def check_fft_kernel():
     # FFT rounding depends on the installed numpy: run the kernel at the
     # largest n that still uses 16-bit limbs, where one generator fills the
     # error budget, on all-(p-1) inputs (the largest limbs)
-    for p in ((1 << 31) - 1, _P_NTT):
+    for p in ((1 << 31) - 1, _P_NTT, _P_BIG):
         field = PrimeField(p)
         n = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
                 if field.fft_limbs(m, m)[0] == 16)
         G = np.full((n, 2), p - 1, dtype=np.int64)
         core = ToeplitzCore(field, n, G, G)
-        V = np.full((n, 2), p - 1, dtype=np.int64)
+        V = np.full((n, 2), p - 1, dtype=field.dtype)
         _expect(np.array_equal(core.matvec_block(V),
                                field.matmul(core.dense(), V)))
     return "float-FFT matvec exact at the widest 16-bit-limb size"

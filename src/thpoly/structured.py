@@ -88,11 +88,10 @@ class ToeplitzCore:
         """C V for an n x k block: two triangular-Toeplitz products (two
         convolutions, and their charge) per generator and block column.
 
-        Int64 fields run both stages on the exact float-FFT kernel
-        `field.conv_matmul`, a chunk of generators at a time (as many as
-        one inverse transform may sum, `field.fft_limbs`), which bounds
-        the frequency-domain intermediates.  Object-dtype fields
-        (p > 2**31) go through `field.conv` one column at a time.
+        Both stages run on the exact float-FFT kernel `field.conv_matmul`
+        for every field, a chunk of generators at a time (as many as one
+        inverse transform may sum, `field.fft_limbs`), which bounds the
+        frequency-domain intermediates.
         """
         field = self.field
         n = self.n
@@ -105,20 +104,9 @@ class ToeplitzCore:
         if counter is not None:
             counter.add(w * k * 2 * field.conv_charge(n, n))
         p = field.p
-        if field.dtype is object:
-            out = field.zeros((n, k))
-            for c in range(k):
-                rv = V[::-1, c]
-                for j in range(w):
-                    # U(h) v is a correlation: coefficient n-1-i of
-                    # h(x) * rev(v)(x)
-                    u = field.conv(self.H[:, j], rv)[n - 1::-1]
-                    d = field.conv(self.G[:, j], u)[:n]
-                    out[:, c] = (out[:, c] + d) % p
-            return out
         rv = np.ascontiguousarray(V[::-1, :].T)[None]        # (1, k, n)
         chunk = field.fft_limbs(n, n)[2]
-        out = np.zeros((1, k, n), dtype=np.int64)
+        out = field.zeros((1, k, n))
         for j in range(0, w, chunk):
             H = self.H[:, j:j + chunk].T[:, None, :]          # (c, 1, n)
             G = self.G[:, j:j + chunk].T[None]                # (1, c, n)

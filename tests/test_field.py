@@ -112,6 +112,11 @@ FFT_LIMB_PINS = (
     ((1 << 31) - 1, 256, (16, 2, 8)),
     ((1 << 31) - 1, 1719, (16, 2, 1)),
     ((1 << 31) - 1, 1720, (11, 3, 682)),
+    ((1 << 61) - 1, 4, (21, 3, 1)),
+    ((1 << 61) - 1, 5, (16, 4, 515)),
+    ((1 << 61) - 1, 128, (16, 4, 10)),
+    ((1 << 61) - 1, 937, (16, 4, 1)),
+    ((1 << 61) - 1, 938, (13, 5, 51)),
 )
 
 
@@ -127,18 +132,25 @@ def test_fft_limbs_pins(p, n, plan):
     ((1 << 31) - 1, 2, 3, 2, 5, 7, 4),
     ((1 << 31) - 1, 1, 3, 2, 1024, 1024, 1024),    # one term per transform
     (P_NTT, 2, 0, 3, 4, 4, 7),                       # no terms
+    ((1 << 61) - 1, 2, 1, 1, 1, 1, 1),
+    ((1 << 61) - 1, 2, 3, 2, 4, 4, 7),               # 21-bit limbs
+    ((1 << 61) - 1, 1, 517, 2, 5, 5, 9),             # 515 terms per transform
+    ((1 << 61) - 1, 1, 2, 1, 937, 937, 1873),        # one term per transform
+    ((1 << 61) - 1, 1, 1, 2, 938, 938, 938),         # 13-bit limbs
 ])
 def test_conv_matmul_vs_exact_convolution(p, I, T, J, la, lb, out_len):
     f = PrimeField(p)
     rng = f.rng(I * 100 + T * 10 + la)
     a = f.rand_mat(rng, (I * T, la)).reshape(I, T, la)
     b = f.rand_mat(rng, (T * J, lb)).reshape(T, J, lb)
-    a[0, :1] = p - 1                   # some all-(p-1) rows
-    want = np.zeros((I, J, out_len), dtype=np.int64)
+    a[0, :1] = p - 1                   # all-(p-1) rows on both sides
+    b[:1, 0] = p - 1
+    want = f.zeros((I, J, out_len))
     for i in range(I):
         for j in range(J):
             for t in range(T):
-                c = f.conv(a[i, t], b[t, j], method="basic")[:out_len]
+                c = _ref.schoolbook_mul([int(x) for x in a[i, t]],
+                                        [int(x) for x in b[t, j]], p)[:out_len]
                 want[i, j, :len(c)] = (want[i, j, :len(c)] + c) % p
     out = f.conv_matmul(a, b, out_len)
-    assert out.dtype == np.int64 and np.array_equal(out, want)
+    assert out.dtype == f.dtype and np.array_equal(out, want)

@@ -20,8 +20,9 @@ def test_mul_examples():
     assert Poly(f7, [3, 1]).mul(Poly.zero(f7)).is_zero()
 
 
-def test_mul_random_vs_schoolbook():
-    f = PrimeField(P_NTT)
+@pytest.mark.parametrize("p", [P_NTT, (1 << 31) - 1, (1 << 61) - 1])
+def test_mul_random_vs_schoolbook(p):
+    f = PrimeField(p)
     rng = f.rng(5)
     a = [int(x) for x in f.rand_vec(rng, 201)]
     b = [int(x) for x in f.rand_vec(rng, 201)]

@@ -198,12 +198,17 @@ def test_matvec_identity_and_shift():
 # All residues p-1, the largest limbs the float-FFT kernel sees.  At the
 # 31-bit primes n = 256 sums 8 generators per inverse transform (widths 8
 # and 9 straddle a chunk), n = 1719 is the largest n with 16-bit limbs (one
-# generator per transform) and n = 1720 takes 11-bit limbs; see
+# generator per transform) and n = 1720 takes 11-bit limbs.  At 2^61 - 1
+# (object dtype) n = 4 takes 21-bit limbs, n = 5 .. 937 16-bit limbs
+# (n = 128 sums 10 generators per transform) and n = 938 13-bit limbs; see
 # tests/test_field.py::test_fft_limbs_pins.  Widths are per core.
 WORST_CASES = ((3, 1, 1, 2), (3, 256, 2, 2), (3, 16, 0, 2), (3, 16, 2, 0)) + tuple(
     (p, n, width, k) for p in (P_NTT, (1 << 31) - 1)
     for n, width, k in ((1, 2, 2), (256, 8, 1), (256, 9, 2), (1719, 2, 2),
-                        (1720, 2, 1), (16, 0, 2), (16, 2, 0)))
+                        (1720, 2, 1), (16, 0, 2), (16, 2, 0))) + tuple(
+    ((1 << 61) - 1, n, width, k)
+    for n, width, k in ((4, 2, 2), (5, 2, 2), (128, 10, 1), (128, 11, 2),
+                        (937, 2, 2), (938, 2, 1)))
 
 
 def test_matvec_vs_dense():
@@ -225,10 +230,10 @@ def test_matvec_vs_dense():
         core = ToeplitzCore(f, n, G, G)
         A = THMatrix(f, core, core)
         dense = A.reconstruct()
-        block = np.full((n, k), p - 1, dtype=np.int64)
+        block = np.full((n, k), p - 1, dtype=f.dtype)
         for apply, M in ((A.matvec_block, dense), (A.matvec_t_block, dense.T.copy())):
             out = apply(block)
-            assert out.shape == (n, k) and out.dtype == np.int64
+            assert out.shape == (n, k) and out.dtype == f.dtype
             assert np.array_equal(out, f.matmul(M, block)), (p, n, width, k)
 
 
@@ -249,7 +254,7 @@ MATVEC_PINS = (
     (101, 1, 1, 1, 4),                  # n = 1, non-NTT prime
     (P_NTT, 1, 2, 0, 8),                # n = 1 at an NTT prime
     (101, 9, 2, 1, 486),                # non-NTT prime
-    ((1 << 61) - 1, 7, 2, 1, 294),      # object dtype, column loop
+    ((1 << 61) - 1, 7, 2, 1, 294),      # object dtype
     (P_NTT, 16, 2, 2, 2432),            # NTT prime
     (P_NTT, 16, 3, 0, 1824),            # zero-width Q
     (101, 5, 0, 2, 100),                # zero-width P

@@ -355,8 +355,7 @@ def per_trial_verify_cost(A, f):
 
 @pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1])
 def test_verify_batched_count_and_reject(p):
-    # p = 2^61 - 1 runs the object-dtype column loop, 101 and P_NTT the
-    # float-FFT kernel at a non-NTT and an NTT prime
+    # the float-FFT kernel at a non-NTT, an NTT and an object-dtype prime
     field = PrimeField(p)
     A = random_structured(field, 11, 2, 1, 92)
     mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
