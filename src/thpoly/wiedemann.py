@@ -1,12 +1,17 @@
 """Randomized annihilating-polynomial algorithms for structured matrices.
 
 The scalar route projects the matrix to a length 2n+2 sequence
-u^T A^i v, accelerated by baby-step/giant-step scheduling, and recovers
+u^T A^i v, by default scheduled baby-step/giant-step (BSGS), and recovers
 the minimal polynomial with Berlekamp-Massey.  The block route projects
-to beta x beta blocks, computes a minimal matrix generating polynomial by
-an iterative order-basis algorithm, and takes its determinant; for
-generic matrices that determinant is the characteristic polynomial.  Both
-are Monte Carlo with cheap independent verification.
+to L = 2*ceil(n/beta)+2 blocks U^T A^i V of size beta x beta, built by
+L-1 successive block matvecs, computes a minimal matrix generating
+polynomial by an iterative order-basis algorithm, and takes its
+determinant; for generic matrices that determinant is the characteristic
+polynomial.  BSGS, the paper's schedule, serves the scalar route only:
+under the counter's cubic matrix-product charge no stride s > 1 is
+cheaper than s = 1, and for T+H-like inputs the power A^s loses its
+structure.  Both routes are Monte Carlo with cheap independent
+verification.
 """
 
 from __future__ import annotations
@@ -340,8 +345,7 @@ def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
     if mode == "naive":
         seq = krylov_sequence_naive(A, u, v, L, counter)
     else:
-        plan = BsgsPlan(beta=1, s=min(math.ceil(math.sqrt(2 * n)), L), L=L)
-        seq = bsgs_sequence(A, u, v, plan, counter)
+        seq = bsgs_sequence(A, u, v, BsgsPlan.default(n, 1), counter)
     scalars = seq.terms[:, 0, 0]
     f = berlekamp_massey(field, scalars, counter)
     ok = verify_annihilates(A, f, verify_trials, derive_seed(seed, "verify"),
@@ -354,6 +358,9 @@ def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
 def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     """Characteristic polynomial of a generic structured matrix by block
     projection, minimal matrix generator, and determinant.
+
+    The block sequence U^T A^i V, i < 2*ceil(n/beta)+2, comes from
+    successive block matvecs, never from a structured power of A.
 
     Raises NotGenericError carrying the partial divisor when the
     determinant degree falls short of n or a certificate fails; callers
@@ -370,8 +377,7 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     counter = MultCounter()
     U, V = structured_projectors(field, n, beta,
                                  derive_seed(seed, "projectors"), counter)
-    plan = BsgsPlan.default(n, beta)
-    seq = bsgs_sequence(A, U, V, plan, counter)
+    seq = krylov_sequence_naive(A, U, V, 2 * math.ceil(n / beta) + 2, counter)
     F = minimal_matrix_generator(seq, n, counter)
     try:
         c = polymat_det(F, counter)

@@ -12,6 +12,7 @@ from thpoly import (BlockSequence, BsgsPlan, DenseMatrix, MultCounter, Poly,
 from thpoly.errors import (BadBlockSizeError, FieldTooSmallError,
                            InsufficientLengthError, NotGenericError,
                            ShapeMismatchError, SingularEverywhereError)
+from thpoly.bench import run_case
 
 import _ref
 
@@ -326,6 +327,23 @@ def test_charpoly_field_too_small():
 def test_charpoly_deterministic():
     A = random_structured(F, 12, 2, 2, 66)
     assert charpoly_generic(A, 2, 9) == charpoly_generic(A, 2, 9)
+
+
+@pytest.mark.parametrize("n, mults", [(64, 3_196_221), (128, 14_175_197)])
+def test_charpoly_block_count_pin(n, mults):
+    assert run_case(F, n, 2, 1, 2, "charpoly-block", 1).field_mults == mults
+
+
+def test_charpoly_builds_no_power(monkeypatch):
+    # the block sequence comes from successive matvecs, never from A^s
+    def refuse(*args, **kwargs):
+        raise AssertionError("charpoly must not build A^s")
+
+    monkeypatch.setattr(THMatrix, "power", refuse)
+    monkeypatch.setattr("thpoly.wiedemann.bsgs_sequence", refuse)
+    A = random_structured(F, 64, 2, 1, 1)
+    oracle = dense_charpoly(DenseMatrix(F, A.reconstruct()))
+    assert charpoly_generic(A, 2, 1).polynomial == oracle
 
 
 # -- verification -------------------------------------------------------------------------
