@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("charpoly", help="characteristic polynomial of an SMX matrix")
     cp.add_argument("path")
-    cp.add_argument("--beta", type=int, default=1)
+    cp.add_argument("--beta", type=positive_int, default=1)
     cp.add_argument("--seed", type=int, default=None)
     cp.add_argument("--retries", type=positive_int, default=3)
     cp.set_defaults(func=cmd_charpoly)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seeds", default="1", help="comma-separated seeds")
     bn.add_argument("--alpha-t", type=int, default=2)
     bn.add_argument("--alpha-h", type=int, default=0)
-    bn.add_argument("--beta", type=int, default=2)
+    bn.add_argument("--beta", type=positive_int, default=2)
     bn.add_argument("--p", type=int, default=2013265921)
     bn.add_argument("--out", default="-")
     bn.set_defaults(func=cmd_bench)

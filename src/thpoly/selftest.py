@@ -167,8 +167,14 @@ def check_homomorphism():
             _expect(np.array_equal(A.power(3).reconstruct(),
                                    field.matmul(field.matmul(da, da), da)))
             _expect(np.array_equal(A.transpose().reconstruct(), da.T))
-            v = field.rand_vec(field.rng(seed), n)
+            rng = field.rng(seed)
+            v = field.rand_vec(rng, n)
             _expect(np.array_equal(A.matvec(v), field.matvec_dense(da, v)))
+            _expect(np.array_equal(A.matvec_t(v), field.matvec_dense(da.T, v)))
+            V, U = field.rand_mat(rng, (n, 2)), field.rand_mat(rng, (n, 2))
+            AV, AtU = A.matvec_pair(V, U)
+            _expect(np.array_equal(AV, field.matmul(da, V)))
+            _expect(np.array_equal(AtU, field.matmul(da.T, U)))
             _expect(A.trace() == int(np.trace(da) % field.p))
     return "reconstruct commutes with the structured algebra at three primes"
 

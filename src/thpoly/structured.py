@@ -13,7 +13,9 @@ with L(g) lower-triangular Toeplitz (first column g) and U(h)
 upper-triangular Toeplitz (first row h).  Each core matvec therefore
 costs two convolutions per generator column.  A general matrix is stored
 as A = P + J Q with two cores and J the index reversal; Toeplitz matrices
-have Q = 0, Hankel matrices have P = 0.
+have Q = 0, Hankel matrices have P = 0.  Every block product, of one core
+or of several cores at once (A V, A^T V, or both A V and A^T U), is one
+pass of `_two_stage`: two kernel calls per chunk of generator columns.
 """
 
 from __future__ import annotations
@@ -43,6 +45,55 @@ def _down_block(field: PrimeField, V: np.ndarray) -> np.ndarray:
 def _up_block(field: PrimeField, V: np.ndarray) -> np.ndarray:
     out = field.zeros(V.shape)
     out[:-1, :] = V[1:, :]
+    return out
+
+
+def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
+               counter: MultCounter | None = None) -> np.ndarray:
+    """Products of several cores with several input blocks in one pass.
+
+    `blocks` are n x k input blocks of one width k; each core is a tuple
+    (H, i, G, o) whose generator columns add L(g_j) U(h_j) blocks[i] into
+    output o.  Returns the (outputs, n, k) sums.  Per chunk of generator
+    columns (as many as one inverse transform may sum, `field.fft_limbs`)
+    there are two `field.conv_matmul` calls: stage 1 computes U(h_j) x
+    for every column j, each reading its own input block (the kernel's
+    sum over blocks picks one, the others meeting exact zeros), and stage
+    2 computes L(g_j) u_j, each column adding into its own output.  The
+    charge is two convolutions per generator and block column, as for
+    one core at a time.
+    """
+    for X in blocks:
+        if X.shape[0] != n:
+            raise LengthMismatchError(f"block rows {X.shape[0]} != {n}")
+    k = blocks[0].shape[1]
+    if any(X.shape[1] != k for X in blocks):
+        raise DimensionMismatchError("input blocks must have equal width")
+    live = [c for c in cores if c[0].shape[1]]
+    w = sum(c[0].shape[1] for c in live)
+    if w == 0 or k == 0:
+        return field.zeros((outputs, n, k))
+    if counter is not None:
+        counter.add(w * k * 2 * field.conv_charge(n, n))
+    # only the blocks and outputs that some column uses enter the kernel
+    reads = sorted({c[1] for c in live})
+    writes = sorted({c[3] for c in live})
+    h = np.zeros((w, len(reads), n), dtype=np.int64)
+    g = np.zeros((len(writes), w, n), dtype=np.int64)
+    j = 0
+    for H, i, G, o in live:
+        h[j:j + H.shape[1], reads.index(i)] = H.T
+        g[writes.index(o), j:j + H.shape[1]] = G.T
+        j += H.shape[1]
+    # U(h) x = correlation coefficients n-1 .. 0 of h with x
+    rx = np.stack([blocks[i][::-1, :].T for i in reads])
+    chunk = field.fft_limbs(n, n)[2]
+    acc = field.zeros((len(writes), k, n))
+    for j in range(0, w, chunk):
+        u = field.conv_matmul(h[j:j + chunk], rx, n)[:, :, ::-1]
+        acc = (acc + field.conv_matmul(g[:, j:j + chunk], u, n)) % field.p
+    out = field.zeros((outputs, n, k))
+    out[writes] = acc.transpose(0, 2, 1)
     return out
 
 
@@ -85,35 +136,11 @@ class ToeplitzCore:
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """C V for an n x k block: two triangular-Toeplitz products (two
-        convolutions, and their charge) per generator and block column.
-
-        Both stages run on the exact float-FFT kernel `field.conv_matmul`
-        for every field, a chunk of generators at a time (as many as one
-        inverse transform may sum, `field.fft_limbs`), which bounds the
-        frequency-domain intermediates.
-        """
-        field = self.field
-        n = self.n
-        if V.shape[0] != n:
-            raise LengthMismatchError(f"block rows {V.shape[0]} != {n}")
-        w = self.width
-        k = V.shape[1]
-        if w == 0 or k == 0:
-            return field.zeros((n, k))
-        if counter is not None:
-            counter.add(w * k * 2 * field.conv_charge(n, n))
-        p = field.p
-        rv = np.ascontiguousarray(V[::-1, :].T)[None]        # (1, k, n)
-        chunk = field.fft_limbs(n, n)[2]
-        out = field.zeros((1, k, n))
-        for j in range(0, w, chunk):
-            H = self.H[:, j:j + chunk].T[:, None, :]          # (c, 1, n)
-            G = self.G[:, j:j + chunk].T[None]                # (1, c, n)
-            # U(h_j) v = correlation coefficients n-1 .. 0
-            u = field.conv_matmul(H, rv, n)[:, :, ::-1]
-            out = (out + field.conv_matmul(G, u, n)) % p
-        return out[0].T.copy()
+        """C V for an n x k block: the one-core case of `_two_stage`, two
+        triangular-Toeplitz products (two convolutions, and their charge)
+        per generator and block column."""
+        return _two_stage(self.field, self.n, [V],
+                          [(self.H, 0, self.G, 0)], 1, counter)[0]
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
@@ -326,19 +353,36 @@ class THMatrix:
         """A^T v, the width-1 case of `matvec_t_block`."""
         return self.matvec_t_block(self._column(v), counter)[:, 0]
 
+    def _forward(self, i: int, o: int):
+        """Cores of A x, x being input block i: P x into output o and
+        Q x into output o + 1, which the caller J-flips and adds."""
+        return [(self.P.H, i, self.P.G, o), (self.Q.H, i, self.Q.G, o + 1)]
+
+    def _backward(self, i: int, o: int):
+        """Cores of A^T x = P^T x + Q^T (J x), reading x from input block i
+        and J x from block i + 1, into output o."""
+        return [(self.P.G, i, self.P.H, o), (self.Q.G, i + 1, self.Q.H, o)]
+
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        out = self.P.matvec_block(V, counter)
-        if self.Q.width:
-            out = (out + self.Q.matvec_block(V, counter)[::-1, :]) % self.field.p
-        return out
+        """A V = P V + J (Q V): both cores in one `_two_stage` pass."""
+        out = _two_stage(self.field, self.n, [V], self._forward(0, 0), 2,
+                         counter)
+        return (out[0] + out[1][::-1]) % self.field.p
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
-        out = self.P.matvec_t_block(V, counter)
-        if self.Q.width:
-            out = (out + self.Q.matvec_t_block(V[::-1, :].copy(), counter)) % self.field.p
-        return out
+        """A^T V = P^T V + Q^T (J V) in one `_two_stage` pass."""
+        return _two_stage(self.field, self.n, [V, V[::-1, :]],
+                          self._backward(0, 0), 1, counter)[0]
+
+    def matvec_pair(self, V: np.ndarray, U: np.ndarray,
+                    counter: MultCounter | None = None):
+        """(A V, A^T U) for blocks of equal width in one `_two_stage` pass;
+        charged as `matvec_block(V)` plus `matvec_t_block(U)`."""
+        out = _two_stage(self.field, self.n, [V, U, U[::-1, :]],
+                         self._forward(0, 0) + self._backward(1, 2), 3, counter)
+        return (out[0] + out[1][::-1]) % self.field.p, out[2]
 
     # -- algebra ---------------------------------------------------------------
 

@@ -3,15 +3,16 @@
 The scalar route projects the matrix to a length 2n+2 sequence
 u^T A^i v, by default scheduled baby-step/giant-step (BSGS), and recovers
 the minimal polynomial with Berlekamp-Massey.  The block route projects
-to L = 2*ceil(n/beta)+2 blocks U^T A^i V of size beta x beta, built by
-L-1 successive block matvecs, computes a minimal matrix generating
-polynomial by an iterative order-basis algorithm, and takes its
-determinant; for generic matrices that determinant is the characteristic
-polynomial.  BSGS, the paper's schedule, serves the scalar route only:
-under the counter's cubic matrix-product charge no stride s > 1 is
-cheaper than s = 1, and for T+H-like inputs the power A^s loses its
-structure.  Both routes are Monte Carlo with cheap independent
-verification.
+to L = 2*ceil(n/beta)+2 blocks U^T A^i V of size beta x beta, read
+two-sided as ((A^T)^j U)^T (A^i V): L-1 block products from two
+independent Krylov chains, advanced together by one structured pass per
+step.  It then computes a minimal matrix generating polynomial by an
+iterative order-basis algorithm and takes its determinant; for generic
+matrices that determinant is the characteristic polynomial.  BSGS, the
+paper's schedule, serves the scalar route only: under the counter's
+cubic matrix-product charge no stride s > 1 is cheaper than s = 1, and
+for T+H-like inputs the power A^s loses its structure.  Both routes are
+Monte Carlo with cheap independent verification.
 """
 
 from __future__ import annotations
@@ -143,16 +144,27 @@ def _check_blocks(A: THMatrix, U: np.ndarray, V: np.ndarray) -> int:
 
 def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
                           counter: MultCounter | None = None) -> BlockSequence:
-    """S_i = U^T (A^i V) by L-1 successive block matvecs (reference path)."""
+    """S_i = U^T A^i V from two Krylov chains (reference path).
+
+    With V_i = A^i V and U_i = (A^T)^i U, S_{2i} = U_i^T V_i and
+    S_{2i+1} = U_i^T V_{i+1}.  The chains are independent, so each step
+    advances both with one `THMatrix.matvec_pair` (the last odd term only
+    needs V_{i+1}, a plain `matvec_block`): L-1 block products in
+    ceil((L-1)/2) kernel passes, and only the current blocks are held.
+    """
     beta = _check_blocks(A, U, V)
     field = A.field
     terms = np.zeros((L, beta, beta), dtype=field.dtype)
-    W = V.copy()
-    Ut = U.T.copy()
-    for i in range(L):
-        terms[i] = field.matmul(Ut, W, counter)
-        if i + 1 < L:
-            W = A.matvec_block(W, counter)
+    for i in range(0, L, 2):
+        Ut = U.T.copy()
+        terms[i] = field.matmul(Ut, V, counter)
+        if i + 1 == L:
+            break
+        if i + 2 < L:
+            V, U = A.matvec_pair(V, U, counter)
+        else:
+            V = A.matvec_block(V, counter)
+        terms[i + 1] = field.matmul(Ut, V, counter)
     return BlockSequence(field, beta, terms)
 
 
@@ -359,8 +371,9 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     """Characteristic polynomial of a generic structured matrix by block
     projection, minimal matrix generator, and determinant.
 
-    The block sequence U^T A^i V, i < 2*ceil(n/beta)+2, comes from
-    successive block matvecs, never from a structured power of A.
+    The block sequence U^T A^i V, i < 2*ceil(n/beta)+2, comes from the
+    two Krylov chains A^i V and (A^T)^i U of `krylov_sequence_naive`,
+    never from a structured power of A.
 
     Raises NotGenericError carrying the partial divisor when the
     determinant degree falls short of n or a certificate fails; callers

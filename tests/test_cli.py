@@ -217,6 +217,18 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, count):
         assert "No such file" not in err
 
 
+@pytest.mark.parametrize("beta", [0, -1])
+def test_beta_below_one_is_usage_error(tmp_path, capsys, beta):
+    # rejected while parsing: no CSV row, no file opened
+    code, out, err = run(capsys, "bench", "--sizes", 4, "--algorithms",
+                         "minpoly-naive", "--beta", beta)
+    assert code == 2 and out == "" and "--beta" in err
+    code, out, err = run(capsys, "charpoly", tmp_path / "missing.smx",
+                         "--beta", beta, "--seed", 1)
+    assert code == 2 and out == "" and "--beta" in err
+    assert "No such file" not in err
+
+
 # -- reconstruct ------------------------------------------------------------------
 
 

@@ -224,6 +224,10 @@ def test_matvec_vs_dense():
                           f.matmul(dense.T.copy(), block))
     with pytest.raises(LengthMismatchError):
         A.matvec([1, 2, 3])
+    with pytest.raises(LengthMismatchError):
+        A.matvec_pair(block, block[:15])
+    with pytest.raises(DimensionMismatchError):
+        A.matvec_pair(block, block[:, :2])
     for p, n, width, k in WORST_CASES:
         f = PrimeField(p)
         G = np.full((n, width), p - 1, dtype=np.int64)
@@ -231,8 +235,10 @@ def test_matvec_vs_dense():
         A = THMatrix(f, core, core)
         dense = A.reconstruct()
         block = np.full((n, k), p - 1, dtype=f.dtype)
-        for apply, M in ((A.matvec_block, dense), (A.matvec_t_block, dense.T.copy())):
-            out = apply(block)
+        pair = A.matvec_pair(block, block)
+        for out, M in ((A.matvec_block(block), dense), (pair[0], dense),
+                       (A.matvec_t_block(block), dense.T.copy()),
+                       (pair[1], dense.T.copy())):
             assert out.shape == (n, k) and out.dtype == f.dtype
             assert np.array_equal(out, f.matmul(M, block)), (p, n, width, k)
 
@@ -279,6 +285,32 @@ def test_matvec_is_width_one_block(p, n, alpha_t, alpha_h, mults):
         assert np.array_equal(out, block(v.reshape(n, 1))[:, 0])
     with pytest.raises(LengthMismatchError):
         A.matvec_t(f.zeros(n + 1))
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
+@pytest.mark.parametrize("alpha_t,alpha_h", ((2, 1), (2, 0), (0, 2), (3, 3)))
+def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
+    # every structured product is one two-stage pass: two kernel calls
+    # while all generator columns fit one chunk, whatever the cores
+    f = PrimeField(p)
+    n = 16
+    A = random_structured(f, n, alpha_t, alpha_h, 5)
+    assert 2 * A.alpha <= f.fft_limbs(n, n)[2]
+    calls = []
+    kernel = PrimeField.conv_matmul
+
+    def counting(self, *args):
+        calls.append(1)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(PrimeField, "conv_matmul", counting)
+    V = f.rand_mat(f.rng(6), (n, 2))
+    core = A.P if A.P.width else A.Q
+    for product in (lambda: A.matvec_block(V), lambda: A.matvec_t_block(V),
+                    lambda: A.matvec_pair(V, V), lambda: core.matvec_block(V)):
+        calls.clear()
+        product()
+        assert len(calls) == 2
 
 
 # -- core algebra --------------------------------------------------------------------

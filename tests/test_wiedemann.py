@@ -80,6 +80,28 @@ def test_naive_sequence_vs_dense_powers():
         power = F.matmul(dense, power)
 
 
+@pytest.mark.parametrize("p", (101, (1 << 61) - 1))
+@pytest.mark.parametrize("alpha_t,alpha_h", ((2, 0), (0, 2), (2, 1)))
+@pytest.mark.parametrize("beta", (1, 2, 3))
+def test_two_sided_sequence_vs_dense(p, alpha_t, alpha_h, beta):
+    # S_{2i} = U_i^T V_i and S_{2i+1} = U_i^T V_{i+1} read the two chains;
+    # every term must still be U^T A^i V, at the per-step charge
+    f = PrimeField(p)
+    n = 7
+    A = random_structured(f, n, alpha_t, alpha_h, 40 + beta)
+    U, V = structured_projectors(f, n, beta, 41)
+    dense = A.reconstruct()
+    step = 2 * A.alpha * beta * f.conv_charge(n, n)
+    for L in (1, 2, 3, 8, 9):
+        counter = MultCounter()
+        seq = krylov_sequence_naive(A, U, V, L, counter)
+        assert counter.mults == (L - 1) * step + L * beta * n * beta
+        power = V
+        for i in range(L):
+            assert np.array_equal(seq.terms[i], f.matmul(U.T.copy(), power))
+            power = f.matmul(dense, power)
+
+
 def test_bsgs_identity_and_stride_one():
     eye = THMatrix.identity(F, 6)
     U, V = structured_projectors(F, 6, 2, 14)
