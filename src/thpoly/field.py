@@ -5,9 +5,12 @@ int64 when p < 2**31 (so a product of two residues fits 62 bits), dtype
 object with Python ints otherwise.  Every residue is below 2**62, so it
 also fits int64 wherever a kernel needs it to.  Convolutions go through an
 iterative radix-2 NTT when the modulus supports one; every other product
-of polynomials, and every batched product of polynomial matrices
-(`conv_matmul`), runs on floating-point FFTs over b-bit limbs, exact by an
-a-priori rounding-error bound.  All paths return identical residues.
+of polynomials, and every batched product of polynomial matrices, runs on
+floating-point FFTs over b-bit limbs, exact by an a-priori rounding-error
+bound.  That kernel has a transform step (`fft_spectra`), so an operand
+applied many times is transformed once, and a product step
+(`fft_product`); `conv_matmul` is the two in a row.  All paths return
+identical residues.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ _FFT_ERROR = 3 * (2 + math.sqrt(5)) * 2.0 ** -53
 # Error budget per output coefficient: np.rint is exact below 1/2, and the
 # factor of two covers the higher-order terms the bound above drops.
 _FFT_ROUNDING = 0.25
+# Diagonal spectra per slab of `fft_product`, in bytes.
+_SLAB_BYTES = 1 << 18
+
+
+def chunking(count: int, terms: int) -> tuple[int, int]:
+    """(chunks, size): count terms split into the fewest chunks of at most
+    `terms`, all of one size; `PrimeField.fft_spectra` pads a term axis to
+    chunks * size, and that padded count splits the same way again."""
+    chunks = -(-count // terms)
+    return chunks, -(-count // chunks) if chunks else 0
 
 
 def _v2(n: int) -> int:
@@ -87,12 +100,13 @@ def derive_seed(*parts) -> int:
 class PrimeField:
     """Arithmetic context modulo a word-sized prime.
 
-    Immutable after construction apart from an internal cache of NTT
-    tables (write-once, derived data only, so concurrent use is safe).
+    Immutable after construction apart from internal caches of NTT tables
+    and FFT plans (write-once, derived data only, so concurrent use is
+    safe).
     """
 
     __slots__ = ("p", "two_adicity", "ntt_capable", "ntt_root", "dtype",
-                 "_inv_cost", "_ntt_tables")
+                 "_inv_cost", "_ntt_tables", "_fft_plans")
 
     def __init__(self, p: int):
         p = int(p)
@@ -107,6 +121,7 @@ class PrimeField:
         self.dtype = np.int64 if p < _INT64_LIMIT else object
         self._inv_cost = pow_cost(p - 2)
         self._ntt_tables = {}
+        self._fft_plans = {}
 
     def _find_root(self) -> int:
         # w = g**((p-1)/2**t) has order exactly 2**t iff w**(2**(t-1)) == -1,
@@ -335,60 +350,132 @@ class PrimeField:
                 return b, count, terms
         raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
 
+    def _fft_plan(self, la: int, lb: int) -> tuple[int, int, int, int]:
+        """(b, L, terms, size): `fft_limbs` plus the FFT size, cached."""
+        plan = self._fft_plans.get((la, lb))
+        if plan is None:
+            plan = self.fft_limbs(la, lb) + (1 << max(0, la + lb - 2).bit_length(),)
+            self._fft_plans[(la, lb)] = plan
+        return plan
+
+    def fft_spectra(self, x, la: int, lb: int, axis: int | None = None) -> np.ndarray:
+        """Transform step of the FFT product kernel.
+
+        x holds residues (below 2**62, so int64) with coefficients on its
+        last axis, at most max(la, lb) of them.  Returns the complex limb
+        spectra, shape (L,) + x.shape[:-1] + (size // 2 + 1,), of the
+        la x lb products of `fft_limbs`: residues split into L limbs of b
+        bits, transformed with rfft at the FFT size.  The term axis `axis`
+        (the summed axis of `fft_product`) is padded with zero terms to
+        whole chunks (`chunking`).
+        """
+        x = np.asarray(x, dtype=np.int64)
+        bits, count, terms, size = self._fft_plan(la, lb)
+        shape = list(x.shape)
+        if axis is not None:
+            chunks, t = chunking(shape[axis], terms)
+            shape[axis] = chunks * t
+        limbs = np.zeros([count] + shape)
+        fill = tuple(slice(0, m) for m in x.shape)
+        mask = (1 << bits) - 1
+        for l in range(count):
+            np.bitwise_and(x >> (bits * l), mask, out=limbs[l][fill],
+                           casting="unsafe")
+        return np.fft.rfft(limbs, n=size, axis=-1)
+
+    def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
+                    out_len: int) -> np.ndarray:
+        """Product step: residues of sum_t a[i, t] * b[t, j], first out_len
+        coefficients, from `fft_spectra` fa (L, I, T, F) of a and fb
+        (L, T, J, F) of b; returns (I, J, out_len) in the field's dtype.
+
+        The T terms fall into equal chunks of at most `terms` (`chunking`;
+        `fft_spectra` pads T to fit).  One einsum per output limb diagonal
+        d sums the limb pairs l + l' = d and the terms of each chunk in the
+        frequency domain, for every chunk at once; one irfft and np.rint
+        then give each chunk's 2L - 1 diagonals exactly, a diagonal d
+        standing for 2**(b d) times its value.  Each is below 2**47.4,
+        since terms * L * (2**b - 1)**2 * sqrt(la lb) * 3 lg N *
+        (2 + sqrt 5) * 2**-53 < 1/4.  Rows of a go through in slabs whose
+        diagonal spectra fill about _SLAB_BYTES, which bounds the
+        intermediates of products with many rows.
+        """
+        bits, count, terms, size = self._fft_plan(la, lb)
+        I, T, F = fa.shape[1:]
+        J = fb.shape[2]
+        out = self.zeros((I, J, out_len))
+        if T == 0 or out.size == 0:
+            return out
+        C, t = chunking(T, terms)
+        fa = fa.reshape(count, I, C, t, F)
+        fb = fb.reshape(count, C, t, J, F)
+        diagonals = 2 * count - 1
+        rows = max(1, _SLAB_BYTES // (diagonals * C * J * F * 16))
+        for i in range(0, I, rows):
+            slab = fa[:, i:i + rows]
+            spec = np.empty((diagonals, C, slab.shape[1], J, F), dtype=complex)
+            for d in range(diagonals):
+                lo, hi = max(0, d - count + 1), min(d, count - 1) + 1
+                # limbs l of a against limbs d - l of b, l = lo .. hi - 1
+                np.einsum("lictf,lctjf->cijf", slab[lo:hi],
+                          fb[d - hi + 1:d - lo + 1][::-1], out=spec[d])
+            raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
+            del spec
+            out[i:i + rows] = self._recombine(np.rint(raw, out=raw).astype(np.int64),
+                                              bits)
+        return out
+
+    def _recombine(self, digits: np.ndarray, bits: int) -> np.ndarray:
+        """Residues of sum_c sum_d digits[d, c] * 2**(b d), the chunk
+        diagonals of `fft_product` (each below 2**47.4).
+
+        Int64 fields (p < 2**31, so b <= 16 whenever there are several
+        diagonals) reduce and sum the chunks, then take Horner steps
+        (acc << b) + diagonal, reduced mod p after each.  For p > 2**31
+        the diagonals are carried into b-bit digits below the top one,
+        packed into words of 62 // b digits, and the words of every chunk
+        recombine mod p in one object-dtype step.
+        """
+        p = self.p
+        top = len(digits) - 1
+        if self.dtype is not object:
+            if digits.shape[1] > 1:
+                digits = np.remainder(digits, p, out=digits).sum(axis=1)
+            else:
+                digits = digits[:, 0]
+            acc = digits[top] % p
+            for d in range(top - 1, -1, -1):
+                acc <<= bits
+                acc += digits[d]
+                acc %= p
+            return acc
+        mask = (1 << bits) - 1
+        for d in range(top):
+            digits[d + 1] += digits[d] >> bits
+            digits[d] &= mask
+        per = 62 // bits
+        starts = list(range(0, top, per))
+        words = [sum(digits[d] << (bits * (d - s)) for d in range(s, min(s + per, top)))
+                 for s in starts] + [digits[top]]
+        total = sum(word * pow(2, bits * s, p)
+                    for word, s in zip(np.stack(words).astype(object), starts + [top]))
+        return total.sum(axis=0) % p
+
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:
-        """Exact polynomial matrix product, the kernel of every block matvec.
-
-        a is (I, T, la) and b is (T, J, lb), coefficients on the last axis;
-        returns the (I, J, out_len) residues, in the field's dtype, of the
-        first out_len coefficients of sum_t a[i, t] * b[t, j].  Residues
-        (below 2**62, so int64) are split into limbs (`fft_limbs`) and
-        transformed with numpy.fft.rfft at the power-of-two size
-        la + lb - 1 needs.  Each output limb diagonal (limb pairs
-        l + l' = d) sums its limb products over at most `terms` generator
-        terms in the frequency domain, is transformed back and rounded
-        with np.rint, and stands for 2**(b d) times its value.  Int64
-        fields add the diagonals mod p one at a time, which keeps the
-        intermediates to one spectrum.  For p > 2**31 a diagonal (below
-        2**53) times 2**(b d) mod p overflows int64, so all 2L - 1
-        diagonals of a chunk of terms recombine in one object-dtype step.
-        """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        I, T, la = a.shape
-        J, lb = b.shape[1:]
-        out = self.zeros((I, J, out_len))
+        """Exact polynomial matrix product: a is (I, T, la) and b is
+        (T, J, lb), coefficients on the last axis; returns the (I, J,
+        out_len) residues, in the field's dtype, of the first out_len
+        coefficients of sum_t a[i, t] * b[t, j].  One transform step per
+        operand (`fft_spectra`) and one product step (`fft_product`);
+        callers that apply one operand many times keep its spectra."""
+        I, T, la = np.shape(a)
+        J, lb = np.shape(b)[1:]
         if T == 0 or la == 0 or lb == 0:
-            return out
-        p = self.p
-        size = 1 << (la + lb - 2).bit_length()
-        bits, count, terms = self.fft_limbs(la, lb)
-        mask = (1 << bits) - 1
-        weights = [pow(2, bits * d, p) for d in range(2 * count - 1)]
-
-        def spectra(x):
-            limbs = np.stack([(x >> (bits * l)) & mask for l in range(count)])
-            return np.fft.rfft(limbs.astype(np.float64), n=size, axis=-1)
-
-        def diagonal(ta, tb, d):
-            spec = sum(np.einsum("itf,tjf->ijf", ta[l], tb[d - l])
-                       for l in range(max(0, d - count + 1), min(d, count - 1) + 1))
-            raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
-            return np.rint(raw).astype(np.int64)
-
-        fa, fb = spectra(a), spectra(b)
-        for t in range(0, T, terms):
-            ta, tb = fa[:, :, t:t + terms], fb[:, t:t + terms]
-            if self.dtype is object:
-                limbs = np.stack([diagonal(ta, tb, d) for d in range(2 * count - 1)])
-                recombined = np.tensordot(np.array(weights, dtype=object),
-                                          limbs.astype(object), 1)
-                out = (out + recombined) % p
-            else:
-                for d in range(2 * count - 1):
-                    limb = diagonal(ta, tb, d) % p
-                    out = (out + limb * weights[d]) % p
-        return out
+            return self.zeros((I, J, out_len))
+        return self.fft_product(self.fft_spectra(a, la, lb, axis=1),
+                                self.fft_spectra(b, la, lb, axis=0),
+                                la, lb, out_len)
 
     def _pad(self, a, size) -> np.ndarray:
         out = np.zeros(size, dtype=np.int64)

@@ -180,18 +180,21 @@ def check_homomorphism():
 
 
 def check_fft_kernel():
-    # FFT rounding depends on the installed numpy: run the kernel at the
-    # largest n that still uses 16-bit limbs, where one generator fills the
-    # error budget, on all-(p-1) inputs (the largest limbs)
+    # FFT rounding depends on the installed numpy: on all-(p-1) inputs (the
+    # largest limbs), run the kernel at the largest n that still uses
+    # 16-bit limbs, where one generator fills the error budget, and at
+    # n = 128 with generators filling two whole chunks, whose sums one
+    # kernel call takes in a single batch
     for p in ((1 << 31) - 1, _P_NTT, _P_BIG):
         field = PrimeField(p)
-        n = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
-                if field.fft_limbs(m, m)[0] == 16)
-        G = np.full((n, 2), p - 1, dtype=np.int64)
-        core = ToeplitzCore(field, n, G, G)
-        V = np.full((n, 2), p - 1, dtype=field.dtype)
-        _expect(np.array_equal(core.matvec_block(V),
-                               field.matmul(core.dense(), V)))
+        widest = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
+                     if field.fft_limbs(m, m)[0] == 16)
+        for n, width in ((widest, 2), (128, 2 * field.fft_limbs(128, 128)[2])):
+            G = np.full((n, width), p - 1, dtype=np.int64)
+            core = ToeplitzCore(field, n, G, G)
+            V = np.full((n, 2), p - 1, dtype=field.dtype)
+            _expect(np.array_equal(core.matvec_block(V),
+                                   field.matmul(core.dense(), V)))
     return "float-FFT matvec exact at the widest 16-bit-limb size"
 
 

@@ -15,7 +15,8 @@ costs two convolutions per generator column.  A general matrix is stored
 as A = P + J Q with two cores and J the index reversal; Toeplitz matrices
 have Q = 0, Hankel matrices have P = 0.  Every block product, of one core
 or of several cores at once (A V, A^T V, or both A V and A^T U), is one
-pass of `_two_stage`: two kernel calls per chunk of generator columns.
+pass of `_two_stage`: two kernel product steps, whatever the generator
+width, on generator spectra each core transforms once and keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .counting import MultCounter
 from .errors import (BadLengthError, CornerMismatchError,
                      DimensionMismatchError, FieldMismatchError,
                      LengthMismatchError, TooLargeError)
-from .field import PrimeField
+from .field import PrimeField, chunking
 from .linalg import rank_factor
 
 RECONSTRUCT_GUARD = 4096
@@ -53,13 +54,16 @@ def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
     """Products of several cores with several input blocks in one pass.
 
     `blocks` are n x k input blocks of one width k; each core is a tuple
-    (H, i, G, o) whose generator columns add L(g_j) U(h_j) blocks[i] into
-    output o.  Returns the (outputs, n, k) sums.  Per chunk of generator
-    columns (as many as one inverse transform may sum, `field.fft_limbs`)
-    there are two `field.conv_matmul` calls: stage 1 computes U(h_j) x
-    for every column j, each reading its own input block (the kernel's
-    sum over blocks picks one, the others meeting exact zeros), and stage
-    2 computes L(g_j) u_j, each column adding into its own output.  The
+    (core, i, o, transposed) whose generator columns, those of C or of
+    C^T, add L(g_j) U(h_j) blocks[i] into output o.  Returns the
+    (outputs, n, k) sums.  The cores' generators enter as their cached
+    limb spectra (`ToeplitzCore.spectra`), so a pass transforms only its
+    input blocks and the stage-1 result, and makes two
+    `field.fft_product` calls whatever the number of columns: stage 1
+    computes U(h_j) x for every column j, each reading its own input
+    block (the kernel's sum over blocks picks one, the others meeting
+    exact zeros), and stage 2 computes L(g_j) u_j, each column adding
+    into its own output, all chunks of columns in the one call.  The
     charge is two convolutions per generator and block column, as for
     one core at a time.
     """
@@ -69,29 +73,39 @@ def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
     k = blocks[0].shape[1]
     if any(X.shape[1] != k for X in blocks):
         raise DimensionMismatchError("input blocks must have equal width")
-    live = [c for c in cores if c[0].shape[1]]
-    w = sum(c[0].shape[1] for c in live)
+    live = [c for c in cores if c[0].width]
+    w = sum(c[0].width for c in live)
     if w == 0 or k == 0:
         return field.zeros((outputs, n, k))
     if counter is not None:
         counter.add(w * k * 2 * field.conv_charge(n, n))
     # only the blocks and outputs that some column uses enter the kernel
     reads = sorted({c[1] for c in live})
-    writes = sorted({c[3] for c in live})
-    h = np.zeros((w, len(reads), n), dtype=np.int64)
-    g = np.zeros((len(writes), w, n), dtype=np.int64)
-    j = 0
-    for H, i, G, o in live:
-        h[j:j + H.shape[1], reads.index(i)] = H.T
-        g[writes.index(o), j:j + H.shape[1]] = G.T
-        j += H.shape[1]
+    writes = sorted({c[2] for c in live})
     # U(h) x = correlation coefficients n-1 .. 0 of h with x
     rx = np.stack([blocks[i][::-1, :].T for i in reads])
-    chunk = field.fft_limbs(n, n)[2]
-    acc = field.zeros((len(writes), k, n))
-    for j in range(0, w, chunk):
-        u = field.conv_matmul(h[j:j + chunk], rx, n)[:, :, ::-1]
-        acc = (acc + field.conv_matmul(g[:, j:j + chunk], u, n)) % field.p
+    fx = field.fft_spectra(rx, n, n, axis=0)
+    # spectra of the (g_j, h_j) columns: (G, H) for C, (H, G) for C^T
+    spectra = [c.spectra()[::-1] if tr else c.spectra() for c, _, _, tr in live]
+    if len(live) == 1 and len(reads) == 1:
+        # one core on one block: its cached spectra, uncopied, are the
+        # kernel operands (wide powers A^s take this path)
+        g, h = spectra[0]
+        fh, fg = h[:, :w, None], g[:, None]
+    else:
+        terms = field.fft_limbs(n, n)[2]
+        L, R, _, F = fx.shape
+        chunks, t = chunking(w, terms)
+        fh = np.zeros((L, w, R, F), dtype=complex)
+        fg = np.zeros((L, len(writes), chunks * t, F), dtype=complex)
+        j = 0
+        for (g, h), (core, i, o, _) in zip(spectra, live):
+            m = core.width
+            fh[:, j:j + m, reads.index(i)] = h[:, :m]
+            fg[:, writes.index(o), j:j + m] = g[:, :m]
+            j += m
+    u = field.fft_product(fh, fx, n, n, n)[:, :, ::-1]
+    acc = field.fft_product(fg, field.fft_spectra(u, n, n, axis=0), n, n, n)
     out = field.zeros((outputs, n, k))
     out[writes] = acc.transpose(0, 2, 1)
     return out
@@ -100,7 +114,7 @@ def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
 class ToeplitzCore:
     """Matrix defined by generators of the down-shift Stein displacement."""
 
-    __slots__ = ("field", "n", "G", "H")
+    __slots__ = ("field", "n", "G", "H", "_spectra")
 
     def __init__(self, field: PrimeField, n: int, G, H):
         if n < 1:
@@ -117,6 +131,10 @@ class ToeplitzCore:
         self.n = n
         self.G = field.asmat(G) if G.size else field.zeros((n, G.shape[1]))
         self.H = field.asmat(H) if H.size else field.zeros((n, H.shape[1]))
+        self.G.flags.writeable = False
+        self.H.flags.writeable = False
+        # cells for the limb spectra of G and H, filled by `spectra`
+        self._spectra = ([None], [None])
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "ToeplitzCore":
@@ -134,21 +152,33 @@ class ToeplitzCore:
     def __repr__(self) -> str:
         return f"ToeplitzCore(n={self.n}, width={self.width}, p={self.field.p})"
 
+    def spectra(self):
+        """Limb spectra of the G and H columns for n x n kernel products
+        (`PrimeField.fft_spectra`, columns padded to whole chunks); each
+        is transformed on first use, kept, and shared with `swapped()`."""
+        for cell, X in zip(self._spectra, (self.G, self.H)):
+            if cell[0] is None:
+                cell[0] = self.field.fft_spectra(X.T, self.n, self.n, axis=0)
+        return self._spectra[0][0], self._spectra[1][0]
+
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
         """C V for an n x k block: the one-core case of `_two_stage`, two
         triangular-Toeplitz products (two convolutions, and their charge)
         per generator and block column."""
-        return _two_stage(self.field, self.n, [V],
-                          [(self.H, 0, self.G, 0)], 1, counter)[0]
+        return _two_stage(self.field, self.n, [V], [(self, 0, 0, False)], 1,
+                          counter)[0]
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
-        return self.swapped().matvec_block(V, counter)
+        return _two_stage(self.field, self.n, [V], [(self, 0, 0, True)], 1,
+                          counter)[0]
 
     def swapped(self) -> "ToeplitzCore":
         """Transpose: displacement of C^T is (G H^T)^T = H G^T."""
-        return ToeplitzCore(self.field, self.n, self.H, self.G)
+        core = ToeplitzCore(self.field, self.n, self.H, self.G)
+        core._spectra = self._spectra[::-1]
+        return core
 
     def compressed(self, counter: MultCounter | None = None) -> "ToeplitzCore":
         G, H = compress_pair(self.field, self.G, self.H, counter)
@@ -208,12 +238,15 @@ def core_multiply(A: ToeplitzCore, B: ToeplitzCore,
     if A.width == 0 or B.width == 0:
         return ToeplitzCore.zero(field, n)
     en = field.unit_vector(n, n - 1).reshape(n, 1)
-    mid = _down_block(field, A.matvec_block(_up_block(field, B.G), counter))
-    last_g = -_down_block(field, A.matvec_block(en, counter)) % field.p
+    # A [Z^T G_B | e_n] and B^T [H_A | e_n], one pass each
+    left = A.matvec_block(np.concatenate([_up_block(field, B.G), en], axis=1),
+                          counter)
+    right = B.matvec_t_block(np.concatenate([A.H, en], axis=1), counter)
+    mid = _down_block(field, left[:, :B.width])
+    last_g = -_down_block(field, left[:, B.width:]) % field.p
     G = np.concatenate([A.G, mid, last_g], axis=1)
-    bth = B.matvec_t_block(A.H, counter)
-    last_h = _down_block(field, B.matvec_t_block(en, counter))
-    H = np.concatenate([bth, B.H, last_h], axis=1)
+    H = np.concatenate([right[:, :A.width], B.H,
+                        _down_block(field, right[:, A.width:])], axis=1)
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
 
@@ -226,7 +259,8 @@ def core_power(A: ToeplitzCore, s: int,
         D(A^s) = sum_{i<s} M^i G H^T A^(s-1-i)
                  - sum_{i<s-1} M^i (Z A e_n)(e_n^T A^(s-1-i) Z^T),
     so the generators come from two Krylov blocks of width alpha+1,
-    M^i [G | Z A e_n] and (A^T)^k [H | e_n]: 2(s-1) block matvecs and one
+    M^i [G | Z A e_n] and (A^T)^k [H | e_n], advanced together by s-1
+    two-core passes (A on one block, A^T on the other), and one
     compression of width alpha s + s - 1, instead of a compressed core
     product per square-and-multiply step.
     """
@@ -238,14 +272,15 @@ def core_power(A: ToeplitzCore, s: int,
     n = A.n
     a = A.width
     en = field.unit_vector(n, n - 1).reshape(n, 1)
-    At = A.swapped()
     left = [np.concatenate([A.G, _down_block(field, A.matvec_block(en, counter))],
                            axis=1)]
     right = [np.concatenate([A.H, en], axis=1)]
+    step = [(A, 0, 0, False), (A, 1, 1, True)]
     for _ in range(s - 1):
-        left.append(_down_block(field, A.matvec_block(_up_block(field, left[-1]),
-                                                      counter)))
-        right.append(At.matvec_block(right[-1], counter))
+        out = _two_stage(field, n, [_up_block(field, left[-1]), right[-1]],
+                         step, 2, counter)
+        left.append(_down_block(field, out[0]))
+        right.append(out[1])
     # term i pairs M^i G with (A^T)^(s-1-i) H; correction i < s-1 pairs
     # -M^i Z A e_n with Z (A^T)^(s-1-i) e_n
     G = [left[i][:, :a] for i in range(s)]
@@ -264,17 +299,18 @@ def flip_conjugate(core: ToeplitzCore,
     Conjugating D_down(C) = G H^T by Z, with Z^T Z = I - e_n e_n^T, gives
         C - Z^T C Z = -(Z^T G)(Z^T H)^T + e_n (C^T e_n)^T
                       + (C e_n - c_nn e_n) e_n^T,
-    so two matvecs yield generators of width alpha+2 for D_up(C);
-    reversing the rows of both factors conjugates them by J.
+    so C e_n and C^T e_n, one two-core pass, yield generators of width
+    alpha+2 for D_up(C); reversing the rows of both factors conjugates
+    them by J.
     """
     field = core.field
     n = core.n
     if core.width == 0:
         return ToeplitzCore.zero(field, n)
     en = field.unit_vector(n, n - 1).reshape(n, 1)
-    col = core.matvec_block(en, counter)
+    col, row = _two_stage(field, n, [en], [(core, 0, 0, False), (core, 0, 1, True)],
+                          2, counter)
     col[n - 1, 0] = 0                           # C e_n - c_nn e_n
-    row = core.matvec_t_block(en, counter)
     G = np.concatenate([-_up_block(field, core.G) % field.p, en, col], axis=1)
     H = np.concatenate([_up_block(field, core.H), row, en], axis=1)
     return ToeplitzCore(field, n, *compress_pair(field, G[::-1], H[::-1], counter))
@@ -356,12 +392,12 @@ class THMatrix:
     def _forward(self, i: int, o: int):
         """Cores of A x, x being input block i: P x into output o and
         Q x into output o + 1, which the caller J-flips and adds."""
-        return [(self.P.H, i, self.P.G, o), (self.Q.H, i, self.Q.G, o + 1)]
+        return [(self.P, i, o, False), (self.Q, i, o + 1, False)]
 
     def _backward(self, i: int, o: int):
         """Cores of A^T x = P^T x + Q^T (J x), reading x from input block i
         and J x from block i + 1, into output o."""
-        return [(self.P.G, i, self.P.H, o), (self.Q.G, i + 1, self.Q.H, o)]
+        return [(self.P, i, o, True), (self.Q, i + 1, o, True)]
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:

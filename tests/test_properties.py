@@ -1,5 +1,5 @@
-"""Property tests: the structured algebra and charpoly against the dense
-oracles.
+"""Property tests: the block matvecs, the structured algebra (multiply,
+power, transpose, flip_conjugate) and charpoly against the dense oracles.
 
 Derandomized with a bounded example count, so every run draws the same
 examples and the suite stays deterministic.
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thpoly import (DenseMatrix, MultCounter, PrimeField, charpoly_generic,
-                    dense_charpoly, random_structured)
+                    dense_charpoly, flip_conjugate, random_structured)
 from thpoly.errors import NotGenericError
 
 PRIMES = (3, 101, (1 << 31) - 1, 2013265921, (1 << 61) - 1)
@@ -38,6 +38,44 @@ def test_block_matvecs_match_dense(p, n, alpha_t, alpha_h, k, seed):
     got_AV, got_AtU = A.matvec_pair(V, U, pair)
     assert np.array_equal(got_AV, AV) and np.array_equal(got_AtU, AtU)
     assert pair.mults == apart.mults
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(p=st.sampled_from(PRIMES), n=st.integers(1, 20),
+       widths=st.tuples(*[st.integers(0, 3)] * 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p=3, n=1, widths=(1, 1, 1, 1), seed=3)
+@example(p=(1 << 61) - 1, n=6, widths=(0, 2, 3, 0), seed=4)
+def test_algebra_matches_dense(p, n, widths, seed):
+    # multiply, transpose and the J-conjugation of each core, through
+    # reconstruct() against dense products
+    f = PrimeField(p)
+    A = random_structured(f, n, widths[0], widths[1], seed)
+    B = random_structured(f, n, widths[2], widths[3], seed + 1)
+    da, db = A.reconstruct(), B.reconstruct()
+    assert np.array_equal(A.multiply(B).reconstruct(), f.matmul(da, db))
+    assert np.array_equal(A.transpose().reconstruct(), da.T)
+    for core in (A.P, A.Q, B.P, B.Q):
+        assert np.array_equal(flip_conjugate(core).dense(), core.dense()[::-1, ::-1])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(p=st.sampled_from(PRIMES), n=st.integers(1, 16),
+       alpha_t=st.integers(0, 3), alpha_h=st.integers(0, 2),
+       k=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=101, n=9, alpha_t=2, alpha_h=0, k=7, seed=5)    # core_power
+@example(p=2013265921, n=9, alpha_t=1, alpha_h=1, k=6, seed=6)
+@example(p=(1 << 31) - 1, n=1, alpha_t=0, alpha_h=2, k=3, seed=7)
+def test_power_matches_dense(p, n, alpha_t, alpha_h, k, seed):
+    # Q = 0 takes the unrolled product rule (core_power), any other
+    # matrix squares and multiplies
+    f = PrimeField(p)
+    A = random_structured(f, n, alpha_t, alpha_h, seed)
+    da = A.reconstruct()
+    want = f.asmat(np.eye(n, dtype=np.int64))
+    for _ in range(k):
+        want = f.matmul(want, da)
+    assert np.array_equal(A.power(k).reconstruct(), want)
 
 
 @pytest.mark.parametrize("p", (101, 2013265921, (1 << 31) - 1, (1 << 61) - 1))

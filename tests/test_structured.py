@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
-                    compress_pair, core_multiply, flip_conjugate,
+                    compress_pair, core_multiply, core_power, flip_conjugate,
                     from_hankel, from_toeplitz, random_structured)
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
@@ -290,27 +290,53 @@ def test_matvec_is_width_one_block(p, n, alpha_t, alpha_h, mults):
 @pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
 @pytest.mark.parametrize("alpha_t,alpha_h", ((2, 1), (2, 0), (0, 2), (3, 3)))
 def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
-    # every structured product is one two-stage pass: two kernel calls
-    # while all generator columns fit one chunk, whatever the cores
+    # every structured product is one two-stage pass: two kernel product
+    # steps however many chunks its generator columns fill, and two
+    # transforms (the input blocks and the stage-1 result) once the
+    # matrix's generators have been transformed, which happens once
     f = PrimeField(p)
+    calls = {"fft_spectra": 0, "fft_product": 0}
+    for name in calls:
+        def counting(self, *args, _kernel=getattr(PrimeField, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _kernel(self, *args, **kwargs)
+        monkeypatch.setattr(PrimeField, name, counting)
+
+    def run(product):
+        for name in calls:
+            calls[name] = 0
+        product()
+        return calls["fft_product"], calls["fft_spectra"]
+
     n = 16
     A = random_structured(f, n, alpha_t, alpha_h, 5)
-    assert 2 * A.alpha <= f.fft_limbs(n, n)[2]
-    calls = []
-    kernel = PrimeField.conv_matmul
-
-    def counting(self, *args):
-        calls.append(1)
-        return kernel(self, *args)
-
-    monkeypatch.setattr(PrimeField, "conv_matmul", counting)
+    cores = [c for c in (A.P, A.Q) if c.width]
+    core = cores[0]
     V = f.rand_mat(f.rng(6), (n, 2))
-    core = A.P if A.P.width else A.Q
-    for product in (lambda: A.matvec_block(V), lambda: A.matvec_t_block(V),
-                    lambda: A.matvec_pair(V, V), lambda: core.matvec_block(V)):
-        calls.clear()
-        product()
-        assert len(calls) == 2
+    first = 2 + 2 * len(cores)                  # + the G and H of each core
+    for product in (lambda: A.matvec_block(V), lambda: A.matvec_block(V),
+                    lambda: A.matvec_t_block(V), lambda: A.matvec_pair(V, V),
+                    lambda: core.matvec_block(V),
+                    lambda: core.swapped().matvec_block(V)):
+        assert run(product) == (2, first)
+        first = 2
+    # wide generators: several chunks of columns, still one pass each
+    # (p = 101 sums millions of terms per transform, so it never chunks)
+    n = 256
+    W = random_structured(f, n, 5 * alpha_t, 5 * alpha_h, 7)
+    wide = f.fft_limbs(n, n)[2] < W.alpha
+    assert wide == (p != 101)
+    V = f.rand_mat(f.rng(8), (n, 2))
+    for product in (lambda: W.matvec_block(V), lambda: W.matvec_t_block(V),
+                    lambda: W.matvec_pair(V, V)):
+        assert run(product)[0] == 2
+    # the algebra: core_power's e_n pass plus s - 1 passes advancing both
+    # Krylov blocks, one pass for flip_conjugate, two for core_multiply
+    s = 5
+    assert run(lambda: core_power(core, s))[0] == 2 * s
+    assert run(lambda: flip_conjugate(core))[0] == 2
+    assert run(lambda: core_multiply(core, core))[0] == 4
 
 
 # -- core algebra --------------------------------------------------------------------
