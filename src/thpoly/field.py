@@ -41,12 +41,25 @@ _FFT_ROUNDING = 0.25
 _SLAB_BYTES = 1 << 18
 
 
-def chunking(count: int, terms: int) -> tuple[int, int]:
+def _chunking(count: int, terms: int) -> tuple[int, int]:
     """(chunks, size): count terms split into the fewest chunks of at most
-    `terms`, all of one size; `PrimeField.fft_spectra` pads a term axis to
-    chunks * size, and that padded count splits the same way again."""
+    `terms`, all of one size; a padded count chunks * size splits the same
+    way again."""
     chunks = -(-count // terms)
     return chunks, -(-count // chunks) if chunks else 0
+
+
+def _padded(shape, axis: int, terms: int) -> tuple[int, ...]:
+    """`shape` with its term axis padded to whole chunks (`_chunking`)."""
+    shape = list(shape)
+    chunks, size = _chunking(shape[axis], terms)
+    shape[axis] = chunks * size
+    return tuple(shape)
+
+
+def _fft_size(la: int, lb: int) -> int:
+    """Power-of-two FFT size of a product of lengths la and lb."""
+    return 1 << max(0, la + lb - 2).bit_length()
 
 
 def _v2(n: int) -> int:
@@ -100,13 +113,12 @@ def derive_seed(*parts) -> int:
 class PrimeField:
     """Arithmetic context modulo a word-sized prime.
 
-    Immutable after construction apart from internal caches of NTT tables
-    and FFT plans (write-once, derived data only, so concurrent use is
-    safe).
+    Immutable after construction apart from an internal cache of NTT
+    tables (write-once, derived data only, so concurrent use is safe).
     """
 
     __slots__ = ("p", "two_adicity", "ntt_capable", "ntt_root", "dtype",
-                 "_inv_cost", "_ntt_tables", "_fft_plans")
+                 "_inv_cost", "_ntt_tables")
 
     def __init__(self, p: int):
         p = int(p)
@@ -121,7 +133,6 @@ class PrimeField:
         self.dtype = np.int64 if p < _INT64_LIMIT else object
         self._inv_cost = pow_cost(p - 2)
         self._ntt_tables = {}
-        self._fft_plans = {}
 
     def _find_root(self) -> int:
         # w = g**((p-1)/2**t) has order exactly 2**t iff w**(2**(t-1)) == -1,
@@ -339,8 +350,7 @@ class PrimeField:
         21-bit limbs (L = 3) up to n = 4, 16-bit (L = 4) up to n = 937
         and 13-bit (L = 5) beyond.
         """
-        size = 1 << max(0, la + lb - 2).bit_length()
-        lg = max(1, size.bit_length() - 1)
+        lg = max(1, _fft_size(la, lb).bit_length() - 1)
         bits = (self.p - 1).bit_length()
         for count in range(1, bits + 1):
             b = -(-bits // count)
@@ -350,15 +360,7 @@ class PrimeField:
                 return b, count, terms
         raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
 
-    def _fft_plan(self, la: int, lb: int) -> tuple[int, int, int, int]:
-        """(b, L, terms, size): `fft_limbs` plus the FFT size, cached."""
-        plan = self._fft_plans.get((la, lb))
-        if plan is None:
-            plan = self.fft_limbs(la, lb) + (1 << max(0, la + lb - 2).bit_length(),)
-            self._fft_plans[(la, lb)] = plan
-        return plan
-
-    def fft_spectra(self, x, la: int, lb: int, axis: int | None = None) -> np.ndarray:
+    def fft_spectra(self, x, la: int, lb: int, axis: int) -> np.ndarray:
         """Transform step of the FFT product kernel.
 
         x holds residues (below 2**62, so int64) with coefficients on its
@@ -367,21 +369,25 @@ class PrimeField:
         la x lb products of `fft_limbs`: residues split into L limbs of b
         bits, transformed with rfft at the FFT size.  The term axis `axis`
         (the summed axis of `fft_product`) is padded with zero terms to
-        whole chunks (`chunking`).
+        whole chunks, as in `spectra_zeros`.
         """
         x = np.asarray(x, dtype=np.int64)
-        bits, count, terms, size = self._fft_plan(la, lb)
-        shape = list(x.shape)
-        if axis is not None:
-            chunks, t = chunking(shape[axis], terms)
-            shape[axis] = chunks * t
-        limbs = np.zeros([count] + shape)
+        bits, count, terms = self.fft_limbs(la, lb)
+        limbs = np.zeros((count,) + _padded(x.shape, axis, terms))
         fill = tuple(slice(0, m) for m in x.shape)
         mask = (1 << bits) - 1
         for l in range(count):
             np.bitwise_and(x >> (bits * l), mask, out=limbs[l][fill],
                            casting="unsafe")
-        return np.fft.rfft(limbs, n=size, axis=-1)
+        return np.fft.rfft(limbs, n=_fft_size(la, lb), axis=-1)
+
+    def spectra_zeros(self, shape, la: int, lb: int, axis: int) -> np.ndarray:
+        """Zero spectra laid out as `fft_spectra` lays out those of an
+        array of shape `shape` + (coefficients,), term axis `axis` padded;
+        callers fill it with slices of spectra they already hold."""
+        _, count, terms = self.fft_limbs(la, lb)
+        return np.zeros((count,) + _padded(shape, axis, terms)
+                        + (_fft_size(la, lb) // 2 + 1,), dtype=complex)
 
     def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
                     out_len: int) -> np.ndarray:
@@ -389,8 +395,8 @@ class PrimeField:
         coefficients, from `fft_spectra` fa (L, I, T, F) of a and fb
         (L, T, J, F) of b; returns (I, J, out_len) in the field's dtype.
 
-        The T terms fall into equal chunks of at most `terms` (`chunking`;
-        `fft_spectra` pads T to fit).  One einsum per output limb diagonal
+        The T terms fall into equal chunks of at most `terms`
+        (`fft_spectra` pads T to fit).  One einsum per output limb diagonal
         d sums the limb pairs l + l' = d and the terms of each chunk in the
         frequency domain, for every chunk at once; one irfft and np.rint
         then give each chunk's 2L - 1 diagonals exactly, a diagonal d
@@ -400,13 +406,14 @@ class PrimeField:
         diagonal spectra fill about _SLAB_BYTES, which bounds the
         intermediates of products with many rows.
         """
-        bits, count, terms, size = self._fft_plan(la, lb)
+        bits, count, terms = self.fft_limbs(la, lb)
+        size = _fft_size(la, lb)
         I, T, F = fa.shape[1:]
         J = fb.shape[2]
         out = self.zeros((I, J, out_len))
         if T == 0 or out.size == 0:
             return out
-        C, t = chunking(T, terms)
+        C, t = _chunking(T, terms)
         fa = fa.reshape(count, I, C, t, F)
         fb = fb.reshape(count, C, t, J, F)
         diagonals = 2 * count - 1

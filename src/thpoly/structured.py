@@ -27,7 +27,7 @@ from .counting import MultCounter
 from .errors import (BadLengthError, CornerMismatchError,
                      DimensionMismatchError, FieldMismatchError,
                      LengthMismatchError, TooLargeError)
-from .field import PrimeField, chunking
+from .field import PrimeField
 from .linalg import rank_factor
 
 RECONSTRUCT_GUARD = 4096
@@ -82,30 +82,30 @@ def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
     # only the blocks and outputs that some column uses enter the kernel
     reads = sorted({c[1] for c in live})
     writes = sorted({c[2] for c in live})
-    # U(h) x = correlation coefficients n-1 .. 0 of h with x
-    rx = np.stack([blocks[i][::-1, :].T for i in reads])
-    fx = field.fft_spectra(rx, n, n, axis=0)
-    # spectra of the (g_j, h_j) columns: (G, H) for C, (H, G) for C^T
+    # (g_j, h_j) columns: (G, H) for C, (H, G) for C^T
     spectra = [c.spectra()[::-1] if tr else c.spectra() for c, _, _, tr in live]
     if len(live) == 1 and len(reads) == 1:
-        # one core on one block: its cached spectra, uncopied, are the
-        # kernel operands (wide powers A^s take this path)
+        # the cached spectra are the operands as they stand; copying them
+        # nearly doubles the peak memory of a giant step on a wide A^s
+        # (+1.2 MB peak RSS on a width-68 A^s at n = 256)
         g, h = spectra[0]
         fh, fg = h[:, :w, None], g[:, None]
     else:
-        terms = field.fft_limbs(n, n)[2]
-        L, R, _, F = fx.shape
-        chunks, t = chunking(w, terms)
-        fh = np.zeros((L, w, R, F), dtype=complex)
-        fg = np.zeros((L, len(writes), chunks * t, F), dtype=complex)
+        # column j's h_j meets its own input block, its g_j its own output
+        fh = field.spectra_zeros((w, len(reads)), n, n, axis=1)
+        fg = field.spectra_zeros((len(writes), w), n, n, axis=1)
         j = 0
         for (g, h), (core, i, o, _) in zip(spectra, live):
             m = core.width
             fh[:, j:j + m, reads.index(i)] = h[:, :m]
             fg[:, writes.index(o), j:j + m] = g[:, :m]
             j += m
-    u = field.fft_product(fh, fx, n, n, n)[:, :, ::-1]
-    acc = field.fft_product(fg, field.fft_spectra(u, n, n, axis=0), n, n, n)
+    # U(h) x = correlation coefficients n-1 .. 0 of h with x
+    rx = np.stack([blocks[i][::-1, :].T for i in reads])
+    u = field.fft_product(fh, field.fft_spectra(rx, n, n, axis=0), n, n, n)
+    del fh
+    acc = field.fft_product(fg, field.fft_spectra(u[:, :, ::-1], n, n, axis=0),
+                            n, n, n)
     out = field.zeros((outputs, n, k))
     out[writes] = acc.transpose(0, 2, 1)
     return out
