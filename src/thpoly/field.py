@@ -9,8 +9,8 @@ of polynomials, and every batched product of polynomial matrices, runs on
 floating-point FFTs over b-bit limbs, exact by an a-priori rounding-error
 bound.  That kernel has a transform step (`fft_spectra`), so an operand
 applied many times is transformed once, and a product step
-(`fft_product`); `conv_matmul` is the two in a row.  All paths return
-identical residues.
+(`fft_product`), in int64 for every p; `conv_matmul`, the two in a row,
+returns the field's dtype.  All paths return identical residues.
 """
 
 from __future__ import annotations
@@ -231,13 +231,15 @@ class PrimeField:
     def rng(self, seed: int) -> np.random.Generator:
         return np.random.default_rng(seed)
 
+    def from_int64(self, a: np.ndarray) -> np.ndarray:
+        """Int64 residues in the field's dtype."""
+        return a if self.dtype is np.int64 else a.astype(object)
+
     def rand_vec(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        v = rng.integers(0, self.p, size=n, dtype=np.int64)
-        return v if self.dtype is np.int64 else v.astype(object)
+        return self.from_int64(rng.integers(0, self.p, size=n, dtype=np.int64))
 
     def rand_mat(self, rng: np.random.Generator, shape) -> np.ndarray:
-        m = rng.integers(0, self.p, size=shape, dtype=np.int64)
-        return m if self.dtype is np.int64 else m.astype(object)
+        return self.from_int64(rng.integers(0, self.p, size=shape, dtype=np.int64))
 
     # -- vectorized arithmetic ---------------------------------------------
 
@@ -393,7 +395,7 @@ class PrimeField:
                     out_len: int) -> np.ndarray:
         """Product step: residues of sum_t a[i, t] * b[t, j], first out_len
         coefficients, from `fft_spectra` fa (L, I, T, F) of a and fb
-        (L, T, J, F) of b; returns (I, J, out_len) in the field's dtype.
+        (L, T, J, F) of b; returns (I, J, out_len) int64 for every p.
 
         The T terms fall into equal chunks of at most `terms`
         (`fft_spectra` pads T to fit).  One einsum per output limb diagonal
@@ -410,7 +412,7 @@ class PrimeField:
         size = _fft_size(la, lb)
         I, T, F = fa.shape[1:]
         J = fb.shape[2]
-        out = self.zeros((I, J, out_len))
+        out = np.zeros((I, J, out_len), dtype=np.int64)
         if T == 0 or out.size == 0:
             return out
         C, t = _chunking(T, terms)
@@ -433,40 +435,37 @@ class PrimeField:
         return out
 
     def _recombine(self, digits: np.ndarray, bits: int) -> np.ndarray:
-        """Residues of sum_c sum_d digits[d, c] * 2**(b d), the chunk
-        diagonals of `fft_product` (each below 2**47.4).
-
-        Int64 fields (p < 2**31, so b <= 16 whenever there are several
-        diagonals) reduce and sum the chunks, then take Horner steps
-        (acc << b) + diagonal, reduced mod p after each.  For p > 2**31
-        the diagonals are carried into b-bit digits below the top one,
-        packed into words of 62 // b digits, and the words of every chunk
-        recombine mod p in one object-dtype step.
-        """
+        """Int64 residues of sum_c sum_d digits[d, c] * 2**(b d), the chunk
+        diagonals of `fft_product` (each below 2**47.4): chunks summed raw,
+        2**14 at a time (so a residue plus such a sum is below 2**63), and
+        reduced mod p (a lone chunk stays raw), then Horner steps acc * 2**b
+        + diagonal mod p from the top, acc < p.  While (acc << b) +
+        diagonal fits int64, as for every p < 2**31, a step is a shift, an
+        add and a remainder.  Above that, q = floor(acc * (2**b / p)) in
+        float64 is off by at most one (relative error below 2**-51,
+        quotient below 2**b), so (acc << b) - q p lies in [-p, 2p), exact
+        in wrapping int64, and adding diagonal - p keeps it in int64 for
+        the remainder."""
         p = self.p
-        top = len(digits) - 1
-        if self.dtype is not object:
-            if digits.shape[1] > 1:
-                digits = np.remainder(digits, p, out=digits).sum(axis=1)
-            else:
-                digits = digits[:, 0]
-            acc = digits[top] % p
-            for d in range(top - 1, -1, -1):
+        diag = digits[:, 0]
+        for c in range(1, digits.shape[1], 1 << 14):
+            diag = (diag + digits[:, c:c + (1 << 14)].sum(axis=1)) % p
+        acc = diag[-1] % p
+        if ((p - 1) << bits) + max(p, 1 << 48) <= 1 << 63:
+            for d in range(len(diag) - 2, -1, -1):
                 acc <<= bits
-                acc += digits[d]
+                acc += diag[d]
                 acc %= p
             return acc
-        mask = (1 << bits) - 1
-        for d in range(top):
-            digits[d + 1] += digits[d] >> bits
-            digits[d] &= mask
-        per = 62 // bits
-        starts = list(range(0, top, per))
-        words = [sum(digits[d] << (bits * (d - s)) for d in range(s, min(s + per, top)))
-                 for s in starts] + [digits[top]]
-        total = sum(word * pow(2, bits * s, p)
-                    for word, s in zip(np.stack(words).astype(object), starts + [top]))
-        return total.sum(axis=0) % p
+        scale = (1 << bits) / p
+        low = diag[:-1] - p
+        for d in range(len(diag) - 2, -1, -1):
+            q = (acc * scale).astype(np.int64)
+            acc <<= bits
+            acc -= q * p
+            acc += low[d]
+            acc %= p
+        return acc
 
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:
@@ -480,9 +479,9 @@ class PrimeField:
         J, lb = np.shape(b)[1:]
         if T == 0 or la == 0 or lb == 0:
             return self.zeros((I, J, out_len))
-        return self.fft_product(self.fft_spectra(a, la, lb, axis=1),
-                                self.fft_spectra(b, la, lb, axis=0),
-                                la, lb, out_len)
+        return self.from_int64(self.fft_product(self.fft_spectra(a, la, lb, axis=1),
+                                                self.fft_spectra(b, la, lb, axis=0),
+                                                la, lb, out_len))
 
     def _pad(self, a, size) -> np.ndarray:
         out = np.zeros(size, dtype=np.int64)

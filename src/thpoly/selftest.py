@@ -26,6 +26,7 @@ from .wiedemann import (BsgsPlan, bsgs_sequence, charpoly_generic,
 _P_SMALL = 101
 _P_NTT = 2013265921
 _P_BIG = (1 << 61) - 1      # object dtype, no NTT
+_P_TOP = (1 << 62) - 57     # the largest supported prime
 
 
 def _expect(condition) -> None:
@@ -185,7 +186,7 @@ def check_fft_kernel():
     # 16-bit limbs, where one generator fills the error budget, and at
     # n = 128 with generators filling two whole chunks, whose sums one
     # kernel call takes in a single batch
-    for p in ((1 << 31) - 1, _P_NTT, _P_BIG):
+    for p in ((1 << 31) - 1, _P_NTT, _P_BIG, _P_TOP):
         field = PrimeField(p)
         widest = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
                      if field.fft_limbs(m, m)[0] == 16)

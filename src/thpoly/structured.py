@@ -63,7 +63,9 @@ def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
     computes U(h_j) x for every column j, each reading its own input
     block (the kernel's sum over blocks picks one, the others meeting
     exact zeros), and stage 2 computes L(g_j) u_j, each column adding
-    into its own output, all chunks of columns in the one call.  The
+    into its own output, all chunks of columns in the one call.  Both
+    steps return int64 residues for every p, so u_j enters stage 2 as it
+    stands and only the returned sums take the field's dtype.  The
     charge is two convolutions per generator and block column, as for
     one core at a time.
     """

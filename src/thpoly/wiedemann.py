@@ -319,7 +319,9 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
 def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
                        counter: MultCounter | None = None) -> bool:
     """Monte Carlo check of f(A) b = 0 on random b; false negatives are
-    impossible, false accepts have probability about (deg f / p)^trials.
+    impossible, false accepts have probability at most p^-trials: each b
+    is uniform and independent of f, so if f(A) != 0 then f(A) b = 0
+    with probability p^-rank(f(A)) <= 1/p.
 
     All trial vectors go through one block Horner pass; each step is
     charged as `trials` single-vector steps, so an accepting run costs

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thpoly import PrimeField, derive_seed, is_prime
+from thpoly import PrimeField, derive_seed, is_prime, random_structured
 from thpoly.errors import DivisionByZeroError, NotPrimeError, TooLargeError
 
 import _ref
@@ -145,12 +145,82 @@ def test_conv_matmul_vs_exact_convolution(p, I, T, J, la, lb, out_len):
     b = f.rand_mat(rng, (T * J, lb)).reshape(T, J, lb)
     a[0, :1] = p - 1                   # all-(p-1) rows on both sides
     b[:1, 0] = p - 1
+    out = f.conv_matmul(a, b, out_len)
+    assert out.dtype == f.dtype
+    assert np.array_equal(out, _exact_conv_matmul(f, a, b, out_len))
+
+
+def _exact_conv_matmul(f, a, b, out_len):
+    I, T, _ = a.shape
+    J = b.shape[1]
     want = f.zeros((I, J, out_len))
     for i in range(I):
         for j in range(J):
             for t in range(T):
                 c = _ref.schoolbook_mul([int(x) for x in a[i, t]],
-                                        [int(x) for x in b[t, j]], p)[:out_len]
-                want[i, j, :len(c)] = (want[i, j, :len(c)] + c) % p
+                                        [int(x) for x in b[t, j]], f.p)[:out_len]
+                want[i, j, :len(c)] = (want[i, j, :len(c)] + c) % f.p
+    return want
+
+
+# Primes above 2**31 other than 2**61 - 1, where 2**61 = 1 (mod p) would
+# hide a wrong reduction of 2**(b d).  The first two recombine by int64
+# shifts (16- and 17-bit limbs), the last two (3 and 4 limbs) by the
+# float64 quotient step; 2**62 - 57 is the largest supported prime.
+BIG_PRIMES = (2147483659, 4294967311, 140737488355213, 4611686018427387847)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+@pytest.mark.parametrize("la,lb,out_len,chunks", [
+    (5, 5, 9, 3),              # sums over several chunks
+    (6, 4, 7, 2),              # truncated output
+    (64, 64, 127, 1),
+])
+def test_conv_matmul_big_primes(p, la, lb, out_len, chunks):
+    # every term of (i, j) = (0, 0) is all-(p-1), of (1, 1) random, and
+    # the terms fill `chunks` whole chunks and one more term
+    f = PrimeField(p)
+    T = chunks * f.fft_limbs(la, lb)[2] + 1
+    rng = f.rng(p % 1000 + la)
+    a = f.rand_mat(rng, (2 * T, la)).reshape(2, T, la)
+    b = f.rand_mat(rng, (T * 2, lb)).reshape(T, 2, lb)
+    a[0] = p - 1
+    b[:, 0] = p - 1
     out = f.conv_matmul(a, b, out_len)
-    assert out.dtype == f.dtype and np.array_equal(out, want)
+    assert out.dtype == object
+    assert np.array_equal(out, _exact_conv_matmul(f, a, b, out_len))
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES + ((1 << 61) - 1,))
+def test_recombine_near_quotient_boundaries(p):
+    # the last Horner step starts from acc = X with X * 2**16 just below,
+    # at or just above a multiple of p, where the float64 quotient
+    # estimate can be off by one; the last diagonal is 0 or a raw 2**47 - 1
+    ks = (1, 2, 3, 129, 257, 3419, 40000, (1 << 16) - 1)
+    X = [min(p - 1, -(-k * p >> 16) + e) for k in ks for e in (-1, 0, 1)]
+    last = [0] * len(X) + [(1 << 47) - 1] * len(X)
+    X = np.array(X * 2, dtype=np.int64)
+    digits = np.stack([np.array(last, dtype=np.int64), X & 0xFFFF, X >> 16])
+    got = PrimeField(p)._recombine(digits.reshape(3, 1, -1), 16)
+    assert got.tolist() == [((int(x) << 16) + y) % p for x, y in zip(X, last)]
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1, BIG_PRIMES[-1]))
+def test_kernel_dtype_contract(p):
+    # the product step returns int64 residues for every p; the kernel and
+    # the structured matvecs return the field's dtype, Python ints above
+    # 2**31
+    f = PrimeField(p)
+    rng = f.rng(5)
+    a = f.rand_mat(rng, (6, 9)).reshape(2, 3, 9)
+    b = f.rand_mat(rng, (3, 9)).reshape(3, 1, 9)
+    raw = f.fft_product(f.fft_spectra(a, 9, 9, axis=1),
+                        f.fft_spectra(b, 9, 9, axis=0), 9, 9, 17)
+    assert raw.dtype == np.int64 and raw.min() >= 0 and raw.max() < p
+    A = random_structured(f, 9, 2, 1, 5)
+    V = f.rand_mat(rng, (9, 2))
+    outs = (f.conv_matmul(a, b, 17), A.matvec_block(V), *A.matvec_pair(V, V))
+    assert np.array_equal(outs[0], raw)
+    for out in outs:
+        assert out.dtype == f.dtype
+        assert f.dtype is np.int64 or all(type(x) is int for x in out.flat)

@@ -1,5 +1,6 @@
 """Property tests: the block matvecs, the structured algebra (multiply,
-power, transpose, flip_conjugate) and charpoly against the dense oracles.
+power, transpose, flip_conjugate), minpoly and charpoly against the dense
+oracles.
 
 Derandomized with a bounded example count, so every run draws the same
 examples and the suite stays deterministic.
@@ -11,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thpoly import (DenseMatrix, MultCounter, PrimeField, charpoly_generic,
-                    dense_charpoly, flip_conjugate, random_structured)
+                    dense_charpoly, dense_minpoly, flip_conjugate, minpoly,
+                    random_structured)
 from thpoly.errors import NotGenericError
 
-PRIMES = (3, 101, (1 << 31) - 1, 2013265921, (1 << 61) - 1)
+PRIMES = (3, 101, (1 << 31) - 1, 2013265921, (1 << 61) - 1, (1 << 62) - 57)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -76,6 +78,28 @@ def test_power_matches_dense(p, n, alpha_t, alpha_h, k, seed):
     for _ in range(k):
         want = f.matmul(want, da)
     assert np.array_equal(A.power(k).reconstruct(), want)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(p=st.sampled_from(PRIMES), n=st.integers(1, 24),
+       alpha_t=st.integers(0, 3), alpha_h=st.integers(0, 3),
+       mode=st.sampled_from(("naive", "bsgs")), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=3, n=1, alpha_t=0, alpha_h=0, mode="bsgs", seed=1)     # A = 0
+@example(p=(1 << 62) - 57, n=17, alpha_t=2, alpha_h=1, mode="naive", seed=8)
+@example(p=(1 << 62) - 57, n=20, alpha_t=1, alpha_h=2, mode="bsgs", seed=9)
+def test_minpoly_divides_oracle(p, n, alpha_t, alpha_h, mode, seed):
+    # the projected sequence's minimal polynomial always divides A's, and
+    # a certificate never rejects A's own; one that accepts a proper
+    # divisor (probability at most p^-2) is not expected for p >= 101
+    f = PrimeField(p)
+    A = random_structured(f, n, alpha_t, alpha_h, seed)
+    oracle = dense_minpoly(DenseMatrix(f, A.reconstruct()))
+    report = minpoly(A, seed, mode=mode)
+    assert oracle.divrem(report.polynomial)[1].is_zero()
+    if report.polynomial == oracle:
+        assert report.verified
+    elif p >= 101:
+        assert not report.verified
 
 
 @pytest.mark.parametrize("p", (101, 2013265921, (1 << 31) - 1, (1 << 61) - 1))
