@@ -9,7 +9,8 @@ of polynomials, and every batched product of polynomial matrices, runs on
 floating-point FFTs over b-bit limbs, exact by an a-priori rounding-error
 bound.  That kernel has a transform step (`fft_spectra`), so an operand
 applied many times is transformed once, and a product step
-(`fft_product`), in int64 for every p; `conv_matmul`, the two in a row,
+(`fft_product`), batched over a leading axis of independent products and
+in int64 for every p; `conv_matmul`, the two in a row,
 returns the field's dtype.  All paths return identical residues.
 """
 
@@ -371,7 +372,7 @@ class PrimeField:
         la x lb products of `fft_limbs`: residues split into L limbs of b
         bits, transformed with rfft at the FFT size.  The term axis `axis`
         (the summed axis of `fft_product`) is padded with zero terms to
-        whole chunks, as in `spectra_zeros`.
+        whole chunks.
         """
         x = np.asarray(x, dtype=np.int64)
         bits, count, terms = self.fft_limbs(la, lb)
@@ -383,26 +384,27 @@ class PrimeField:
                            casting="unsafe")
         return np.fft.rfft(limbs, n=_fft_size(la, lb), axis=-1)
 
-    def spectra_zeros(self, shape, la: int, lb: int, axis: int) -> np.ndarray:
-        """Zero spectra laid out as `fft_spectra` lays out those of an
-        array of shape `shape` + (coefficients,), term axis `axis` padded;
-        callers fill it with slices of spectra they already hold."""
-        _, count, terms = self.fft_limbs(la, lb)
-        return np.zeros((count,) + _padded(shape, axis, terms)
-                        + (_fft_size(la, lb) // 2 + 1,), dtype=complex)
-
     def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
                     out_len: int) -> np.ndarray:
-        """Product step: residues of sum_t a[i, t] * b[t, j], first out_len
-        coefficients, from `fft_spectra` fa (L, I, T, F) of a and fb
-        (L, T, J, F) of b; returns (I, J, out_len) int64 for every p.
+        """Product step: residues of sum_t a[g, i, t] * b[g, t, j] for each
+        g of a leading batch axis, first out_len coefficients, from
+        `fft_spectra` fa (L, B, I, T, F) of a and fb (L, B, T, J, F) of b;
+        returns (B, I, J, out_len) int64 for every p.
+
+        The product is cyclic, of size N = `_fft_size(la, lb)` >= la + lb
+        - 1, so its coefficients are the linear product's.  A spectrum may
+        also be conjugated: conj(rfft(a)) is the spectrum of a's cyclic
+        reversal a'[m] = a[-m mod N], which has a's norm, so the error
+        bound below holds unchanged; coefficient m of a' b is then sum_t
+        a[t] b[m + t], a correlation, which does not alias for m < lb
+        since N >= la + lb - 1.
 
         The T terms fall into equal chunks of at most `terms`
         (`fft_spectra` pads T to fit).  One einsum per output limb diagonal
         d sums the limb pairs l + l' = d and the terms of each chunk in the
-        frequency domain, for every chunk at once; one irfft and np.rint
-        then give each chunk's 2L - 1 diagonals exactly, a diagonal d
-        standing for 2**(b d) times its value.  Each is below 2**47.4,
+        frequency domain, for every batch and chunk at once; one irfft and
+        np.rint then give each chunk's 2L - 1 diagonals exactly, a diagonal
+        d standing for 2**(b d) times its value.  Each is below 2**47.4,
         since terms * L * (2**b - 1)**2 * sqrt(la lb) * 3 lg N *
         (2 + sqrt 5) * 2**-53 < 1/4.  Rows of a go through in slabs whose
         diagonal spectra fill about _SLAB_BYTES, which bounds the
@@ -410,28 +412,28 @@ class PrimeField:
         """
         bits, count, terms = self.fft_limbs(la, lb)
         size = _fft_size(la, lb)
-        I, T, F = fa.shape[1:]
-        J = fb.shape[2]
-        out = np.zeros((I, J, out_len), dtype=np.int64)
+        B, I, T, F = fa.shape[1:]
+        J = fb.shape[3]
+        out = np.zeros((B, I, J, out_len), dtype=np.int64)
         if T == 0 or out.size == 0:
             return out
         C, t = _chunking(T, terms)
-        fa = fa.reshape(count, I, C, t, F)
-        fb = fb.reshape(count, C, t, J, F)
+        fa = fa.reshape(count, B, I, C, t, F)
+        fb = fb.reshape(count, B, C, t, J, F)
         diagonals = 2 * count - 1
-        rows = max(1, _SLAB_BYTES // (diagonals * C * J * F * 16))
+        rows = max(1, _SLAB_BYTES // (diagonals * B * C * J * F * 16))
         for i in range(0, I, rows):
-            slab = fa[:, i:i + rows]
-            spec = np.empty((diagonals, C, slab.shape[1], J, F), dtype=complex)
+            slab = fa[:, :, i:i + rows]
+            spec = np.empty((diagonals, C, B, slab.shape[2], J, F), dtype=complex)
             for d in range(diagonals):
                 lo, hi = max(0, d - count + 1), min(d, count - 1) + 1
                 # limbs l of a against limbs d - l of b, l = lo .. hi - 1
-                np.einsum("lictf,lctjf->cijf", slab[lo:hi],
+                np.einsum("lbictf,lbctjf->cbijf", slab[lo:hi],
                           fb[d - hi + 1:d - lo + 1][::-1], out=spec[d])
             raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
             del spec
-            out[i:i + rows] = self._recombine(np.rint(raw, out=raw).astype(np.int64),
-                                              bits)
+            out[:, i:i + rows] = self._recombine(
+                np.rint(raw, out=raw).astype(np.int64), bits)
         return out
 
     def _recombine(self, digits: np.ndarray, bits: int) -> np.ndarray:
@@ -479,9 +481,9 @@ class PrimeField:
         J, lb = np.shape(b)[1:]
         if T == 0 or la == 0 or lb == 0:
             return self.zeros((I, J, out_len))
-        return self.from_int64(self.fft_product(self.fft_spectra(a, la, lb, axis=1),
-                                                self.fft_spectra(b, la, lb, axis=0),
-                                                la, lb, out_len))
+        fa = self.fft_spectra(a[None], la, lb, axis=2)
+        fb = self.fft_spectra(b[None], la, lb, axis=1)
+        return self.from_int64(self.fft_product(fa, fb, la, lb, out_len)[0])
 
     def _pad(self, a, size) -> np.ndarray:
         out = np.zeros(size, dtype=np.int64)

@@ -47,10 +47,6 @@ class Poly:
         return cls(field, [1])
 
     @classmethod
-    def constant(cls, field: PrimeField, c: int) -> "Poly":
-        return cls(field, [c])
-
-    @classmethod
     def x_power(cls, field: PrimeField, k: int) -> "Poly":
         return cls(field, [0] * k + [1])
 
@@ -114,14 +110,6 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.field)
         return Poly(self.field, self.field.conv(self.coeffs, other.coeffs, counter))
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        out = self.field.zeros(len(self.coeffs) + k)
-        out[k:] = self.coeffs
-        return Poly(self.field, out)
 
     def divrem(self, other: "Poly", counter: MultCounter | None = None):
         """Quotient and remainder with deg r < deg other."""

@@ -194,8 +194,13 @@ def check_fft_kernel():
             G = np.full((n, width), p - 1, dtype=np.int64)
             core = ToeplitzCore(field, n, G, G)
             V = np.full((n, 2), p - 1, dtype=field.dtype)
-            _expect(np.array_equal(core.matvec_block(V),
-                                   field.matmul(core.dense(), V)))
+            C = core.dense()
+            _expect(np.array_equal(core.matvec_block(V), field.matmul(C, V)))
+            # A = C + J C: half the columns of each pass J-folded
+            A, M = THMatrix(field, core, core), (C + C[::-1]) % p
+            _expect(np.array_equal(A.matvec_block(V), field.matmul(M, V)))
+            _expect(np.array_equal(A.matvec_t_block(V),
+                                   field.matmul(M.T.copy(), V)))
     return "float-FFT matvec exact at the widest 16-bit-limb size"
 
 

@@ -13,10 +13,15 @@ with L(g) lower-triangular Toeplitz (first column g) and U(h)
 upper-triangular Toeplitz (first row h).  Each core matvec therefore
 costs two convolutions per generator column.  A general matrix is stored
 as A = P + J Q with two cores and J the index reversal; Toeplitz matrices
-have Q = 0, Hankel matrices have P = 0.  Every block product, of one core
-or of several cores at once (A V, A^T V, or both A V and A^T U), is one
-pass of `_two_stage`: two kernel product steps, whatever the generator
-width, on generator spectra each core transforms once and keeps.
+have Q = 0, Hankel matrices have P = 0.  Every block product, of a core or
+of A (A V, A^T V, or both A V and A^T U), is one pass of `_two_stage`:
+two kernel product steps, whatever the generator width, batched over its
+input blocks, on generator spectra transformed once and kept.  J is
+folded into those spectra: conj(rfft(g)) is the spectrum of g's cyclic
+reversal, so a conjugated g turns a product with g into a correlation,
+which gives J L(g) u and U(g) (J x) without reversing an input or an
+output; with FFT size N >= 2n - 1 the correlation does not alias, and
+the norms, so the kernel's exactness bound, do not change.
 """
 
 from __future__ import annotations
@@ -49,25 +54,37 @@ def _up_block(field: PrimeField, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
+def _two_stage(field: PrimeField, n: int, spectra, width: int, flip: int,
+               blocks, first: int,
                counter: MultCounter | None = None) -> np.ndarray:
-    """Products of several cores with several input blocks in one pass.
+    """Products of one matrix with a group of input blocks in one pass.
 
-    `blocks` are n x k input blocks of one width k; each core is a tuple
-    (core, i, o, transposed) whose generator columns, those of C or of
-    C^T, add L(g_j) U(h_j) blocks[i] into output o.  Returns the
-    (outputs, n, k) sums.  The cores' generators enter as their cached
-    limb spectra (`ToeplitzCore.spectra`), so a pass transforms only its
-    input blocks and the stage-1 result, and makes two
-    `field.fft_product` calls whatever the number of columns: stage 1
-    computes U(h_j) x for every column j, each reading its own input
-    block (the kernel's sum over blocks picks one, the others meeting
-    exact zeros), and stage 2 computes L(g_j) u_j, each column adding
-    into its own output, all chunks of columns in the one call.  Both
-    steps return int64 residues for every p, so u_j enters stage 2 as it
-    stands and only the returned sums take the field's dtype.  The
-    charge is two convolutions per generator and block column, as for
-    one core at a time.
+    The matrix is sum_j L(g_j) U(h_j) over `width` generator columns, the
+    first `flip` of them a Toeplitz-like core's and the rest J-flipped
+    (A = P + J Q); `spectra()` returns their cached limb spectra (S_H,
+    S_G), those of the h_j and of the g_j, J-flipped columns conjugated.
+    `blocks` are n x k input blocks of one width; group i reads blocks[i]
+    and writes A blocks[i] if first + i is 0, A^T blocks[i] if it is 1
+    (first + len(blocks) <= 2).  Returns the (groups, n, k) products.
+
+    A product reads S_H in stage 1 and S_G in stage 2, a transposed one
+    the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
+    every column, the correlation of its first-stage generator with x,
+    from the spectrum of rev(x): coefficients 0 .. n-1 are U(h) x
+    reversed, or, for a conjugated column, U(g) (J x) as it stands.
+    Stage 2 reverses the results of the first `flip` columns, multiplies
+    each column by its second-stage generator and sums the group's
+    columns: L(g) u for a plain column, and for a conjugated one the
+    correlation of g with the stage-1 result, which is J L(g) u.
+    conj(rfft(g)) is the spectrum of g's cyclic reversal, and both
+    correlations are alias-free because the FFT size N is at least
+    2n - 1, with the norms and so the kernel's error bound unchanged.
+    Two `field.fft_product` calls, batched over the groups (two groups
+    read one stack of S_H and S_G, both ways round), and two transforms
+    (the input blocks and the stage-1 result) in all; both steps return
+    int64 residues for every p, so u enters stage 2 as it stands and only
+    the returned products take the field's dtype.  The charge is two
+    convolutions per generator and block column of each group.
     """
     for X in blocks:
         if X.shape[0] != n:
@@ -75,42 +92,25 @@ def _two_stage(field: PrimeField, n: int, blocks, cores, outputs: int,
     k = blocks[0].shape[1]
     if any(X.shape[1] != k for X in blocks):
         raise DimensionMismatchError("input blocks must have equal width")
-    live = [c for c in cores if c[0].width]
-    w = sum(c[0].width for c in live)
-    if w == 0 or k == 0:
-        return field.zeros((outputs, n, k))
+    groups = len(blocks)
+    if width == 0 or k == 0:
+        return field.zeros((groups, n, k))
     if counter is not None:
-        counter.add(w * k * 2 * field.conv_charge(n, n))
-    # only the blocks and outputs that some column uses enter the kernel
-    reads = sorted({c[1] for c in live})
-    writes = sorted({c[2] for c in live})
-    # (g_j, h_j) columns: (G, H) for C, (H, G) for C^T
-    spectra = [c.spectra()[::-1] if tr else c.spectra() for c, _, _, tr in live]
-    if len(live) == 1 and len(reads) == 1:
-        # the cached spectra are the operands as they stand; copying them
-        # nearly doubles the peak memory of a giant step on a wide A^s
-        # (+1.2 MB peak RSS on a width-68 A^s at n = 256)
-        g, h = spectra[0]
-        fh, fg = h[:, :w, None], g[:, None]
+        counter.add(groups * width * k * 2 * field.conv_charge(n, n))
+    S = spectra()[::-1] if first else spectra()
+    if groups == 1:
+        stage1, stage2 = (X[:, None] for X in S)
     else:
-        # column j's h_j meets its own input block, its g_j its own output
-        fh = field.spectra_zeros((w, len(reads)), n, n, axis=1)
-        fg = field.spectra_zeros((len(writes), w), n, n, axis=1)
-        j = 0
-        for (g, h), (core, i, o, _) in zip(spectra, live):
-            m = core.width
-            fh[:, j:j + m, reads.index(i)] = h[:, :m]
-            fg[:, writes.index(o), j:j + m] = g[:, :m]
-            j += m
-    # U(h) x = correlation coefficients n-1 .. 0 of h with x
-    rx = np.stack([blocks[i][::-1, :].T for i in reads])
-    u = field.fft_product(fh, field.fft_spectra(rx, n, n, axis=0), n, n, n)
-    del fh
-    acc = field.fft_product(fg, field.fft_spectra(u[:, :, ::-1], n, n, axis=0),
-                            n, n, n)
-    out = field.zeros((outputs, n, k))
-    out[writes] = acc.transpose(0, 2, 1)
-    return out
+        # A on blocks[0], A^T on blocks[1]: one stack, read both ways
+        stage1 = np.stack(S, axis=1)
+        stage2 = stage1[:, ::-1]
+    rx = np.stack([X[::-1].T for X in blocks])[:, None]
+    u = field.fft_product(stage1[:, :, :width, None],
+                          field.fft_spectra(rx, n, n, axis=1), n, n, n)
+    u[:, :flip] = u[:, :flip, :, ::-1]
+    out = field.fft_product(stage2[:, :, None],
+                            field.fft_spectra(u, n, n, axis=1), n, n, n)
+    return field.from_int64(out[:, 0].transpose(0, 2, 1))
 
 
 class ToeplitzCore:
@@ -135,7 +135,7 @@ class ToeplitzCore:
         self.H = field.asmat(H) if H.size else field.zeros((n, H.shape[1]))
         self.G.flags.writeable = False
         self.H.flags.writeable = False
-        # cells for the limb spectra of G and H, filled by `spectra`
+        # cells for the limb spectra of H and G, filled by `spectra`
         self._spectra = ([None], [None])
 
     @classmethod
@@ -155,26 +155,37 @@ class ToeplitzCore:
         return f"ToeplitzCore(n={self.n}, width={self.width}, p={self.field.p})"
 
     def spectra(self):
-        """Limb spectra of the G and H columns for n x n kernel products
-        (`PrimeField.fft_spectra`, columns padded to whole chunks); each
-        is transformed on first use, kept, and shared with `swapped()`."""
-        for cell, X in zip(self._spectra, (self.G, self.H)):
+        """(S_H, S_G): limb spectra of the H and G columns for n x n kernel
+        products (`PrimeField.fft_spectra`, columns padded to whole
+        chunks); each is transformed on first use, kept, and shared with
+        `swapped()`.  Two arrays, not one stacked: a kept allocation twice
+        the size raises glibc's dynamic mmap threshold when it is freed,
+        and peak RSS with it (+0.5 MB on a Toeplitz-like minpoly at
+        n = 256)."""
+        for cell, X in zip(self._spectra, (self.H, self.G)):
             if cell[0] is None:
                 cell[0] = self.field.fft_spectra(X.T, self.n, self.n, axis=0)
         return self._spectra[0][0], self._spectra[1][0]
 
+    def _pass(self, blocks, first, counter):
+        return _two_stage(self.field, self.n, self.spectra, self.width,
+                          self.width, blocks, first, counter)
+
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """C V for an n x k block: the one-core case of `_two_stage`, two
+        """C V for an n x k block, one `_two_stage` pass: two
         triangular-Toeplitz products (two convolutions, and their charge)
         per generator and block column."""
-        return _two_stage(self.field, self.n, [V], [(self, 0, 0, False)], 1,
-                          counter)[0]
+        return self._pass([V], 0, counter)[0]
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
-        return _two_stage(self.field, self.n, [V], [(self, 0, 0, True)], 1,
-                          counter)[0]
+        return self._pass([V], 1, counter)[0]
+
+    def matvec_pair(self, V: np.ndarray, U: np.ndarray,
+                    counter: MultCounter | None = None):
+        """(C V, C^T U) for blocks of equal width in one `_two_stage` pass."""
+        return tuple(self._pass([V, U], 0, counter))
 
     def swapped(self) -> "ToeplitzCore":
         """Transpose: displacement of C^T is (G H^T)^T = H G^T."""
@@ -262,7 +273,7 @@ def core_power(A: ToeplitzCore, s: int,
                  - sum_{i<s-1} M^i (Z A e_n)(e_n^T A^(s-1-i) Z^T),
     so the generators come from two Krylov blocks of width alpha+1,
     M^i [G | Z A e_n] and (A^T)^k [H | e_n], advanced together by s-1
-    two-core passes (A on one block, A^T on the other), and one
+    `matvec_pair` passes (A on one block, A^T on the other), and one
     compression of width alpha s + s - 1, instead of a compressed core
     product per square-and-multiply step.
     """
@@ -277,12 +288,10 @@ def core_power(A: ToeplitzCore, s: int,
     left = [np.concatenate([A.G, _down_block(field, A.matvec_block(en, counter))],
                            axis=1)]
     right = [np.concatenate([A.H, en], axis=1)]
-    step = [(A, 0, 0, False), (A, 1, 1, True)]
     for _ in range(s - 1):
-        out = _two_stage(field, n, [_up_block(field, left[-1]), right[-1]],
-                         step, 2, counter)
-        left.append(_down_block(field, out[0]))
-        right.append(out[1])
+        down, up = A.matvec_pair(_up_block(field, left[-1]), right[-1], counter)
+        left.append(_down_block(field, down))
+        right.append(up)
     # term i pairs M^i G with (A^T)^(s-1-i) H; correction i < s-1 pairs
     # -M^i Z A e_n with Z (A^T)^(s-1-i) e_n
     G = [left[i][:, :a] for i in range(s)]
@@ -301,7 +310,7 @@ def flip_conjugate(core: ToeplitzCore,
     Conjugating D_down(C) = G H^T by Z, with Z^T Z = I - e_n e_n^T, gives
         C - Z^T C Z = -(Z^T G)(Z^T H)^T + e_n (C^T e_n)^T
                       + (C e_n - c_nn e_n) e_n^T,
-    so C e_n and C^T e_n, one two-core pass, yield generators of width
+    so C e_n and C^T e_n, one `matvec_pair` pass, yield generators of width
     alpha+2 for D_up(C); reversing the rows of both factors conjugates
     them by J.
     """
@@ -310,8 +319,7 @@ def flip_conjugate(core: ToeplitzCore,
     if core.width == 0:
         return ToeplitzCore.zero(field, n)
     en = field.unit_vector(n, n - 1).reshape(n, 1)
-    col, row = _two_stage(field, n, [en], [(core, 0, 0, False), (core, 0, 1, True)],
-                          2, counter)
+    col, row = core.matvec_pair(en, en, counter)
     col[n - 1, 0] = 0                           # C e_n - c_nn e_n
     G = np.concatenate([-_up_block(field, core.G) % field.p, en, col], axis=1)
     H = np.concatenate([_up_block(field, core.H), row, en], axis=1)
@@ -331,7 +339,7 @@ def _core_concat(field: PrimeField, n: int, cores,
 class THMatrix:
     """Structured matrix A = P + J Q with Toeplitz-like cores P, Q."""
 
-    __slots__ = ("field", "n", "P", "Q")
+    __slots__ = ("field", "n", "P", "Q", "_spectra")
 
     def __init__(self, field: PrimeField, P: ToeplitzCore, Q: ToeplitzCore):
         if P.n != Q.n:
@@ -342,6 +350,7 @@ class THMatrix:
         self.n = P.n
         self.P = P
         self.Q = Q
+        self._spectra = None
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "THMatrix":
@@ -391,36 +400,43 @@ class THMatrix:
         """A^T v, the width-1 case of `matvec_t_block`."""
         return self.matvec_t_block(self._column(v), counter)[:, 0]
 
-    def _forward(self, i: int, o: int):
-        """Cores of A x, x being input block i: P x into output o and
-        Q x into output o + 1, which the caller J-flips and adds."""
-        return [(self.P, i, o, False), (self.Q, i, o + 1, False)]
+    def spectra(self):
+        """(S_H, S_G) = limb spectra of [H_P | H_Q] and [G_P | conj G_Q],
+        as `ToeplitzCore.spectra` lays out a core's: P's own when Q = 0,
+        otherwise transformed from the stacked generators on first use
+        and kept (conjugation folds J into Q's columns; see
+        `_two_stage`)."""
+        if self.Q.width == 0:
+            return self.P.spectra()
+        if self._spectra is None:
+            a, n = self.P.width, self.n
+            S_H, S_G = (self.field.fft_spectra(np.concatenate([X, Y], axis=1).T,
+                                               n, n, axis=0)
+                        for X, Y in ((self.P.H, self.Q.H), (self.P.G, self.Q.G)))
+            np.conjugate(S_G[:, a:self.alpha], out=S_G[:, a:self.alpha])
+            self._spectra = S_H, S_G
+        return self._spectra
 
-    def _backward(self, i: int, o: int):
-        """Cores of A^T x = P^T x + Q^T (J x), reading x from input block i
-        and J x from block i + 1, into output o."""
-        return [(self.P, i, o, True), (self.Q, i + 1, o, True)]
+    def _pass(self, blocks, first, counter):
+        return _two_stage(self.field, self.n, self.spectra, self.alpha,
+                          self.P.width, blocks, first, counter)
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """A V = P V + J (Q V): both cores in one `_two_stage` pass."""
-        out = _two_stage(self.field, self.n, [V], self._forward(0, 0), 2,
-                         counter)
-        return (out[0] + out[1][::-1]) % self.field.p
+        """A V = P V + J (Q V), both cores' columns in one `_two_stage`
+        pass."""
+        return self._pass([V], 0, counter)[0]
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
         """A^T V = P^T V + Q^T (J V) in one `_two_stage` pass."""
-        return _two_stage(self.field, self.n, [V, V[::-1, :]],
-                          self._backward(0, 0), 1, counter)[0]
+        return self._pass([V], 1, counter)[0]
 
     def matvec_pair(self, V: np.ndarray, U: np.ndarray,
                     counter: MultCounter | None = None):
         """(A V, A^T U) for blocks of equal width in one `_two_stage` pass;
         charged as `matvec_block(V)` plus `matvec_t_block(U)`."""
-        out = _two_stage(self.field, self.n, [V, U, U[::-1, :]],
-                         self._forward(0, 0) + self._backward(1, 2), 3, counter)
-        return (out[0] + out[1][::-1]) % self.field.p, out[2]
+        return tuple(self._pass([V, U], 0, counter))
 
     # -- algebra ---------------------------------------------------------------
 

@@ -214,8 +214,8 @@ def test_kernel_dtype_contract(p):
     rng = f.rng(5)
     a = f.rand_mat(rng, (6, 9)).reshape(2, 3, 9)
     b = f.rand_mat(rng, (3, 9)).reshape(3, 1, 9)
-    raw = f.fft_product(f.fft_spectra(a, 9, 9, axis=1),
-                        f.fft_spectra(b, 9, 9, axis=0), 9, 9, 17)
+    raw = f.fft_product(f.fft_spectra(a[None], 9, 9, axis=2),
+                        f.fft_spectra(b[None], 9, 9, axis=1), 9, 9, 17)[0]
     assert raw.dtype == np.int64 and raw.min() >= 0 and raw.max() < p
     A = random_structured(f, 9, 2, 1, 5)
     V = f.rand_mat(rng, (9, 2))

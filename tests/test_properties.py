@@ -25,6 +25,12 @@ PRIMES = (3, 101, (1 << 31) - 1, 2013265921, (1 << 61) - 1, (1 << 62) - 57)
        k=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
 @example(p=101, n=7, alpha_t=0, alpha_h=0, k=2, seed=1)
 @example(p=(1 << 61) - 1, n=1, alpha_t=3, alpha_h=3, k=0, seed=2)
+# Hankel-only at a power-of-two n: every column J-folded, FFT size 2n
+@example(p=(1 << 62) - 57, n=32, alpha_t=0, alpha_h=2, k=2, seed=10)
+@example(p=3, n=2, alpha_t=0, alpha_h=3, k=3, seed=11)
+@example(p=101, n=1, alpha_t=2, alpha_h=1, k=1, seed=12)
+@example(p=2013265921, n=3, alpha_t=1, alpha_h=2, k=2, seed=13)
+@example(p=(1 << 31) - 1, n=5, alpha_t=0, alpha_h=1, k=3, seed=14)
 def test_block_matvecs_match_dense(p, n, alpha_t, alpha_h, k, seed):
     f = PrimeField(p)
     A = random_structured(f, n, alpha_t, alpha_h, seed)

@@ -199,16 +199,30 @@ def test_matvec_identity_and_shift():
 # 31-bit primes n = 256 sums 8 generators per inverse transform (widths 8
 # and 9 straddle a chunk), n = 1719 is the largest n with 16-bit limbs (one
 # generator per transform) and n = 1720 takes 11-bit limbs.  At 2^61 - 1
-# (object dtype) n = 4 takes 21-bit limbs, n = 5 .. 937 16-bit limbs
-# (n = 128 sums 10 generators per transform) and n = 938 13-bit limbs; see
-# tests/test_field.py::test_fft_limbs_pins.  Widths are per core.
-WORST_CASES = ((3, 1, 1, 2), (3, 256, 2, 2), (3, 16, 0, 2), (3, 16, 2, 0)) + tuple(
-    (p, n, width, k) for p in (P_NTT, (1 << 31) - 1)
+# and 2^62 - 57 (object dtype) n = 4 takes 21-bit limbs, n = 5 .. 937
+# 16-bit limbs (n = 128 sums 10 generators per transform) and n = 938
+# 13-bit limbs; see tests/test_field.py::test_fft_limbs_pins.  (2^62 - 57
+# shares 2^61 - 1's plans, so its rows stop short of the slow dense
+# products at n = 937 and 938.)  Rows are
+# (p, n, width of P, width of Q, k).  The Hankel-only rows (P width 0) put
+# every column through the conjugated, J-folded spectra at each limb-plan
+# and chunk boundary; n = 256 is a power of two, where the FFT size is
+# exactly 2n and the correlation window tightest.
+WORST_CASES = ((3, 1, 1, 1, 2), (3, 256, 2, 2, 2), (3, 256, 0, 2, 2),
+               (3, 16, 0, 0, 2), (3, 16, 2, 2, 0)) + tuple(
+    (p, n, width, width, k) for p in (P_NTT, (1 << 31) - 1)
     for n, width, k in ((1, 2, 2), (256, 8, 1), (256, 9, 2), (1719, 2, 2),
                         (1720, 2, 1), (16, 0, 2), (16, 2, 0))) + tuple(
-    ((1 << 61) - 1, n, width, k)
+    (p, n, 0, width, k) for p in (P_NTT, (1 << 31) - 1)
+    for n, width, k in ((256, 9, 2), (1719, 2, 2), (1720, 2, 1))) + tuple(
+    ((1 << 61) - 1, n, width, width, k)
     for n, width, k in ((4, 2, 2), (5, 2, 2), (128, 10, 1), (128, 11, 2),
-                        (937, 2, 2), (938, 2, 1)))
+                        (937, 2, 2), (938, 2, 1))) + tuple(
+    ((1 << 61) - 1, n, 0, width, k)
+    for n, width, k in ((4, 2, 2), (5, 2, 2), (128, 11, 2), (937, 2, 2),
+                        (938, 2, 1))) + tuple(
+    ((1 << 62) - 57, n, 0, width, k)
+    for n, width, k in ((4, 2, 2), (5, 2, 2), (128, 11, 2)))
 
 
 def test_matvec_vs_dense():
@@ -228,19 +242,20 @@ def test_matvec_vs_dense():
         A.matvec_pair(block, block[:15])
     with pytest.raises(DimensionMismatchError):
         A.matvec_pair(block, block[:, :2])
-    for p, n, width, k in WORST_CASES:
+    for p, n, width_p, width_q, k in WORST_CASES:
         f = PrimeField(p)
-        G = np.full((n, width), p - 1, dtype=np.int64)
-        core = ToeplitzCore(f, n, G, G)
-        A = THMatrix(f, core, core)
+        P, Q = (ToeplitzCore(f, n, G, G) for G in
+                (np.full((n, width), p - 1, dtype=np.int64)
+                 for width in (width_p, width_q)))
+        A = THMatrix(f, P, Q)
         dense = A.reconstruct()
         block = np.full((n, k), p - 1, dtype=f.dtype)
+        want = f.matmul(dense, block), f.matmul(dense.T.copy(), block)
         pair = A.matvec_pair(block, block)
-        for out, M in ((A.matvec_block(block), dense), (pair[0], dense),
-                       (A.matvec_t_block(block), dense.T.copy()),
-                       (pair[1], dense.T.copy())):
+        for out, M in ((A.matvec_block(block), want[0]), (pair[0], want[0]),
+                       (A.matvec_t_block(block), want[1]), (pair[1], want[1])):
             assert out.shape == (n, k) and out.dtype == f.dtype
-            assert np.array_equal(out, f.matmul(M, block)), (p, n, width, k)
+            assert np.array_equal(out, M), (p, n, width_p, width_q, k)
 
 
 def test_matvec_block_matches_columns_small_field():
@@ -293,7 +308,8 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # every structured product is one two-stage pass: two kernel product
     # steps however many chunks its generator columns fill, and two
     # transforms (the input blocks and the stage-1 result) once the
-    # matrix's generators have been transformed, which happens once
+    # matrix's generators have been transformed, which happens once: one
+    # transform each of the stacked H and of the stacked G columns
     f = PrimeField(p)
     calls = {"fft_spectra": 0, "fft_product": 0}
     for name in calls:
@@ -314,10 +330,15 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     cores = [c for c in (A.P, A.Q) if c.width]
     core = cores[0]
     V = f.rand_mat(f.rng(6), (n, 2))
-    first = 2 + 2 * len(cores)                  # + the G and H of each core
+    first = 4                                   # + S_H and S_G
     for product in (lambda: A.matvec_block(V), lambda: A.matvec_block(V),
-                    lambda: A.matvec_t_block(V), lambda: A.matvec_pair(V, V),
-                    lambda: core.matvec_block(V),
+                    lambda: A.matvec_t_block(V), lambda: A.matvec_pair(V, V)):
+        assert run(product) == (2, first)
+        first = 2
+    # a Toeplitz-like matrix reads its core's spectra, shared with the
+    # swapped core; a matrix with J-flipped columns keeps its own
+    first = 2 if A.Q.width == 0 else 4
+    for product in (lambda: core.matvec_block(V),
                     lambda: core.swapped().matvec_block(V)):
         assert run(product) == (2, first)
         first = 2
