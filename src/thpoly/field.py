@@ -16,6 +16,7 @@ returns the field's dtype.  All paths return identical residues.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -61,6 +62,19 @@ def _padded(shape, axis: int, terms: int) -> tuple[int, ...]:
 def _fft_size(la: int, lb: int) -> int:
     """Power-of-two FFT size of a product of lengths la and lb."""
     return 1 << max(0, la + lb - 2).bit_length()
+
+
+@functools.lru_cache(maxsize=256)
+def _limb_plan(bits: int, la: int, lb: int) -> tuple[int, int, int]:
+    """`PrimeField.fft_limbs` for residues of `bits` bits."""
+    lg = max(1, _fft_size(la, lb).bit_length() - 1)
+    for count in range(1, bits + 1):
+        b = -(-bits // count)
+        err = ((1 << b) - 1) ** 2 * math.sqrt(la * lb) * lg * _FFT_ERROR
+        terms = int(_FFT_ROUNDING / (count * err))
+        if terms >= 1:
+            return b, count, terms
+    raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
 
 
 def _v2(n: int) -> int:
@@ -351,17 +365,10 @@ class PrimeField:
         L is the smallest limb count that allows one term: for 31-bit
         primes 16-bit limbs (L = 2) up to n = 1719, for p = 2**61 - 1
         21-bit limbs (L = 3) up to n = 4, 16-bit (L = 4) up to n = 937
-        and 13-bit (L = 5) beyond.
+        and 13-bit (L = 5) beyond.  The plan depends on p only through its
+        bit length, and is computed once per (bits, la, lb).
         """
-        lg = max(1, _fft_size(la, lb).bit_length() - 1)
-        bits = (self.p - 1).bit_length()
-        for count in range(1, bits + 1):
-            b = -(-bits // count)
-            err = ((1 << b) - 1) ** 2 * math.sqrt(la * lb) * lg * _FFT_ERROR
-            terms = int(_FFT_ROUNDING / (count * err))
-            if terms >= 1:
-                return b, count, terms
-        raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
+        return _limb_plan((self.p - 1).bit_length(), la, lb)
 
     def fft_spectra(self, x, la: int, lb: int, axis: int) -> np.ndarray:
         """Transform step of the FFT product kernel.

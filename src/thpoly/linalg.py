@@ -1,9 +1,9 @@
 """Exact dense Gaussian elimination helpers used across the library.
 
 Everything here is O(n^3)-style reference machinery: generator
-compression, rank factorizations and small determinants.  Row
-operations are vectorized per row; one product is charged per touched
-entry.
+compression, rank factorizations and small determinants.  `rref`
+clears a pivot column with one whole-matrix rank-1 update, `det` row by
+row; one product is charged per entry of a row that changes.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ def rref(field: PrimeField, M: np.ndarray,
         R[r] = field.vmul(R[r], inv, counter)
         col = R[:, c].copy()
         col[r] = 0
-        other = np.nonzero(col)[0]
-        if len(other):
+        touched = np.count_nonzero(col)
+        if touched:
             if counter is not None:
-                counter.add(len(other) * cols)
-            R[other] = (R[other] - col[other][:, None] * R[r][None, :]) % field.p
+                counter.add(touched * cols)
+            # one rank-1 update of the whole matrix; rows with col 0 keep
+            # their values, so only the touched rows are charged
+            R = (R - np.outer(col, R[r])) % field.p
         pivots.append(c)
         r += 1
     return R[:r], pivots

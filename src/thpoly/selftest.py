@@ -19,9 +19,11 @@ from .linalg import rank
 from .poly import Poly, berlekamp_massey, poly_gcd
 from .structured import (RECONSTRUCT_GUARD, THMatrix, ToeplitzCore,
                          from_hankel, from_toeplitz, random_structured)
-from .wiedemann import (BsgsPlan, bsgs_sequence, charpoly_generic,
-                        krylov_sequence_naive, minimal_matrix_generator,
-                        minpoly, structured_projectors, verify_annihilates)
+from .wiedemann import (BsgsPlan, KrylovPrefix, bsgs_sequence,
+                        charpoly_generic, krylov_sequence_naive,
+                        minimal_matrix_generator, minpoly,
+                        structured_projectors, verification_vectors,
+                        verify_annihilates)
 
 _P_SMALL = 101
 _P_NTT = 2013265921
@@ -269,6 +271,18 @@ def check_verification():
     x_minus_1 = Poly(field, [field.p - 1, 1])
     _expect(verify_annihilates(eye, x_minus_1, 2, 5))
     _expect(not verify_annihilates(eye, Poly(field, [0, 1]), 2, 5))
+    # one trial carried three steps on the A chain, then on the A^T chain:
+    # each accepts the minimal polynomial and rejects a wrong one
+    A = random_structured(field, 8, 2, 1, 6)
+    mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
+    wrong = Poly(field, [int(mp.coeffs[0]) + 1] + mp.to_list()[1:])
+    for step, forward in ((A.matvec_block, 1), (A.matvec_t_block, 0)):
+        powers = [verification_vectors(field, 8, 1, 7)]
+        for _ in range(3):
+            powers.append(step(powers[-1]))
+        prefix = KrylovPrefix(np.stack(powers).astype(np.int64), forward)
+        _expect(verify_annihilates(A, mp, 1, 7, prefix=prefix))
+        _expect(not verify_annihilates(A, wrong, 1, 7, prefix=prefix))
     return "annihilation verifier accepts/rejects correctly"
 
 

@@ -63,9 +63,9 @@ def _two_stage(field: PrimeField, n: int, spectra, width: int, flip: int,
     first `flip` of them a Toeplitz-like core's and the rest J-flipped
     (A = P + J Q); `spectra()` returns their cached limb spectra (S_H,
     S_G), those of the h_j and of the g_j, J-flipped columns conjugated.
-    `blocks` are n x k input blocks of one width; group i reads blocks[i]
-    and writes A blocks[i] if first + i is 0, A^T blocks[i] if it is 1
-    (first + len(blocks) <= 2).  Returns the (groups, n, k) products.
+    `blocks` are n x k_i input blocks; group i reads blocks[i] and writes
+    A blocks[i] if first + i is 0, A^T blocks[i] if it is 1 (first +
+    len(blocks) <= 2).  Returns the list of n x k_i products.
 
     A product reads S_H in stage 1 and S_G in stage 2, a transposed one
     the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
@@ -83,34 +83,35 @@ def _two_stage(field: PrimeField, n: int, spectra, width: int, flip: int,
     read one stack of S_H and S_G, both ways round), and two transforms
     (the input blocks and the stage-1 result) in all; both steps return
     int64 residues for every p, so u enters stage 2 as it stands and only
-    the returned products take the field's dtype.  The charge is two
-    convolutions per generator and block column of each group.
+    the returned products take the field's dtype.  A narrower group is
+    zero-padded to the widest inside the pass, and the charge is two
+    convolutions per generator and real block column of each group.
     """
     for X in blocks:
         if X.shape[0] != n:
             raise LengthMismatchError(f"block rows {X.shape[0]} != {n}")
-    k = blocks[0].shape[1]
-    if any(X.shape[1] != k for X in blocks):
-        raise DimensionMismatchError("input blocks must have equal width")
-    groups = len(blocks)
+    widths = [X.shape[1] for X in blocks]
+    k = max(widths)
     if width == 0 or k == 0:
-        return field.zeros((groups, n, k))
+        return [field.zeros((n, w)) for w in widths]
     if counter is not None:
-        counter.add(groups * width * k * 2 * field.conv_charge(n, n))
+        counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
     S = spectra()[::-1] if first else spectra()
-    if groups == 1:
+    if len(blocks) == 1:
         stage1, stage2 = (X[:, None] for X in S)
     else:
         # A on blocks[0], A^T on blocks[1]: one stack, read both ways
         stage1 = np.stack(S, axis=1)
         stage2 = stage1[:, ::-1]
-    rx = np.stack([X[::-1].T for X in blocks])[:, None]
+    rx = np.zeros((len(blocks), 1, k, n), dtype=np.int64)
+    for r, X in zip(rx, blocks):
+        r[0, :X.shape[1]] = X[::-1].T
     u = field.fft_product(stage1[:, :, :width, None],
                           field.fft_spectra(rx, n, n, axis=1), n, n, n)
     u[:, :flip] = u[:, :flip, :, ::-1]
     out = field.fft_product(stage2[:, :, None],
                             field.fft_spectra(u, n, n, axis=1), n, n, n)
-    return field.from_int64(out[:, 0].transpose(0, 2, 1))
+    return [field.from_int64(o[:w].T) for o, w in zip(out[:, 0], widths)]
 
 
 class ToeplitzCore:
@@ -184,7 +185,7 @@ class ToeplitzCore:
 
     def matvec_pair(self, V: np.ndarray, U: np.ndarray,
                     counter: MultCounter | None = None):
-        """(C V, C^T U) for blocks of equal width in one `_two_stage` pass."""
+        """(C V, C^T U) in one `_two_stage` pass, for blocks of any widths."""
         return tuple(self._pass([V, U], 0, counter))
 
     def swapped(self) -> "ToeplitzCore":
@@ -434,8 +435,9 @@ class THMatrix:
 
     def matvec_pair(self, V: np.ndarray, U: np.ndarray,
                     counter: MultCounter | None = None):
-        """(A V, A^T U) for blocks of equal width in one `_two_stage` pass;
-        charged as `matvec_block(V)` plus `matvec_t_block(U)`."""
+        """(A V, A^T U) in one `_two_stage` pass, for blocks of any widths
+        (the narrower is zero-padded inside the pass); charged as
+        `matvec_block(V)` plus `matvec_t_block(U)`."""
         return tuple(self._pass([V, U], 0, counter))
 
     # -- algebra ---------------------------------------------------------------

@@ -12,7 +12,13 @@ matrices that determinant is the characteristic polynomial.  BSGS, the
 paper's schedule, serves the scalar route only: under the counter's
 cubic matrix-product charge no stride s > 1 is cheaper than s = 1, and
 for T+H-like inputs the power A^s loses its structure.  Both routes are
-Monte Carlo with cheap independent verification.
+Monte Carlo with cheap independent verification, f(A) b = 0 on random b
+(`verify_annihilates`).  The trial vectors ride the sequence's Krylov
+passes as extra block columns, some on the A^T chain, so verification
+only finishes the powers the sequence did not reach: sequence and
+certificate together take n + 1 structured passes for a naive minpoly
+or a block charpoly, and for BSGS s - 1 fewer than with a separate
+Horner chain.
 """
 
 from __future__ import annotations
@@ -56,12 +62,31 @@ class BsgsPlan:
 
 
 @dataclass(frozen=True)
+class KrylovPrefix:
+    """Powers of verification vectors B carried on a sequence's passes.
+
+    powers[i] = [A^i B_A | (A^T)^i B_T] for i = 0 .. m, int64 for every p;
+    the first `forward` columns (B_A) ride the A chain, the rest (B_T) the
+    A^T chain.  With m = 0 it is B alone, `verify_annihilates`' own start.
+    """
+
+    powers: np.ndarray   # shape (m + 1, n, trials)
+    forward: int
+
+    @property
+    def m(self) -> int:
+        return self.powers.shape[0] - 1
+
+
+@dataclass(frozen=True)
 class BlockSequence:
-    """Projected Krylov sequence S_i = U^T A^i V of beta x beta blocks."""
+    """Projected Krylov sequence S_i = U^T A^i V of beta x beta blocks,
+    with the verification powers carried on its passes, if any."""
 
     field: PrimeField
     beta: int
     terms: np.ndarray    # shape (L, beta, beta)
+    prefix: KrylovPrefix | None = None
 
     @property
     def L(self) -> int:
@@ -143,7 +168,8 @@ def _check_blocks(A: THMatrix, U: np.ndarray, V: np.ndarray) -> int:
 
 
 def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
-                          counter: MultCounter | None = None) -> BlockSequence:
+                          counter: MultCounter | None = None,
+                          carry: np.ndarray | None = None) -> BlockSequence:
     """S_i = U^T A^i V from two Krylov chains (reference path).
 
     With V_i = A^i V and U_i = (A^T)^i U, S_{2i} = U_i^T V_i and
@@ -151,35 +177,69 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
     advances both with one `THMatrix.matvec_pair` (the last odd term only
     needs V_{i+1}, a plain `matvec_block`): L-1 block products in
     ceil((L-1)/2) kernel passes, and only the current blocks are held.
+
+    `carry`, an n x t block of verification vectors, rides the m =
+    (L-1)//2 pair passes: its first ceil(t/2) columns beside V, the rest
+    beside U, charged as the extra block columns they are.  Their powers
+    0 .. m come back as the sequence's `prefix`, one preallocated int64
+    array of (m+1) n t entries, so `verify_annihilates` needs d - m
+    passes, not d, for a degree-d candidate.
     """
     beta = _check_blocks(A, U, V)
     field = A.field
     terms = np.zeros((L, beta, beta), dtype=field.dtype)
+    prefix = None
+    if carry is not None:
+        forward = -(-carry.shape[1] // 2)
+        prefix = _start_prefix(carry, (L - 1) // 2, forward)
+        V = np.concatenate([V, carry[:, :forward]], axis=1)
+        U = np.concatenate([U, carry[:, forward:]], axis=1)
     for i in range(0, L, 2):
-        Ut = U.T.copy()
-        terms[i] = field.matmul(Ut, V, counter)
+        Ut = U[:, :beta].T.copy()
+        terms[i] = field.matmul(Ut, V[:, :beta], counter)
         if i + 1 == L:
             break
         if i + 2 < L:
             V, U = A.matvec_pair(V, U, counter)
+            if prefix is not None:
+                prefix.powers[i // 2 + 1] = np.concatenate(
+                    [V[:, beta:], U[:, beta:]], axis=1)
         else:
-            V = A.matvec_block(V, counter)
-        terms[i + 1] = field.matmul(Ut, V, counter)
-    return BlockSequence(field, beta, terms)
+            V = A.matvec_block(V[:, :beta], counter)
+        terms[i + 1] = field.matmul(Ut, V[:, :beta], counter)
+    return BlockSequence(field, beta, terms, prefix)
+
+
+def _start_prefix(carry: np.ndarray, m: int, forward: int) -> KrylovPrefix:
+    powers = np.zeros((m + 1,) + carry.shape, dtype=np.int64)
+    powers[0] = carry
+    return KrylovPrefix(powers, forward)
 
 
 def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
-                  counter: MultCounter | None = None) -> BlockSequence:
+                  counter: MultCounter | None = None,
+                  carry: np.ndarray | None = None) -> BlockSequence:
     """Same output as the naive path, scheduled as baby steps A^i V for
-    i < s, one structured power B = A^s, and giant rows U^T B^j."""
+    i < s, one structured power B = A^s, and giant rows U^T B^j.
+
+    `carry`, an n x t block of verification vectors, rides all m =
+    min(s, L) - 1 baby steps beside V; its powers come back as the
+    sequence's `prefix` (see `krylov_sequence_naive`)."""
     beta = _check_blocks(A, U, V)
     if beta != plan.beta:
         raise ShapeMismatchError("plan block size differs from projector width")
     field = A.field
     s, L = plan.s, plan.L
+    chain, prefix = V, None
+    if carry is not None:
+        chain = np.concatenate([V, carry], axis=1)
+        prefix = _start_prefix(carry, min(s, L) - 1, carry.shape[1])
     babies = [V.copy()]
-    for _ in range(1, min(s, L)):
-        babies.append(A.matvec_block(babies[-1], counter))
+    for i in range(1, min(s, L)):
+        chain = A.matvec_block(chain, counter)
+        babies.append(chain[:, :beta].copy())
+        if prefix is not None:
+            prefix.powers[i] = chain[:, beta:]
     giants = math.ceil(L / s)
     B = A.power(s, counter) if giants > 1 else None
     terms = np.zeros((L, beta, beta), dtype=field.dtype)
@@ -193,7 +253,7 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
             terms[k] = field.matmul(Wt, babies[i], counter)
         if (j + 1) * s < L:
             W = B.matvec_t_block(W, counter)
-    return BlockSequence(field, beta, terms)
+    return BlockSequence(field, beta, terms, prefix)
 
 
 def _shift_row_by_x(block: np.ndarray) -> np.ndarray:
@@ -316,29 +376,67 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
     return poly.monic(counter)
 
 
+def verification_vectors(field: PrimeField, n: int, trials: int,
+                         seed: int) -> np.ndarray:
+    """The n x trials block of uniform, independent trial vectors b that
+    `verify_annihilates` draws for `seed`."""
+    if trials < 1:
+        raise ValueError("at least one trial required")
+    rng = field.rng(seed)
+    return np.stack([field.rand_vec(rng, n) for _ in range(trials)], axis=1)
+
+
 def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
-                       counter: MultCounter | None = None) -> bool:
+                       counter: MultCounter | None = None,
+                       prefix: KrylovPrefix | None = None) -> bool:
     """Monte Carlo check of f(A) b = 0 on random b; false negatives are
     impossible, false accepts have probability at most p^-trials: each b
     is uniform and independent of f, so if f(A) != 0 then f(A) b = 0
-    with probability p^-rank(f(A)) <= 1/p.
+    with probability p^-rank(f(A)) <= 1/p.  A trial carried on the A^T
+    chain checks f(A^T) b = f(A)^T b = 0 instead, which is as strong:
+    rank f(A^T) = rank f(A), and f(A^T) = 0 exactly when f(A) = 0.
 
-    All trial vectors go through one block Horner pass; each step is
-    charged as `trials` single-vector steps, so an accepting run costs
-    exactly what a per-trial loop would (a rejecting one pays for every
-    trial, not only up to the first failure).
+    `prefix` holds powers 0 .. m of these trials' vectors, carried on the
+    sequence's Krylov passes (`krylov_sequence_naive`, `bsgs_sequence`).
+    With d = deg f and k = min(m, d), f(A) b is sum_{i<k} f_i A^i b from
+    the carried powers plus a Horner chain over f_k .. f_d started from
+    A^k b: d - k block passes, each advancing the A-side trials by A and
+    the A^T-side ones by A^T.  Without a prefix (k = 0) every trial is
+    A-side and this is the plain Horner chain of d passes.
+
+    Each coefficient costs one product per trial entry, (d+1) n trials in
+    all, and a pass is charged as `trials` single-vector matvecs.  With the
+    k passes the sequence charged, an accepting run costs what a per-trial
+    Horner loop would (a rejecting one pays for every trial, not only up to
+    the first failure); a candidate of degree d < m leaves (m - d) trials
+    carried columns unread.
     """
-    if trials < 1:
-        raise ValueError("at least one trial required")
+    B = verification_vectors(A.field, A.n, trials, seed)
     if f.is_zero():
         return True
+    if prefix is None:
+        prefix = KrylovPrefix(B[None].astype(np.int64), trials)
+    elif not np.array_equal(prefix.powers[0], B):
+        raise ValueError("the prefix carries other vectors than these trials")
     field = A.field
-    rng = field.rng(seed)
-    B = np.stack([field.rand_vec(rng, A.n) for _ in range(trials)], axis=1)
-    W = field.vmul(B, f.leading(), counter)
-    for c in f.coeffs[-2::-1]:
-        W = (A.matvec_block(W, counter) + field.vmul(B, int(c), counter)) % field.p
-    return not np.any(W != 0)
+    d = int(f.degree)
+    k = min(prefix.m, d)
+    coeffs = [int(c) for c in f.coeffs]
+    S = field.zeros(B.shape)
+    for i in range(k):
+        S = S + field.vmul(field.from_int64(prefix.powers[i]), coeffs[i],
+                           counter)
+    w = field.from_int64(prefix.powers[k])
+    W = field.vmul(w, coeffs[d], counter)
+    fwd = prefix.forward
+    for c in reversed(coeffs[k:d]):
+        if fwd == trials:
+            W = A.matvec_block(W, counter)
+        else:
+            W = np.concatenate(A.matvec_pair(W[:, :fwd], W[:, fwd:], counter),
+                               axis=1)
+        W = (W + field.vmul(w, c, counter)) % field.p
+    return not np.any((S + W) % field.p != 0)
 
 
 def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
@@ -346,7 +444,13 @@ def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
     """Monte Carlo minimal polynomial via the scalar projected sequence.
 
     With probability at least 1 - 4n/p the candidate equals the true
-    minimal polynomial (standard analysis for random projections).
+    minimal polynomial (standard analysis for random projections).  The
+    verification vectors ride the sequence's passes (`verify_annihilates`):
+    the naive route carries them on all n pair passes, so a solve makes
+    n + 1 passes and no Horner step; BSGS carries them on its s - 1 baby
+    steps.  A candidate of degree d below the carried m (n, or s - 1)
+    costs (m - d) * verify_trials more column products than a Horner
+    chain of d passes would.
     """
     if mode not in ("naive", "bsgs"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -356,14 +460,16 @@ def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
     u, v = structured_projectors(field, n, 1, derive_seed(seed, "projectors"),
                                  counter)
     L = 2 * n + 2
+    verify_seed = derive_seed(seed, "verify")
+    B = verification_vectors(field, n, verify_trials, verify_seed)
     if mode == "naive":
-        seq = krylov_sequence_naive(A, u, v, L, counter)
+        seq = krylov_sequence_naive(A, u, v, L, counter, B)
     else:
-        seq = bsgs_sequence(A, u, v, BsgsPlan.default(n, 1), counter)
+        seq = bsgs_sequence(A, u, v, BsgsPlan.default(n, 1), counter, B)
     scalars = seq.terms[:, 0, 0]
     f = berlekamp_massey(field, scalars, counter)
-    ok = verify_annihilates(A, f, verify_trials, derive_seed(seed, "verify"),
-                            counter)
+    ok = verify_annihilates(A, f, verify_trials, verify_seed, counter,
+                            seq.prefix)
     return AnnihilatorReport(polynomial=f, algorithm=f"minpoly-{mode}",
                              seed=seed, verified=ok,
                              field_mult_count=counter.mults)
@@ -381,7 +487,9 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     determinant degree falls short of n or a certificate fails; callers
     retry with a fresh seed or a larger block size.  Certificates on
     success: degree n, monic, x^{n-1} coefficient equal to -trace(A), and
-    a 3-trial annihilation test.
+    a 3-trial annihilation test, two trials carried beside V and one
+    beside U on the ceil(n/beta) pair passes, so verification adds
+    n - ceil(n/beta) passes, not n.
     """
     field = A.field
     n = A.n
@@ -392,7 +500,10 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     counter = MultCounter()
     U, V = structured_projectors(field, n, beta,
                                  derive_seed(seed, "projectors"), counter)
-    seq = krylov_sequence_naive(A, U, V, 2 * math.ceil(n / beta) + 2, counter)
+    verify_seed = derive_seed(seed, "verify")
+    B = verification_vectors(field, n, 3, verify_seed)
+    seq = krylov_sequence_naive(A, U, V, 2 * math.ceil(n / beta) + 2, counter,
+                                B)
     F = minimal_matrix_generator(seq, n, counter)
     try:
         c = polymat_det(F, counter)
@@ -404,7 +515,7 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     tr = A.trace(counter)
     if int(c.coeffs[n - 1]) != (-tr) % field.p:
         raise NotGenericError(n, c, "trace certificate failed")
-    if not verify_annihilates(A, c, 3, derive_seed(seed, "verify"), counter):
+    if not verify_annihilates(A, c, 3, verify_seed, counter, seq.prefix):
         raise NotGenericError(n, c, "annihilation certificate failed")
     return AnnihilatorReport(polynomial=c, algorithm="charpoly-block",
                              seed=seed, verified=True,

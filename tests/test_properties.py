@@ -123,3 +123,38 @@ def test_charpoly_is_oracle_or_not_generic(p, n, alpha_t, alpha_h, data, seed):
     except NotGenericError:
         return
     assert c == dense_charpoly(DenseMatrix(f, A.reconstruct()))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(p=st.sampled_from((101, (1 << 61) - 1, (1 << 62) - 57)),
+       n=st.integers(1, 32), alpha_t=st.integers(0, 3),
+       alpha_h=st.integers(0, 3),
+       algorithm=st.sampled_from(("naive", "bsgs", "charpoly")),
+       trials=st.integers(1, 3), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+# p = 101, n = 40: the projected sequence gives a degree-39 divisor
+@example(p=101, n=40, alpha_t=2, alpha_h=1, algorithm="naive", trials=2,
+         data=None, seed=19)
+@example(p=101, n=40, alpha_t=2, alpha_h=1, algorithm="bsgs", trials=1,
+         data=None, seed=36)
+@example(p=(1 << 61) - 1, n=1, alpha_t=1, alpha_h=1, algorithm="naive",
+         trials=3, data=None, seed=3)
+def test_verified_means_oracle(p, n, alpha_t, alpha_h, algorithm, trials,
+                               data, seed):
+    # the certificate rides the sequence's passes, with trials on the A^T
+    # chain too, and is no weaker for it: whatever it accepts is A's own
+    # minimal or characteristic polynomial
+    f = PrimeField(p)
+    A = random_structured(f, n, alpha_t, alpha_h, seed)
+    M = DenseMatrix(f, A.reconstruct())
+    if algorithm == "charpoly":
+        beta = data.draw(st.integers(1, n), label="beta") if data else 1
+        try:
+            c = charpoly_generic(A, beta, seed).polynomial
+        except NotGenericError:
+            return
+        assert c == dense_charpoly(M)
+        return
+    report = minpoly(A, seed, mode=algorithm, verify_trials=trials)
+    oracle = dense_minpoly(M)
+    assert report.verified == (report.polynomial == oracle)

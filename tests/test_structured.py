@@ -240,8 +240,12 @@ def test_matvec_vs_dense():
         A.matvec([1, 2, 3])
     with pytest.raises(LengthMismatchError):
         A.matvec_pair(block, block[:15])
-    with pytest.raises(DimensionMismatchError):
-        A.matvec_pair(block, block[:, :2])
+    # unequal widths: the narrower block is padded inside the pass only
+    apart, pair = MultCounter(), MultCounter()
+    got = A.matvec_pair(block, block[:, :2], pair)
+    assert np.array_equal(got[0], A.matvec_block(block, apart))
+    assert np.array_equal(got[1], A.matvec_t_block(block[:, :2], apart))
+    assert got[1].shape == (16, 2) and pair.mults == apart.mults
     for p, n, width_p, width_q, k in WORST_CASES:
         f = PrimeField(p)
         P, Q = (ToeplitzCore(f, n, G, G) for G in

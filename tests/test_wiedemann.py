@@ -13,6 +13,9 @@ from thpoly.errors import (BadBlockSizeError, FieldTooSmallError,
                            InsufficientLengthError, NotGenericError,
                            ShapeMismatchError, SingularEverywhereError)
 from thpoly.bench import run_case
+from thpoly.field import derive_seed
+from thpoly.structured import _two_stage
+from thpoly.wiedemann import KrylovPrefix, verification_vectors
 
 import _ref
 
@@ -413,3 +416,166 @@ def test_verify_zero_polynomial_accepts_free():
     A = random_structured(F, 8, 2, 1, 94)
     assert verify_annihilates(A, Poly.zero(F), 2, 7, counter)
     assert counter.mults == 0
+
+
+# -- verification carried on the sequence passes ------------------------------------------
+
+
+def carried_prefix(A, B, m, forward, counter=None):
+    """Powers 0 .. m of B, its first `forward` columns under A and the rest
+    under A^T, with the charge of the passes a sequence would carry them on."""
+    powers = [B]
+    for _ in range(m):
+        W = powers[-1]
+        powers.append(np.concatenate([A.matvec_block(W[:, :forward], counter),
+                                      A.matvec_t_block(W[:, forward:], counter)],
+                                     axis=1))
+    return KrylovPrefix(np.stack(powers).astype(np.int64), forward)
+
+
+def column_charge(A):
+    """Mults of one block column of one structured pass."""
+    return 2 * A.alpha * A.field.conv_charge(A.n, A.n)
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+@pytest.mark.parametrize("n", [1, 9])
+def test_verify_prefix_matches_horner(p, n):
+    # m carried powers, then Horner from A^m b: the verdict and the count,
+    # carried passes included, of the Horner chain from scratch, with all
+    # trials on A or one of three on A^T
+    field = PrimeField(p)
+    A = random_structured(field, n, 2, 1, 95 + n)
+    mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
+    bumped = mp.to_list()
+    bumped[0] = (bumped[0] + 1) % p
+    d = int(mp.degree)
+    B = verification_vectors(field, n, 3, 8)
+    for f, want in ((mp, True), (Poly(field, bumped), False)):
+        plain = MultCounter()
+        assert verify_annihilates(A, f, 3, 8, plain) is want
+        for m in {0, 1, d - 1, d}:
+            for forward in (3, 2):
+                counter = MultCounter()
+                prefix = carried_prefix(A, B, m, forward, counter)
+                assert verify_annihilates(A, f, 3, 8, counter, prefix) is want
+                assert counter.mults == plain.mults
+
+
+@pytest.mark.parametrize("forward", [0, 1, 2])
+def test_verify_prefix_rejects_every_bumped_coefficient(forward):
+    # forward 0 and 2 put both trials on one chain, A^T or A
+    A = random_structured(F, 10, 2, 1, 91)
+    mp = dense_minpoly(DenseMatrix(F, A.reconstruct()))
+    d = int(mp.degree)
+    prefix = carried_prefix(A, verification_vectors(F, 10, 2, 2), d // 2,
+                            forward)
+    assert verify_annihilates(A, mp, 2, 2, prefix=prefix)
+    for i in range(d + 1):
+        bumped = mp.to_list()
+        bumped[i] = (bumped[i] + i + 1) % F.p
+        assert not verify_annihilates(A, Poly(F, bumped), 2, 2, prefix=prefix)
+
+
+def test_verify_prefix_of_other_vectors_refused():
+    A = random_structured(F, 6, 2, 1, 93)
+    prefix = carried_prefix(A, verification_vectors(F, 6, 2, 3), 2, 1)
+    with pytest.raises(ValueError):
+        verify_annihilates(A, Poly(F, [1, 1]), 2, 4, prefix=prefix)
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+def test_two_stage_unequal_group_widths(p):
+    # groups of widths (2, 1) and (1, 2): the separate passes' products,
+    # charged per real column, not per padded one
+    field = PrimeField(p)
+    A = random_structured(field, 12, 2, 1, 96)
+    V = field.rand_mat(field.rng(1), (12, 2))
+    U = field.rand_mat(field.rng(2), (12, 1))
+    for X, Y in ((V, U), (U, V)):
+        pair, apart = MultCounter(), MultCounter()
+        got = _two_stage(field, A.n, A.spectra, A.alpha, A.P.width, [X, Y], 0,
+                         pair)
+        assert np.array_equal(got[0], A.matvec_block(X, apart))
+        assert np.array_equal(got[1], A.matvec_t_block(Y, apart))
+        assert pair.mults == apart.mults == 3 * column_charge(A)
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_carried_powers_vs_dense(p, trials):
+    # the naive route splits the trials, ceil(t/2) on A and the rest on
+    # A^T, over its (L-1)//2 pair passes; BSGS carries all on A over its
+    # s-1 baby steps.  Terms are unchanged, and each carried column is
+    # charged as one more block column.
+    field = PrimeField(p)
+    n = 9
+    A = random_structured(field, n, 2, 1, 98)
+    dense = A.reconstruct()
+    U, V = structured_projectors(field, n, 2, 99)
+    B = verification_vectors(field, n, trials, 100)
+    forward = -(-trials // 2)
+    plan = BsgsPlan(beta=2, s=4, L=11)
+    runs = ((krylov_sequence_naive, 11, 5, forward),
+            (bsgs_sequence, plan, 3, trials))
+    for sequence, arg, m, fwd in runs:
+        plain, counter = MultCounter(), MultCounter()
+        want = sequence(A, U, V, arg, plain)
+        seq = sequence(A, U, V, arg, counter, B)
+        assert want.prefix is None and np.array_equal(seq.terms, want.terms)
+        assert seq.prefix.m == m and seq.prefix.forward == fwd
+        assert counter.mults == plain.mults + m * trials * column_charge(A)
+        ahead, back = B[:, :fwd], B[:, fwd:]
+        for i in range(m + 1):
+            assert np.array_equal(seq.prefix.powers[i],
+                                  np.concatenate([ahead, back], axis=1))
+            ahead = field.matmul(dense, ahead)
+            back = field.matmul(dense.T.copy(), back)
+
+
+def test_verification_rides_the_sequence_passes(monkeypatch):
+    # naive minpoly: n + 1 passes, none left for Horner; charpoly:
+    # ceil(n/beta) + 1 sequence passes and n - ceil(n/beta) Horner passes
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return _two_stage(*args, **kwargs)
+
+    monkeypatch.setattr("thpoly.structured._two_stage", counted)
+    A = random_structured(F, 16, 2, 1, 97)
+    assert minpoly(A, 1, mode="naive").polynomial.degree == 16
+    assert len(passes) == 17
+    passes.clear()
+    charpoly_generic(A, 2, 1)
+    assert len(passes) == 17
+
+
+@pytest.mark.parametrize("diagonal, degree, mode, mults", [
+    ((1, 1, 2, 2, 3, 3, 3, 5), 4, "naive", 34_703),   # 26,511 + 4 * 2 * 1024
+    ((1, 1, 2, 2, 3, 3, 3, 5), 4, "bsgs", 49_315),    # m = 3 < d: no excess
+    ((7,) * 8, 1, "naive", 8_813),                    # 5,229 + 7 * 2 * 256
+    ((7,) * 8, 1, "bsgs", 7_211),                     # 6,187 + 2 * 2 * 256
+])
+def test_minpoly_low_degree_count_excess(diagonal, degree, mode, mults):
+    # a candidate of degree d below the m carried powers (naive m = n,
+    # BSGS m = s - 1) costs exactly (m - d) * trials more column products
+    # than the sequence, BM and a Horner chain from scratch
+    n = len(diagonal)
+    A = dense_to_structured(DenseMatrix(F, F.asmat(np.diag(diagonal))))
+    report = minpoly(A, 5, mode=mode)
+    assert report.verified and report.polynomial.degree == degree
+    assert report.field_mult_count == mults
+    counter = MultCounter()
+    u, v = structured_projectors(F, n, 1, derive_seed(5, "projectors"))
+    if mode == "naive":
+        m = n
+        seq = krylov_sequence_naive(A, u, v, 2 * n + 2, counter)
+    else:
+        plan = BsgsPlan.default(n, 1)
+        m = plan.s - 1
+        seq = bsgs_sequence(A, u, v, plan, counter)
+    f = berlekamp_massey(F, seq.terms[:, 0, 0], counter)
+    assert verify_annihilates(A, f, 2, derive_seed(5, "verify"), counter)
+    excess = max(0, m - degree) * 2 * column_charge(A)
+    assert report.field_mult_count == counter.mults + excess
