@@ -2,8 +2,9 @@
 
 Everything here is O(n^3)-style reference machinery: generator
 compression, rank factorizations and small determinants.  `rref`
-clears a pivot column with one whole-matrix rank-1 update, `det` row by
-row; one product is charged per entry of a row that changes.
+clears a pivot column with one rank-1 update of the columns from the
+pivot on, `det` row by row; one product is charged per entry of a row
+that changes.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ def rref(field: PrimeField, M: np.ndarray,
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
+        # R[r, :c] is zero, so the scaling and the rank-1 update change,
+        # and are charged for, columns c.. only (of the touched rows)
         inv = field.inv(int(R[r, c]), counter)
-        R[r] = field.vmul(R[r], inv, counter)
+        R[r, c:] = field.vmul(R[r, c:], inv, counter)
         col = R[:, c].copy()
         col[r] = 0
         touched = np.count_nonzero(col)
         if touched:
             if counter is not None:
-                counter.add(touched * cols)
-            # one rank-1 update of the whole matrix; rows with col 0 keep
-            # their values, so only the touched rows are charged
-            R = (R - np.outer(col, R[r])) % field.p
+                counter.add(touched * (cols - c))
+            R[:, c:] = (R[:, c:] - np.outer(col, R[r, c:])) % field.p
         pivots.append(c)
         r += 1
     return R[:r], pivots
@@ -54,7 +55,19 @@ def rank(field: PrimeField, M: np.ndarray,
 
 def rank_factor(field: PrimeField, M: np.ndarray,
                 counter: MultCounter | None = None):
-    """Full-rank factorization M = C @ R with C = M[:, pivots]."""
+    """Full-rank factorization M = C @ R with C = M[:, pivots], R = rref(M).
+
+    An n x r matrix with r < n first has its last r rows reduced: if they
+    have rank r, so has M, whose RREF is then I_r with pivots 0 .. r-1
+    whatever its other rows, and (M, I_r) is returned for an r x r
+    elimination instead of an n x r one.  The last rows, because the
+    down-shifted Krylov columns of `structured.core_power` vanish in their
+    first rows.  Otherwise M is reduced in full (at r = n the subset would
+    be M itself, and a failed check would reduce it twice).
+    """
+    rows, cols = M.shape
+    if cols < rows and len(rref(field, M[rows - cols:], counter)[1]) == cols:
+        return M.copy(), np.eye(cols, dtype=field.dtype)
     R, pivots = rref(field, M, counter)
     C = M[:, pivots].copy()
     return C, R

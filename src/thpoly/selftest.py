@@ -153,6 +153,13 @@ def check_compress_widths():
         prod = field.matmul(G, H.T)
         _expect(np.array_equal(field.matmul(G2, H2.T), prod))
         _expect(G2.shape[1] == rank(field, prod))
+        # a tall pair of full rank (I_3 on top) is minimal already and
+        # comes back as it is
+        G = field.rand_mat(rng, (n, 3))
+        H = field.rand_mat(rng, (n, 3))
+        G[:3] = H[:3] = np.eye(3, dtype=field.dtype)
+        G2, H2 = compress_pair(field, G, H)
+        _expect(np.array_equal(G2, G) and np.array_equal(H2, H))
     return "compression reaches the dense displacement rank"
 
 

@@ -217,19 +217,23 @@ def compress_pair(field: PrimeField, G: np.ndarray, H: np.ndarray,
     """Equivalent generator pair of width exactly rank(G H^T).
 
     Rank-factor G, fold the coefficient matrix into H, then repeat on the
-    new H; two echelon passes of cost O(n alpha^2).
+    new H; two echelon passes of cost O(n alpha^2).  A factor of full
+    column rank has the coefficient matrix I, so its fold is skipped, and
+    `rank_factor` certifies it from alpha rows: a pair that is minimal
+    already usually costs two alpha x alpha eliminations and no product.
     """
     if G.shape[1] == 0 or H.shape[1] == 0:
         n = G.shape[0]
         return field.zeros((n, 0)), field.zeros((n, 0))
     CG, RG = rank_factor(field, G, counter)          # G = CG @ RG
-    H1 = field.matmul(H, RG.T, counter)              # G H^T = CG @ H1^T
     if CG.shape[1] == 0:
         n = G.shape[0]
         return field.zeros((n, 0)), field.zeros((n, 0))
+    H1 = H if CG.shape[1] == G.shape[1] else field.matmul(H, RG.T, counter)
     CH, RH = rank_factor(field, H1, counter)         # H1 = CH @ RH
-    G2 = field.matmul(CG, RH.T, counter)
-    return G2, CH
+    if CH.shape[1] == H1.shape[1]:
+        return CG, CH
+    return field.matmul(CG, RH.T, counter), CH
 
 
 def core_multiply(A: ToeplitzCore, B: ToeplitzCore,
@@ -276,7 +280,11 @@ def core_power(A: ToeplitzCore, s: int,
     M^i [G | Z A e_n] and (A^T)^k [H | e_n], advanced together by s-1
     `matvec_pair` passes (A on one block, A^T on the other), and one
     compression of width alpha s + s - 1, instead of a compressed core
-    product per square-and-multiply step.
+    product per square-and-multiply step.  The first pass takes e_n
+    beside Z^T G, so the corrections lag one pass: with y_0 = A e_n and
+    y_(i+1) = A Z^T Z y_i, correction i is Z y_i = M^i Z A e_n.  The pair
+    is usually minimal already, and then its compression costs two
+    eliminations of width alpha s + s - 1 (see `compress_pair`).
     """
     if s < 1:
         raise ValueError("exponent must be positive")
@@ -286,16 +294,18 @@ def core_power(A: ToeplitzCore, s: int,
     n = A.n
     a = A.width
     en = field.unit_vector(n, n - 1).reshape(n, 1)
-    left = [np.concatenate([A.G, _down_block(field, A.matvec_block(en, counter))],
-                           axis=1)]
+    # left[k] = [M^(k+1) G | Z y_k], right[k] = (A^T)^k [H | e_n]
+    X = np.concatenate([_up_block(field, A.G), en], axis=1)
+    left = []
     right = [np.concatenate([A.H, en], axis=1)]
     for _ in range(s - 1):
-        down, up = A.matvec_pair(_up_block(field, left[-1]), right[-1], counter)
+        down, up = A.matvec_pair(X, right[-1], counter)
         left.append(_down_block(field, down))
         right.append(up)
+        X = _up_block(field, left[-1])
     # term i pairs M^i G with (A^T)^(s-1-i) H; correction i < s-1 pairs
-    # -M^i Z A e_n with Z (A^T)^(s-1-i) e_n
-    G = [left[i][:, :a] for i in range(s)]
+    # -Z y_i with Z (A^T)^(s-1-i) e_n
+    G = [A.G] + [left[i][:, :a] for i in range(s - 1)]
     H = [right[s - 1 - i][:, :a] for i in range(s)]
     G += [-left[i][:, a:] % field.p for i in range(s - 1)]
     H += [_down_block(field, right[s - 1 - i][:, a:]) for i in range(s - 1)]

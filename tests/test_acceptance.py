@@ -259,8 +259,9 @@ def test_c09_complexity_smoke(tmp_path):
     counter charges a dense (a x k)(k x b) product as a*k*b, i.e.
     omega = 3.  Under that charge every BSGS schedule for a length 2n+2
     sequence costs Theta(n^2 log n): baby steps s*alpha*M(n), the power
-    A^s about 2s alpha^2 M(n) for its two Krylov blocks plus n (s alpha)^2
-    for one compression, giant rows (L/s)*s*alpha*M(n), and the 2-trial
+    A^s about 2s alpha^2 M(n) for its two Krylov blocks plus (s alpha)^3
+    for one compression of its full-rank pair (n (s alpha)^2 were it to
+    shrink), giant rows (L/s)*s*alpha*M(n), and the 2-trial
     Horner verification 2n matvecs, with M(n) = O(n log n).  So
     one doubling from n1 to n2 may grow the count by at most
     (n2/n1)^2 * log2(n2)/log2(n1), which is 4 * 9/8 = 4.5 for 256 -> 512.
@@ -268,7 +269,7 @@ def test_c09_complexity_smoke(tmp_path):
     and the dense cubic baseline, which must grow by at least 7.0x.
 
     A per-doubling ratio also carries the stride s = ceil(sqrt(2n)): from
-    256 to 512 s goes 23 -> 32 and the count reads 4.24x, from 128 to 256
+    256 to 512 s goes 23 -> 32 and the count reads 4.27x, from 128 to 256
     (s = 16 -> 23) it reads 4.23x (5.06x while A^s was built by
     square-and-multiply).  A change to the BsgsPlan stride rule must
     therefore be re-checked here at 256 -> 512; if it trips, report the

@@ -7,7 +7,7 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
-from thpoly.linalg import rank
+from thpoly.linalg import rank, rank_factor, rref
 from thpoly.structured import KIND_HANKEL, KIND_TH, KIND_TOEPLITZ
 
 import _ref
@@ -142,6 +142,119 @@ def test_compress_planted_rank():
     G2, H2 = compress_pair(f, G, H)
     prod = f.matmul(G, H.T)
     assert G2.shape[1] == rank(f, prod) == 3
+    assert np.array_equal(f.matmul(G2, H2.T), prod)
+
+
+def _rref_reference(p, rows):
+    """Gauss-Jordan on lists, and one product per entry that changes: the
+    pivot's inverse, columns c.. of the pivot row, then columns c.. of
+    each other row with a nonzero in the pivot column."""
+    R = [list(map(int, r)) for r in rows]
+    cols = len(R[0]) if R else 0
+    inv_cost = MultCounter()
+    PrimeField(p).inv(1, inv_cost)
+    pivots, charge, r = [], 0, 0
+    for c in range(cols):
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        charge += inv_cost.mults + cols - c
+        for j in range(len(R)):
+            if j != r and R[j][c]:
+                f = R[j][c]
+                R[j][c:] = [(x - f * y) % p for x, y in zip(R[j][c:], R[r][c:])]
+                charge += cols - c
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots, charge
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
+def test_rref_charges_the_entries_that_change(p):
+    f = PrimeField(p)
+    rng = f.rng(9)
+    for shape, planted in (((5, 7), 3), ((7, 4), 4), ((6, 6), 2), ((3, 8), 3)):
+        M = f.matmul(f.rand_mat(rng, (shape[0], planted)),
+                     f.rand_mat(rng, (planted, shape[1])))
+        M[:, 1] = 0                         # a column without a pivot
+        counter = MultCounter()
+        R, pivots = rref(f, M, counter)
+        want, want_pivots, charge = _rref_reference(p, M.tolist())
+        assert R.dtype == f.dtype and R.tolist() == want
+        assert pivots == want_pivots and len(pivots) == rank(f, M)
+        assert counter.mults == charge
+
+
+def _subset_charge(f, M):
+    counter = MultCounter()
+    rref(f, M[M.shape[0] - M.shape[1]:], counter)
+    return counter.mults
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
+def test_rank_factor_certifies_full_rank_on_the_last_rows(p):
+    # a tall full-rank factor comes back as (M, I), byte for byte the full
+    # elimination's result, charged only the r x r elimination of its
+    # last r rows; compress_pair then returns the pair unchanged
+    f = PrimeField(p)
+    rng = f.rng(10)
+    for n, r in ((12, 4), (10, 9), (30, 7)):
+        G, H = f.rand_mat(rng, (n, r)), f.rand_mat(rng, (n, r))
+        R_full, pivots = rref(f, G)
+        counter = MultCounter()
+        C, R = rank_factor(f, G, counter)
+        assert pivots == list(range(r)) and C is not G
+        for got, want in ((C, G[:, pivots]), (R, R_full)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert counter.mults == _subset_charge(f, G)
+        counter = MultCounter()
+        G2, H2 = compress_pair(f, G, H, counter)
+        assert np.array_equal(G2, G) and np.array_equal(H2, H)
+        assert G2.dtype == H2.dtype == f.dtype
+        assert counter.mults == _subset_charge(f, G) + _subset_charge(f, H)
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
+def test_rank_factor_falls_back_on_singular_last_rows(p):
+    # full column rank, but the last r rows are zero: the subset check
+    # fails, the full elimination runs, and the pair is still minimal
+    f = PrimeField(p)
+    rng = f.rng(11)
+    n, r = 12, 4
+    G, H = f.rand_mat(rng, (n, r)), f.rand_mat(rng, (n, r))
+    G[n - r:] = 0
+    full = MultCounter()
+    R_full, pivots = rref(f, G, full)
+    counter = MultCounter()
+    C, R = rank_factor(f, G, counter)
+    assert np.array_equal(C, G) and np.array_equal(R, R_full)
+    assert counter.mults == _subset_charge(f, G) + full.mults
+    G2, H2 = compress_pair(f, G, H)
+    prod = f.matmul(G, H.T)
+    assert G2.shape[1] == rank(f, prod) == r
+    assert np.array_equal(f.matmul(G2, H2.T), prod)
+
+
+@pytest.mark.parametrize("n, r, planted", ((4, 7, 4), (6, 6, 3)))
+def test_rank_factor_square_or_wide_input_takes_no_shortcut(n, r, planted):
+    # r > n: no r-row subset exists; r = n: the subset is M itself; so
+    # only the full elimination runs, once, whatever the rank
+    f = PrimeField(101)
+    rng = f.rng(12)
+    G = f.matmul(f.rand_mat(rng, (n, planted)), f.rand_mat(rng, (planted, r)))
+    H = f.rand_mat(rng, (n, r))
+    full = MultCounter()
+    R_full, pivots = rref(f, G, full)
+    counter = MultCounter()
+    C, R = rank_factor(f, G, counter)
+    assert counter.mults == full.mults
+    assert np.array_equal(C, G[:, pivots]) and np.array_equal(R, R_full)
+    G2, H2 = compress_pair(f, G, H)
+    prod = f.matmul(G, H.T)
+    assert G2.shape[1] == rank(f, prod) == planted
     assert np.array_equal(f.matmul(G2, H2.T), prod)
 
 
@@ -356,10 +469,11 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     for product in (lambda: W.matvec_block(V), lambda: W.matvec_t_block(V),
                     lambda: W.matvec_pair(V, V)):
         assert run(product)[0] == 2
-    # the algebra: core_power's e_n pass plus s - 1 passes advancing both
-    # Krylov blocks, one pass for flip_conjugate, two for core_multiply
+    # the algebra: core_power's s - 1 passes advancing both Krylov blocks
+    # (the first takes e_n too), one for flip_conjugate, two for
+    # core_multiply
     s = 5
-    assert run(lambda: core_power(core, s))[0] == 2 * s
+    assert run(lambda: core_power(core, s))[0] == 2 * (s - 1)
     assert run(lambda: flip_conjugate(core))[0] == 2
     assert run(lambda: core_multiply(core, core))[0] == 4
 

@@ -359,6 +359,11 @@ def test_charpoly_block_count_pin(n, mults):
     assert run_case(F, n, 2, 1, 2, "charpoly-block", 1).field_mults == mults
 
 
+@pytest.mark.parametrize("n, mults", [(128, 10_841_181), (256, 45_835_947)])
+def test_minpoly_bsgs_count_pin(n, mults):
+    assert run_case(F, n, 2, 0, 1, "minpoly-bsgs", 1).field_mults == mults
+
+
 def test_charpoly_builds_no_power(monkeypatch):
     # the block sequence comes from successive matvecs, never from A^s
     def refuse(*args, **kwargs):
@@ -553,9 +558,9 @@ def test_verification_rides_the_sequence_passes(monkeypatch):
 
 @pytest.mark.parametrize("diagonal, degree, mode, mults", [
     ((1, 1, 2, 2, 3, 3, 3, 5), 4, "naive", 34_703),   # 26,511 + 4 * 2 * 1024
-    ((1, 1, 2, 2, 3, 3, 3, 5), 4, "bsgs", 49_315),    # m = 3 < d: no excess
+    ((1, 1, 2, 2, 3, 3, 3, 5), 4, "bsgs", 48_272),    # m = 3 < d: no excess
     ((7,) * 8, 1, "naive", 8_813),                    # 5,229 + 7 * 2 * 256
-    ((7,) * 8, 1, "bsgs", 7_211),                     # 6,187 + 2 * 2 * 256
+    ((7,) * 8, 1, "bsgs", 6_947),                     # 5,923 + 2 * 2 * 256
 ])
 def test_minpoly_low_degree_count_excess(diagonal, degree, mode, mults):
     # a candidate of degree d below the m carried powers (naive m = n,
