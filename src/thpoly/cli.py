@@ -16,8 +16,8 @@ from . import bench as bench_mod
 from .dense import DenseMatrix, dense_charpoly, dense_minpoly
 from .errors import NotGenericError, ThpolyError
 from .field import PrimeField, derive_seed
-from .formats import (dump_dmx, load_dmx, load_smx, poly_from_line,
-                      poly_to_line, save_smx)
+from .formats import (load_dmx, load_smx, poly_from_line, poly_to_line,
+                      save_dmx, save_smx)
 from .selftest import run_selftest
 from .structured import random_structured
 from .wiedemann import charpoly_generic, minpoly, verify_annihilates
@@ -92,9 +92,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     A = load_smx(args.path)
-    dense = DenseMatrix(A.field, A.reconstruct())
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(dump_dmx(dense))
+    save_dmx(DenseMatrix(A.field, A.reconstruct()), args.out)
     return EXIT_OK
 
 

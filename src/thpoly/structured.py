@@ -323,7 +323,9 @@ def flip_conjugate(core: ToeplitzCore,
                       + (C e_n - c_nn e_n) e_n^T,
     so C e_n and C^T e_n, one `matvec_pair` pass, yield generators of width
     alpha+2 for D_up(C); reversing the rows of both factors conjugates
-    them by J.
+    them by J.  The pair is compressed before the reversal, which commutes
+    with it: unreversed, its e_n column is nonzero in the last rows, where
+    `rank_factor`'s subset check looks.
     """
     field = core.field
     n = core.n
@@ -334,7 +336,8 @@ def flip_conjugate(core: ToeplitzCore,
     col[n - 1, 0] = 0                           # C e_n - c_nn e_n
     G = np.concatenate([-_up_block(field, core.G) % field.p, en, col], axis=1)
     H = np.concatenate([_up_block(field, core.H), row, en], axis=1)
-    return ToeplitzCore(field, n, *compress_pair(field, G[::-1], H[::-1], counter))
+    G, H = compress_pair(field, G, H, counter)
+    return ToeplitzCore(field, n, G[::-1], H[::-1])
 
 
 def _core_concat(field: PrimeField, n: int, cores,

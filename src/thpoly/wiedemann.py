@@ -95,33 +95,26 @@ class BlockSequence:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square matrix with polynomial entries (rows of a generator)."""
+    """Square matrix with polynomial entries (rows of a generator).
+
+    coeffs[i, j, t] is the coefficient of x**t in entry (i, j), in the
+    field's dtype; the last axis has length max(row_degrees) + 1, and an
+    entry of lower degree is padded with zeros.
+    """
 
     field: PrimeField
-    entries: tuple          # beta x beta nested tuples of Poly
+    coeffs: np.ndarray      # shape (beta, beta, max row degree + 1)
     row_degrees: tuple
 
     @property
     def beta(self) -> int:
-        return len(self.entries)
+        return self.coeffs.shape[0]
 
     @property
     def degree(self) -> int:
-        best = 0
-        for row in self.entries:
-            for e in row:
-                if not e.is_zero():
-                    best = max(best, int(e.degree))
-        return best
-
-    def coefficient(self, t: int) -> np.ndarray:
-        """The beta x beta matrix of coefficients of x**t."""
-        b = self.beta
-        out = self.field.zeros((b, b))
-        for i in range(b):
-            for j in range(b):
-                out[i, j] = self.entries[i][j].coeff(t)
-        return out
+        """Largest degree of a nonzero entry, 0 if every entry is zero."""
+        live = np.flatnonzero(np.any(self.coeffs != 0, axis=(0, 1)))
+        return int(live[-1]) if live.size else 0
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,7 @@ class AnnihilatorReport:
     field_mult_count: int
 
 
-def structured_projectors(field: PrimeField, n: int, beta: int, seed: int,
-                          counter: MultCounter | None = None):
+def structured_projectors(field: PrimeField, n: int, beta: int, seed: int):
     """Random projector blocks drawn from the Toeplitz algebra.
 
     Column j of each block is L(r) e_{j+1} for a fresh random vector r,
@@ -256,19 +248,16 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     return BlockSequence(field, beta, terms, prefix)
 
 
-def _shift_row_by_x(block: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(block)
-    out[:, 1:] = block[:, :-1]
-    return out
-
-
 def minimal_matrix_generator(seq: BlockSequence, dbound: int,
                              counter: MultCounter | None = None) -> PolyMatrix:
     """Row-reduced matrix polynomial F with sum_t F_t S_{i+t} = 0.
 
     Iterative order-basis computation on E = [S(x); -I] with the shift
     (0..0, 1..1): one order per step, one column pivot per residue column,
-    pivot rows chosen by minimal shifted degree.  The top-block rows of
+    pivot rows chosen by minimal shifted degree.  Each basis row is held
+    beside its residue in one (2 beta, 3 beta, L + 2) coefficient array,
+    so a pivot eliminates every other row of its column in one update and
+    then multiplies its own row by x in place.  The top-block rows of
     smallest degree, reversed at their degree, form the generator.  For
     beta = 1 and a sequence long enough to certify minimality this equals
     the Berlekamp-Massey output exactly.
@@ -282,94 +271,80 @@ def minimal_matrix_generator(seq: BlockSequence, dbound: int,
             f"need at least {2 * math.ceil(dbound / beta) + 1} terms to certify "
             f"degree {dbound} with block size {beta}, got {L}")
     m = 2 * beta
-    sigma = L
-    cap = sigma + 2
-    M = np.zeros((m, m, cap), dtype=field.dtype)
-    for i in range(m):
-        M[i, i, 0] = 1
-    R = np.zeros((m, beta, cap), dtype=field.dtype)
-    R[:beta, :, :sigma] = np.transpose(seq.terms, (1, 2, 0))
-    for j in range(beta):
-        R[beta + j, j, 0] = p - 1
-    d = [0] * beta + [1] * beta      # shifted row degrees
-    degm = [0] * m                    # support bound for the M rows
-    for k in range(sigma):
-        for c in range(beta):
-            nz = [i for i in range(m) if R[i, c, k] != 0]
-            if not nz:
+    E = field.zeros((m, m + beta, L + 2))         # [basis | residue] rows
+    E[np.arange(m), np.arange(m), 0] = 1
+    E[:beta, m:, :L] = np.transpose(seq.terms, (1, 2, 0))
+    E[np.arange(beta, m), np.arange(m, m + beta), 0] = p - 1
+    d = np.array([0] * beta + [1] * beta)          # shifted row degrees
+    degm = np.zeros(m, dtype=np.int64)             # support bound of the basis
+    for k in range(L):
+        for c in range(m, m + beta):
+            nz = np.flatnonzero(E[:, c, k])
+            if not nz.size:
                 continue
-            piv = min(nz, key=lambda i: (d[i], i))
-            inv = field.inv(int(R[piv, c, k]), counter)
-            for i in nz:
-                if i == piv:
-                    continue
-                f = int(R[i, c, k]) * inv % p
+            piv = nz[np.argmin(d[nz])]
+            inv = field.inv(int(E[piv, c, k]), counter)
+            rest = nz[nz != piv]
+            if rest.size:
                 if counter is not None:
-                    counter.add(1 + m * (degm[piv] + 1) + beta * (sigma - k))
-                M[i] = (M[i] - f * M[piv]) % p
-                R[i] = (R[i] - f * R[piv]) % p
-                degm[i] = max(degm[i], degm[piv])
-            M[piv] = _shift_row_by_x(M[piv])
-            R[piv] = _shift_row_by_x(R[piv])
+                    counter.add(rest.size * (1 + m * (int(degm[piv]) + 1)
+                                             + beta * (L - k)))
+                f = E[rest, c, k] * inv % p
+                E[rest] = (E[rest] - f[:, None, None] * E[piv]) % p
+                degm[rest] = np.maximum(degm[rest], degm[piv])
+            E[piv, :, 1:] = E[piv, :, :-1]
+            E[piv, :, 0] = 0
             d[piv] += 1
             degm[piv] += 1
-    chosen = sorted(range(m), key=lambda i: (d[i], i))[:beta]
-    entries = []
-    degrees = []
-    for i in chosen:
-        delta = d[i]
-        u = M[i, :beta, :delta + 1]
-        frow = u[:, ::-1]                       # f_t = u_{delta - t}
-        lead = [int(frow[c, -1]) for c in range(beta)]
-        scale = 1
-        for v in lead:
-            if v:
-                scale = field.inv(v, counter)
-                break
-        row = []
-        for c in range(beta):
-            coeffs = frow[c]
+    chosen = np.argsort(d, kind="stable")[:beta]
+    degrees = tuple(int(d[i]) for i in chosen)
+    coeffs = field.zeros((beta, beta, max(degrees) + 1))
+    for r, i in enumerate(chosen):
+        delta = degrees[r]
+        frow = E[i, :beta, delta::-1]              # f_t = u_{delta - t}
+        lead = np.flatnonzero(frow[:, -1])
+        if lead.size:
+            scale = field.inv(int(frow[lead[0], -1]), counter)
             if scale != 1:
-                coeffs = field.vmul(coeffs, scale, counter)
-            row.append(Poly(field, coeffs))
-        entries.append(tuple(row))
-        degrees.append(delta)
-    return PolyMatrix(field, tuple(entries), tuple(degrees))
+                frow = field.vmul(frow, scale, counter)
+        coeffs[r, :, :delta + 1] = frow
+    return PolyMatrix(field, coeffs, degrees)
 
 
 def annihilates_sequence(F: PolyMatrix, seq: BlockSequence) -> bool:
     """Direct check of sum_t F_t S_{i+t} = 0 at every applicable offset."""
-    field = seq.field
-    dmax = max(F.row_degrees) if F.row_degrees else 0
-    coeffs = [F.coefficient(t) for t in range(dmax + 1)]
-    for i in range(seq.L - dmax):
-        acc = field.zeros((F.beta, F.beta))
-        for t, Ft in enumerate(coeffs):
-            acc = (acc + field.matmul(Ft, seq.terms[i + t])) % field.p
-        if np.any(acc != 0):
-            return False
-    return True
+    width = F.coeffs.shape[2]
+    flat = F.coeffs.transpose(0, 2, 1).reshape(F.beta, -1)   # [F_0 | F_1 | ...]
+    return not any(np.any(seq.field.matmul(
+        flat, seq.terms[i:i + width].reshape(-1, F.beta)))
+        for i in range(seq.L - width + 1))
 
 
 def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
-    """Exact determinant by evaluation at beta*deg+1 points and
-    interpolation, normalized monic."""
+    """Exact determinant by evaluation at D + 1 = beta*deg+1 points and
+    interpolation, normalized monic.
+
+    One Horner pass over the coefficient array evaluates all beta^2
+    entries at every point; as for `Poly.eval_many`, a nonzero entry is
+    charged its own degree times D + 1 products and a zero entry nothing.
+    """
     field = F.field
-    beta = F.beta
-    D = beta * F.degree
-    if field.p <= D + 1:
+    p = field.p
+    top = F.degree
+    D = F.beta * top
+    if p <= D + 1:
         raise FieldTooSmallError(
-            f"determinant needs {D + 1} evaluation points but p = {field.p}")
+            f"determinant needs {D + 1} evaluation points but p = {p}")
+    C = F.coeffs[:, :, :top + 1]
+    degrees = np.where(C != 0, np.arange(top + 1), 0).max(axis=2)
+    if counter is not None:
+        counter.add(int(degrees.sum()) * (D + 1))
     pts = list(range(D + 1))
-    evals = [[F.entries[i][j].eval_many(pts, counter) for j in range(beta)]
-             for i in range(beta)]
-    vals = []
-    for e, x in enumerate(pts):
-        Mx = field.zeros((beta, beta))
-        for i in range(beta):
-            for j in range(beta):
-                Mx[i, j] = evals[i][j][e]
-        vals.append(dense_det(field, Mx, counter))
+    x = field.asvec(pts)[:, None, None]
+    acc = field.zeros((D + 1, F.beta, F.beta)) + C[:, :, top]
+    for t in range(top - 1, -1, -1):
+        acc = (acc * x + C[:, :, t]) % p
+    vals = [dense_det(field, Mx, counter) for Mx in acc]
     if not any(vals):
         raise SingularEverywhereError("determinant is identically zero")
     poly = interpolate(field, pts, vals, counter)
@@ -398,8 +373,9 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
 
     `prefix` holds powers 0 .. m of these trials' vectors, carried on the
     sequence's Krylov passes (`krylov_sequence_naive`, `bsgs_sequence`).
-    With d = deg f and k = min(m, d), f(A) b is sum_{i<k} f_i A^i b from
-    the carried powers plus a Horner chain over f_k .. f_d started from
+    With d = deg f and k = min(m, d), f(A) b is sum_{i<k} f_i A^i b, one
+    product of the row (f_0 .. f_{k-1}) with the carried powers flattened
+    to k x (n trials), plus a Horner chain over f_k .. f_d started from
     A^k b: d - k block passes, each advancing the A-side trials by A and
     the A^T-side ones by A^T.  Without a prefix (k = 0) every trial is
     A-side and this is the plain Horner chain of d passes.
@@ -421,11 +397,10 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
     field = A.field
     d = int(f.degree)
     k = min(prefix.m, d)
+    S = field.matmul(f.coeffs[None, :k],
+                     field.from_int64(prefix.powers[:k].reshape(k, B.size)),
+                     counter).reshape(B.shape)
     coeffs = [int(c) for c in f.coeffs]
-    S = field.zeros(B.shape)
-    for i in range(k):
-        S = S + field.vmul(field.from_int64(prefix.powers[i]), coeffs[i],
-                           counter)
     w = field.from_int64(prefix.powers[k])
     W = field.vmul(w, coeffs[d], counter)
     fwd = prefix.forward
@@ -457,8 +432,7 @@ def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
     counter = MultCounter()
     field = A.field
     n = A.n
-    u, v = structured_projectors(field, n, 1, derive_seed(seed, "projectors"),
-                                 counter)
+    u, v = structured_projectors(field, n, 1, derive_seed(seed, "projectors"))
     L = 2 * n + 2
     verify_seed = derive_seed(seed, "verify")
     B = verification_vectors(field, n, verify_trials, verify_seed)
@@ -499,7 +473,7 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
         raise BadBlockSizeError(f"block size {beta} outside 1..{n}")
     counter = MultCounter()
     U, V = structured_projectors(field, n, beta,
-                                 derive_seed(seed, "projectors"), counter)
+                                 derive_seed(seed, "projectors"))
     verify_seed = derive_seed(seed, "verify")
     B = verification_vectors(field, n, 3, verify_seed)
     seq = krylov_sequence_naive(A, U, V, 2 * math.ceil(n / beta) + 2, counter,

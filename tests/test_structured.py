@@ -8,7 +8,8 @@ from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
 from thpoly.linalg import rank, rank_factor, rref
-from thpoly.structured import KIND_HANKEL, KIND_TH, KIND_TOEPLITZ
+from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
+                               _up_block)
 
 import _ref
 
@@ -518,6 +519,27 @@ def test_flip_conjugate_cases():
                 got = flip_conjugate(C)
                 assert np.array_equal(got.dense(), want), (p, n, width)
                 assert got.width == rank(f, dense_displacement_down(f, want))
+
+
+def test_flip_conjugate_compresses_before_reversing():
+    # compression commutes with the row reversal, so the generators are
+    # those of compressing the reversed pair; unreversed, the pair's e_n
+    # column reaches the last rows and `rank_factor`'s subset check passes
+    f = PrimeField(P_NTT)
+    n = 64
+    en = f.unit_vector(n, n - 1).reshape(n, 1)
+    A = random_structured(f, n, 2, 1, 66)
+    for core in (A.P, A.Q):
+        reversed_first = MultCounter()
+        col, row = core.matvec_pair(en, en, reversed_first)
+        col[n - 1, 0] = 0
+        G = np.concatenate([-_up_block(f, core.G) % f.p, en, col], axis=1)
+        H = np.concatenate([_up_block(f, core.H), row, en], axis=1)
+        want = compress_pair(f, G[::-1], H[::-1], reversed_first)
+        counter = MultCounter()
+        got = flip_conjugate(core, counter)
+        assert np.array_equal(got.G, want[0]) and np.array_equal(got.H, want[1])
+        assert counter.mults < reversed_first.mults
 
 
 def test_flip_conjugate_deterministic():

@@ -153,17 +153,14 @@ def test_generator_scalar_fibonacci():
     terms = np.asarray([1, 1, 2, 3, 5, 8, 13, 21]).reshape(-1, 1, 1)
     seq = BlockSequence(f101, 1, terms)
     Fgen = minimal_matrix_generator(seq, 2)
-    assert Fgen.entries[0][0].to_list() == [100, 100, 1]
+    assert Fgen.coeffs.tolist() == [[[100, 100, 1]]]
     assert annihilates_sequence(Fgen, seq)
 
 
 def test_generator_zero_sequence_is_identity():
     seq = BlockSequence(F, 2, np.zeros((9, 2, 2), dtype=np.int64))
     Fgen = minimal_matrix_generator(seq, 2)
-    for i in range(2):
-        for j in range(2):
-            want = Poly.one(F) if i == j else Poly.zero(F)
-            assert Fgen.entries[i][j] == want
+    assert np.array_equal(Fgen.coeffs, np.eye(2, dtype=np.int64)[:, :, None])
 
 
 def test_generator_matches_bm_on_random_recurrences():
@@ -178,7 +175,7 @@ def test_generator_matches_bm_on_random_recurrences():
         terms = np.asarray(seq).reshape(-1, 1, 1)
         block = BlockSequence(f101, 1, terms)
         Fgen = minimal_matrix_generator(block, d)
-        assert Fgen.entries[0][0] == berlekamp_massey(f101, seq)
+        assert Poly(f101, Fgen.coeffs[0, 0]) == berlekamp_massey(f101, seq)
 
 
 def test_generator_planted_charpoly():
@@ -220,7 +217,11 @@ def test_generator_annihilates_random_block_sequences():
 def _pm(field, rows):
     degs = tuple(max((int(e.degree) for e in row if not e.is_zero()), default=0)
                  for row in rows)
-    return PolyMatrix(field, tuple(tuple(row) for row in rows), degs)
+    coeffs = field.zeros((len(rows), len(rows), max(degs) + 1))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            coeffs[i, j, :len(e.coeffs)] = e.coeffs
+    return PolyMatrix(field, coeffs, degs)
 
 
 def test_polymat_det_scalar_entry():
@@ -245,6 +246,18 @@ def test_polymat_det_vs_cofactor():
         if want.is_zero():
             continue
         assert polymat_det(_pm(f101, rows)) == want.monic()
+
+
+def test_polymat_det_charges_each_entry_its_own_degree():
+    # D + 1 = 7 points; each nonzero entry pays its own degree times 7, a
+    # zero entry nothing, and no entry the padded length of its row
+    f101 = PrimeField(101)
+    rows = [[[3, 2, 1], [], [7]], [[5], [1, 1], [0, 0, 4]], [[2, 9], [], [1]]]
+    F = _pm(f101, [[Poly(f101, e) for e in row] for row in rows])
+    assert F.row_degrees == (2, 2, 1) and F.degree == 2
+    counter = MultCounter()
+    assert polymat_det(F, counter).to_list() == [90, 29, 41, 1]
+    assert counter.mults == 449
 
 
 def test_polymat_det_field_too_small():
