@@ -8,7 +8,8 @@ give identical totals, independent of caching or vectorization details:
 * NTT-based product with transform size N: 3 * (N/2) * log2(N) twiddle
   products plus N pointwise products plus N inverse-scaling products
 * ``a**e mod p``: one product per squaring or multiply step of binary
-  exponentiation (an inversion is a power by p-2)
+  exponentiation; an inversion is charged as a power by p-2, whatever
+  computes it
 * dense (a x k)(k x b) product: a*k*b
 * row-reduction style updates: one product per touched entry
 

@@ -189,7 +189,7 @@ class PrimeField:
             raise DivisionByZeroError("inverse of zero")
         if counter is not None:
             counter.add(self._inv_cost)
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a: int, e: int, counter: MultCounter | None = None) -> int:
         if e < 0:
@@ -199,26 +199,30 @@ class PrimeField:
         return pow(a, e, self.p)
 
     def batch_inv(self, values, counter: MultCounter | None = None) -> list[int]:
-        """Elementwise inverses: one inversion plus 3(len-1) products."""
-        vals = [int(v) % self.p for v in values]
-        for i, v in enumerate(vals):
-            if v == 0:
-                raise DivisionByZeroError(f"zero entry at index {i}")
-        n = len(vals)
+        """Elementwise inverses, as a list (see `inverses`)."""
+        return self.inverses(self.asvec(values), counter).tolist()
+
+    def inverses(self, values: np.ndarray,
+                 counter: MultCounter | None = None) -> np.ndarray:
+        """Elementwise inverses of a vector of residues, one inversion per
+        distinct value (a single one when all are equal).
+
+        Charged as Montgomery's batch inversion: one inversion plus
+        3(len-1) products.
+        """
+        zero = np.flatnonzero(values == 0)
+        if zero.size:
+            raise DivisionByZeroError(f"zero entry at index {zero[0]}")
+        n = len(values)
         if n == 0:
-            return []
+            return self.zeros(0)
         if counter is not None:
             counter.add(self._inv_cost + 3 * (n - 1))
-        prefix = vals[:]
-        for i in range(1, n):
-            prefix[i] = prefix[i - 1] * vals[i] % self.p
-        acc = pow(prefix[-1], self.p - 2, self.p)
-        out = [0] * n
-        for i in range(n - 1, 0, -1):
-            out[i] = acc * prefix[i - 1] % self.p
-            acc = acc * vals[i] % self.p
-        out[0] = acc
-        return out
+        if np.all(values == values[0]):
+            return self.zeros(n) + pow(int(values[0]), -1, self.p)
+        vals = values.tolist()
+        table = {v: pow(v, -1, self.p) for v in set(vals)}
+        return np.array([table[v] for v in vals], dtype=self.dtype)
 
     # -- array plumbing ---------------------------------------------------
 

@@ -3,15 +3,16 @@
 Everything here is O(n^3)-style reference machinery: generator
 compression, rank factorizations and small determinants.  `rref`
 clears a pivot column with one rank-1 update of the columns from the
-pivot on, `det` row by row; one product is charged per entry of a row
-that changes.
+pivot on; `det` eliminates a whole stack of matrices column by column,
+one update per column.  One product is charged per entry of a row that
+changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .counting import MultCounter
+from .counting import MultCounter, pow_cost
 from .errors import DimensionMismatchError
 from .field import PrimeField
 
@@ -80,31 +81,49 @@ def independent_rows(field: PrimeField, M: np.ndarray,
 
 
 def det(field: PrimeField, M: np.ndarray,
-        counter: MultCounter | None = None) -> int:
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
-    A = M.copy()
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise DimensionMismatchError("determinant of a non-square matrix")
+        counter: MultCounter | None = None) -> np.ndarray:
+    """Determinants of an (m, b, b) stack of matrices, as m field elements.
+
+    Gaussian elimination with inverses, one column at a time over the whole
+    stack: each matrix pivots on the first nonzero entry at or below its
+    diagonal (a row swap flips the sign), takes one inverse per distinct
+    pivot value, and clears every row below the pivot in one update.  A
+    matrix with no pivot in a column has determinant 0 and leaves the
+    stack.  Each matrix is charged as if eliminated alone: a live one pays
+    1 + an inversion per column, and each nonzero entry below a pivot in
+    column c pays 1 + (b - c); the stack's total is added at once.
+    """
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise DimensionMismatchError("determinants of a non-square stack")
     p = field.p
-    d = 1
-    for c in range(n):
-        nz = np.nonzero(A[c:, c])[0]
-        if len(nz) == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            A[[c, i]] = A[[i, c]]
-            d = -d % p
-        piv = int(A[c, c])
+    b = M.shape[1]
+    A = M.copy()
+    live = np.arange(M.shape[0])
+    d = field.zeros(len(live)) + 1
+    inv_cost = pow_cost(p - 2)
+    charge = 0
+    for c in range(b):
+        nz = A[:, c:, c] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            A, live, d, nz = A[has], live[has], d[has], nz[has]
+        k = np.arange(len(live))
+        i = c + nz.argmax(axis=1)
+        swap = i != c
+        if swap.any():
+            A[k, c], A[k, i] = A[k, i], A[k, c]
+            d[swap] = -d[swap] % p
+        piv = A[:, c, c]
         d = d * piv % p
-        if counter is not None:
-            counter.add(1)
-        inv = field.inv(piv, counter)
-        for j in range(c + 1, n):
-            if A[j, c] != 0:
-                f = int(A[j, c]) * inv % p
-                if counter is not None:
-                    counter.add(1)
-                A[j, c:] = field.submul(A[j, c:], f, A[c, c:], counter)
-    return d
+        charge += (len(live) * (1 + inv_cost)
+                   + (int(nz.sum()) - len(live)) * (1 + b - c))
+        # column c below the pivot is never read again, so only the
+        # columns after it are updated
+        f = A[:, c + 1:, c] * field.inverses(piv)[:, None] % p
+        A[:, c + 1:, c + 1:] = (A[:, c + 1:, c + 1:]
+                                - f[:, :, None] * A[:, None, c, c + 1:]) % p
+    if counter is not None:
+        counter.add(charge)
+    out = field.zeros(M.shape[0])
+    out[live] = d
+    return out

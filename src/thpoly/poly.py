@@ -198,7 +198,13 @@ def interpolate(field: PrimeField, points, values,
                 counter: MultCounter | None = None) -> Poly:
     """Unique polynomial of degree < len(points) through all pairs.
 
-    Newton's divided differences; requires pairwise distinct points.
+    Newton's divided differences; requires pairwise distinct points.  Each
+    level of the table is one array update with one inversion per distinct
+    denominator (a single one at consecutive points), and the Newton form
+    is expanded in place in one array.  Charges follow the scalar schedule:
+    level l pays a batch inversion of its k - l denominators plus one
+    product per difference, each expansion step one product per
+    coefficient it updates.
     """
     xs = [int(x) % field.p for x in points]
     ys = [int(y) % field.p for y in values]
@@ -210,25 +216,18 @@ def interpolate(field: PrimeField, points, values,
     if k == 0:
         return Poly.zero(field)
     p = field.p
-    dd = ys[:]
+    x = field.asvec(xs)
+    dd = field.asvec(ys)
     for level in range(1, k):
-        dens = [(xs[i] - xs[i - level]) % p for i in range(level, k)]
-        invs = field.batch_inv(dens, counter)
-        for i in range(k - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * invs[i - level] % p
-            if counter is not None:
-                counter.add(1)
-    # Horner assembly: P = dd[k-1]; P = P*(x - x_i) + dd[i]
-    coeffs = field.zeros(1)
-    coeffs[0] = dd[k - 1]
+        inv = field.inverses((x[level:] - x[:-level]) % p, counter)
+        dd[level:] = (dd[level:] - dd[level - 1:-1]) * inv % p
+        if counter is not None:
+            counter.add(k - level)
+    # Horner expansion of the Newton form, P <- P * (x - x_i) + dd[i] for
+    # i = k-2 .. 0, with P held low-to-high in dd[i:]
     for i in range(k - 2, -1, -1):
-        shifted = field.zeros(len(coeffs) + 1)
-        shifted[1:] = coeffs
-        shifted[:len(coeffs)] = field.submul(shifted[:len(coeffs)], xs[i],
-                                             coeffs, counter)
-        shifted[0] = (shifted[0] + dd[i]) % p
-        coeffs = shifted
-    return Poly(field, coeffs)
+        dd[i:k - 1] = field.submul(dd[i:k - 1], xs[i], dd[i + 1:], counter)
+    return Poly(field, dd)
 
 
 def berlekamp_massey(field: PrimeField, sequence,

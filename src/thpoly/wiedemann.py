@@ -327,6 +327,10 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
     One Horner pass over the coefficient array evaluates all beta^2
     entries at every point; as for `Poly.eval_many`, a nonzero entry is
     charged its own degree times D + 1 products and a zero entry nothing.
+    One `linalg.det` call then eliminates the (D + 1, beta, beta) stack
+    of point matrices, and `interpolate` recovers the determinant from
+    its values at 0..D, whose divided-difference levels each have one
+    denominator.
     """
     field = F.field
     p = field.p
@@ -344,8 +348,8 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
     acc = field.zeros((D + 1, F.beta, F.beta)) + C[:, :, top]
     for t in range(top - 1, -1, -1):
         acc = (acc * x + C[:, :, t]) % p
-    vals = [dense_det(field, Mx, counter) for Mx in acc]
-    if not any(vals):
+    vals = dense_det(field, acc, counter)
+    if not np.any(vals):
         raise SingularEverywhereError("determinant is identically zero")
     poly = interpolate(field, pts, vals, counter)
     return poly.monic(counter)

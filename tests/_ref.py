@@ -5,6 +5,8 @@ that dual-route checks (library implementation vs test oracle) never
 share code.
 """
 
+from itertools import permutations
+
 from thpoly import Poly
 
 
@@ -56,6 +58,21 @@ def mat_pow(field, A, k):
     for _ in range(k):
         out = mat_mul(field, out, A)
     return out
+
+
+def perm_det(rows, p: int) -> int:
+    """Determinant of a square list-of-lists matrix by the permutation
+    (Leibniz) expansion (factorial; n <= 5)."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n)
+                         for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * int(rows[i][j]) % p
+        total += term
+    return total % p
 
 
 def poly_det(entries):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thpoly import (Poly, PrimeField, berlekamp_massey, exhaustive_lfsr,
-                    interpolate, poly_gcd, poly_lcm)
+from thpoly import (MultCounter, Poly, PrimeField, berlekamp_massey,
+                    exhaustive_lfsr, interpolate, poly_gcd, poly_lcm)
 from thpoly.errors import (BothZeroError, DivisionByZeroError,
                            DuplicatePointError, EmptySequenceError,
                            FieldMismatchError, LengthMismatchError)
@@ -131,6 +131,28 @@ def test_interpolate_roundtrip():
     pts = list(range(8))
     back = interpolate(f, pts, [int(v) for v in poly.eval_many(pts)])
     assert back == poly
+
+
+def test_interpolate_roundtrip_object_dtype():
+    f = PrimeField((1 << 61) - 1)
+    rng = f.rng(11)
+    poly = Poly(f, [int(x) for x in f.rand_vec(rng, 9)] + [1])
+    pts = [int(x) for x in f.rand_vec(rng, 10)]
+    back = interpolate(f, pts, [int(v) for v in poly.eval_many(pts)])
+    assert back.coeffs.dtype == object and back == poly
+
+
+def test_interpolate_unsorted_points_and_charge():
+    # unsorted, unevenly spaced points: each level has several distinct
+    # denominators; the charge is pinned to the scalar schedule's
+    f = PrimeField(101)
+    pts = [17, 3, 40, 8, 25, 1, 33, 90]
+    vals = [5, 0, 77, 12, 0, 3, 100, 41]
+    counter = MultCounter()
+    got = interpolate(f, pts, vals, counter)
+    assert got.to_list() == [52, 87, 94, 4, 11, 40, 72, 47]
+    assert [_ref.powersum_eval(got.to_list(), x, f.p) for x in pts] == vals
+    assert counter.mults == 182
 
 
 def test_berlekamp_massey_fibonacci():

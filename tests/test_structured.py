@@ -7,7 +7,7 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
-from thpoly.linalg import rank, rank_factor, rref
+from thpoly.linalg import det, rank, rank_factor, rref
 from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
                                _up_block)
 
@@ -257,6 +257,49 @@ def test_rank_factor_square_or_wide_input_takes_no_shortcut(n, r, planted):
     prod = f.matmul(G, H.T)
     assert G2.shape[1] == rank(f, prod) == planted
     assert np.array_equal(f.matmul(G2, H2.T), prod)
+
+
+def _det_stack(f, b):
+    # scattered zeros; then a zero leading pivot (a row swap), a repeated
+    # row and a zero column (singular) and a zero matrix among live ones
+    rng = f.rng(40 + b)
+    A = f.rand_mat(rng, (7, b, b))
+    A[rng.random(A.shape) < 0.3] = 0
+    A[1, 0, 0] = 0
+    A[1, b - 1, 0] = 1
+    A[2, b - 1] = A[2, 0]
+    A[3] = 0
+    A[4, :, b - 1] = 0
+    return A
+
+
+@pytest.mark.parametrize("p, charge", ((3, 90), (101, 334), ((1 << 61) - 1, 2730)))
+def test_det_stack_vs_permutation_expansion(p, charge):
+    f = PrimeField(p)
+    for b in (1, 2, 3, 4):
+        A = _det_stack(f, b)
+        counter = MultCounter()
+        got = det(f, A, counter)
+        assert got.dtype == f.dtype
+        assert got.tolist() == [_ref.perm_det(M.tolist(), p) for M in A]
+        assert got[3] == got[4] == 0 and np.count_nonzero(got) >= 2
+    # the b = 4 stack's charge is the sum of its matrices' charges when
+    # each is eliminated on its own
+    assert counter.mults == charge
+
+
+def test_det_row_swaps_flip_the_sign_and_shapes_are_checked():
+    f = PrimeField(101)
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]            # one swap: -1
+    cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]           # two swaps: +1
+    diag = [[2, 0, 0], [0, 3, 0], [0, 0, 4]]
+    stack = np.stack([f.asmat(M) for M in (swap, cycle, diag)])
+    assert det(f, stack).tolist() == [100, 1, 24]
+    assert det(f, f.zeros((0, 3, 3))).tolist() == []
+    with pytest.raises(DimensionMismatchError):
+        det(f, f.zeros((2, 2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        det(f, f.zeros((2, 2)))
 
 
 # -- reconstruction ----------------------------------------------------------------

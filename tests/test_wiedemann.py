@@ -260,6 +260,32 @@ def test_polymat_det_charges_each_entry_its_own_degree():
     assert counter.mults == 449
 
 
+def test_polymat_det_object_dtype_vs_cofactor():
+    fbig = PrimeField((1 << 61) - 1)
+    rng = fbig.rng(23)
+    for beta in (2, 3):
+        rows = [[Poly(fbig, fbig.rand_vec(rng, 3)) for _ in range(beta)]
+                for _ in range(beta)]
+        got = polymat_det(_pm(fbig, rows))
+        assert got.coeffs.dtype == object
+        assert got == _ref.poly_det(rows).monic()
+
+
+def test_polymat_det_vanishing_at_some_points():
+    # det = x(x - 1)(x - 2) vanishes at three of the points 0..3, so dead
+    # matrices (one at the first column, two after it) sit in a live
+    # stack; row 0 needs a swap wherever x != 0.  Charge measured on the
+    # matrix-at-a-time elimination.
+    f101 = PrimeField(101)
+    rows = [[Poly(f101, c) for c in row] for row in
+            [[[], [99, 1], [1]], [[0, 1], [1], []], [[], [], [100, 1]]]]
+    counter = MultCounter()
+    got = polymat_det(_pm(f101, rows), counter)
+    assert got.to_list() == [0, 2, 98, 1]
+    assert got == _ref.poly_det(rows).monic()
+    assert counter.mults == 133
+
+
 def test_polymat_det_field_too_small():
     f5 = PrimeField(5)
     f = Poly(f5, [1, 1, 1, 1, 1, 1, 1])       # degree 6 needs 7 points
