@@ -3,9 +3,8 @@ prime fields, via displacement generators and randomized (block) Wiedemann
 algorithms with baby-step/giant-step acceleration."""
 
 from .counting import MultCounter
-from .dense import (DenseMatrix, dense_add, dense_charpoly, dense_matvec,
-                    dense_minpoly, dense_mul, dense_rank, dense_to_structured,
-                    dense_transpose, displacement_rank, exhaustive_lfsr,
+from .dense import (DenseMatrix, dense_charpoly, dense_minpoly,
+                    dense_to_structured, displacement_rank, exhaustive_lfsr,
                     stein_displacement)
 from .field import PrimeField, derive_seed, is_prime
 from .formats import (dump_dmx, dump_smx, load_dmx, load_smx, parse_dmx,
@@ -28,9 +27,7 @@ __all__ = [
     "MultCounter", "Poly", "PolyMatrix", "PrimeField", "THMatrix",
     "ToeplitzCore", "annihilates_sequence", "berlekamp_massey",
     "bsgs_sequence", "charpoly_generic", "compress_pair", "core_multiply",
-    "core_power", "dense_add", "dense_charpoly", "dense_matvec",
-    "dense_minpoly", "dense_mul", "dense_rank", "dense_to_structured",
-    "dense_transpose",
+    "core_power", "dense_charpoly", "dense_minpoly", "dense_to_structured",
     "derive_seed", "displacement_rank", "dump_dmx", "dump_smx",
     "exhaustive_lfsr", "flip_conjugate", "from_hankel", "from_toeplitz",
     "interpolate", "is_prime", "krylov_sequence_naive", "load_dmx",

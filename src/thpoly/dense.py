@@ -41,64 +41,21 @@ class DenseMatrix:
         return f"DenseMatrix(n={self.n}, p={self.field.p})"
 
 
-def _check_pair(A: DenseMatrix, B: DenseMatrix) -> None:
-    if A.n != B.n or A.field != B.field:
-        raise DimensionMismatchError("dense operands do not conform")
-
-
-def dense_mul(A: DenseMatrix, B: DenseMatrix,
-              counter: MultCounter | None = None) -> DenseMatrix:
-    _check_pair(A, B)
-    return DenseMatrix(A.field, A.field.matmul(A.rows, B.rows, counter))
-
-
-def dense_add(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
-    _check_pair(A, B)
-    return DenseMatrix(A.field, (A.rows + B.rows) % A.field.p)
-
-
-def dense_matvec(A: DenseMatrix, v, counter: MultCounter | None = None) -> np.ndarray:
-    vv = A.field.asvec(v)
-    if len(vv) != A.n:
-        raise DimensionMismatchError("vector length mismatch")
-    return A.field.matvec_dense(A.rows, vv, counter)
-
-
-def dense_transpose(A: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(A.field, A.rows.T.copy())
-
-
-def dense_rank(A: DenseMatrix, counter: MultCounter | None = None) -> int:
-    return _rank(A.field, A.rows, counter)
-
-
-def _shift_dense(field: PrimeField, M: np.ndarray, direction: str) -> np.ndarray:
-    n = M.shape[0]
-    out = field.zeros((n, n))
-    if direction == "down":
-        out[1:, 1:] = M[:-1, :-1]     # Z M Z^T
-    elif direction == "up":
-        out[:-1, :-1] = M[1:, 1:]     # Z^T M Z
-    else:
-        raise ValueError(f"unknown shift direction {direction!r}")
-    return out
-
-
-def stein_displacement(A: DenseMatrix, direction: str = "down") -> DenseMatrix:
-    """A - Z A Z^T (down) or A - Z^T A Z (up)."""
-    shifted = _shift_dense(A.field, A.rows, direction)
+def stein_displacement(A: DenseMatrix) -> DenseMatrix:
+    """A - Z A Z^T."""
+    shifted = A.field.zeros(A.rows.shape)
+    shifted[1:, 1:] = A.rows[:-1, :-1]
     return DenseMatrix(A.field, (A.rows - shifted) % A.field.p)
 
 
-def displacement_rank(A: DenseMatrix, direction: str = "down",
-                      counter: MultCounter | None = None) -> int:
-    return dense_rank(stein_displacement(A, direction), counter)
+def displacement_rank(A: DenseMatrix, counter: MultCounter | None = None) -> int:
+    return _rank(A.field, stein_displacement(A).rows, counter)
 
 
 def dense_to_structured(A: DenseMatrix,
                         counter: MultCounter | None = None) -> THMatrix:
     """Ingest an arbitrary matrix as a P-only core of width rank(D(A))."""
-    disp = stein_displacement(A, "down").rows
+    disp = stein_displacement(A).rows
     G, R = rank_factor(A.field, disp, counter)
     core = ToeplitzCore(A.field, A.n, G, R.T.copy())
     return THMatrix(A.field, core, ToeplitzCore.zero(A.field, A.n))

@@ -3,8 +3,9 @@
 Residues are plain integers in [0, p).  Bulk data lives in numpy arrays:
 int64 when p < 2**31 (so a product of two residues fits 62 bits), dtype
 object with Python ints otherwise.  Every residue is below 2**62, so it
-also fits int64 wherever a kernel needs it to.  Convolutions go through an
-iterative radix-2 NTT when the modulus supports one; every other product
+also fits int64 wherever a kernel needs it to.  `conv` goes through an
+iterative radix-2 NTT when the modulus supports one, and otherwise through
+`np.convolve` when its int64 sums cannot overflow; every other product
 of polynomials, and every batched product of polynomial matrices, runs on
 floating-point FFTs over b-bit limbs, exact by an a-priori rounding-error
 bound.  That kernel has a transform step (`fft_spectra`), so an operand
@@ -197,10 +198,6 @@ class PrimeField:
         if counter is not None:
             counter.add(pow_cost(e))
         return pow(a, e, self.p)
-
-    def batch_inv(self, values, counter: MultCounter | None = None) -> list[int]:
-        """Elementwise inverses, as a list (see `inverses`)."""
-        return self.inverses(self.asvec(values), counter).tolist()
 
     def inverses(self, values: np.ndarray,
                  counter: MultCounter | None = None) -> np.ndarray:

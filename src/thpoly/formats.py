@@ -8,6 +8,8 @@ is canonical, so equal objects produce byte-identical files.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .dense import DenseMatrix
 from .errors import FormatError
 from .field import PrimeField
@@ -94,12 +96,12 @@ def parse_smx(text: str) -> THMatrix:
         width = _tagged_int(lines, tag)
         if width < 0:
             raise FormatError(f"negative width in {tag!r}")
-        G = field.zeros((n, width))
-        H = field.zeros((n, width))
-        for j in range(width):
-            G[:, j] = field.asvec(_parse_residues(lines.next(tag), n, p, f"{tag} G[{j}]"))
-        for j in range(width):
-            H[:, j] = field.asvec(_parse_residues(lines.next(tag), n, p, f"{tag} H[{j}]"))
+        # every line is read before an n x width array is made, so a bad
+        # size fails on its first generator line, not in the allocation;
+        # the copy makes them row-major, like every other generator array
+        G, H = (np.reshape([_parse_residues(lines.next(tag), n, p, f"{tag} {X}[{j}]")
+                            for j in range(width)], (width, n)).T.copy()
+                for X in "GH")
         cores.append(ToeplitzCore(field, n, G, H))
     return THMatrix(field, cores[0], cores[1])
 

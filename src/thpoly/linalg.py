@@ -74,6 +74,7 @@ def rank_factor(field: PrimeField, M: np.ndarray,
     return C, R
 
 
+# Kept only because perfbench/tracer.py wraps it by name; no library code calls it.
 def independent_rows(field: PrimeField, M: np.ndarray,
                      counter: MultCounter | None = None) -> list[int]:
     """Indices of a maximal set of linearly independent rows."""

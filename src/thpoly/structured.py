@@ -13,15 +13,16 @@ with L(g) lower-triangular Toeplitz (first column g) and U(h)
 upper-triangular Toeplitz (first row h).  Each core matvec therefore
 costs two convolutions per generator column.  A general matrix is stored
 as A = P + J Q with two cores and J the index reversal; Toeplitz matrices
-have Q = 0, Hankel matrices have P = 0.  Every block product, of a core or
-of A (A V, A^T V, or both A V and A^T U), is one pass of `_two_stage`:
-two kernel product steps, whatever the generator width, batched over its
-input blocks, on generator spectra transformed once and kept.  J is
-folded into those spectra: conj(rfft(g)) is the spectrum of g's cyclic
-reversal, so a conjugated g turns a product with g into a correlation,
-which gives J L(g) u and U(g) (J x) without reversing an input or an
-output; with FFT size N >= 2n - 1 the correlation does not alias, and
-the norms, so the kernel's exactness bound, do not change.
+have Q = 0, Hankel matrices have P = 0.  Every block product, A V, A^T V
+or both A V and A^T U, is one pass of `THMatrix._pass` (a core C is
+applied as the Toeplitz-like matrix C + J 0): two kernel product steps,
+whatever the generator width, batched over the input blocks, on generator
+spectra transformed once and kept.  J is folded into those spectra:
+conj(rfft(g)) is the spectrum of g's cyclic reversal, so a conjugated g
+turns a product with g into a correlation, which gives J L(g) u and
+U(g) (J x) without reversing an input or an output; with FFT size
+N >= 2n - 1 the correlation does not alias, and the norms, so the
+kernel's exactness bound, do not change.
 """
 
 from __future__ import annotations
@@ -54,68 +55,14 @@ def _up_block(field: PrimeField, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_stage(field: PrimeField, n: int, spectra, width: int, flip: int,
-               blocks, first: int,
-               counter: MultCounter | None = None) -> np.ndarray:
-    """Products of one matrix with a group of input blocks in one pass.
-
-    The matrix is sum_j L(g_j) U(h_j) over `width` generator columns, the
-    first `flip` of them a Toeplitz-like core's and the rest J-flipped
-    (A = P + J Q); `spectra()` returns their cached limb spectra (S_H,
-    S_G), those of the h_j and of the g_j, J-flipped columns conjugated.
-    `blocks` are n x k_i input blocks; group i reads blocks[i] and writes
-    A blocks[i] if first + i is 0, A^T blocks[i] if it is 1 (first +
-    len(blocks) <= 2).  Returns the list of n x k_i products.
-
-    A product reads S_H in stage 1 and S_G in stage 2, a transposed one
-    the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
-    every column, the correlation of its first-stage generator with x,
-    from the spectrum of rev(x): coefficients 0 .. n-1 are U(h) x
-    reversed, or, for a conjugated column, U(g) (J x) as it stands.
-    Stage 2 reverses the results of the first `flip` columns, multiplies
-    each column by its second-stage generator and sums the group's
-    columns: L(g) u for a plain column, and for a conjugated one the
-    correlation of g with the stage-1 result, which is J L(g) u.
-    conj(rfft(g)) is the spectrum of g's cyclic reversal, and both
-    correlations are alias-free because the FFT size N is at least
-    2n - 1, with the norms and so the kernel's error bound unchanged.
-    Two `field.fft_product` calls, batched over the groups (two groups
-    read one stack of S_H and S_G, both ways round), and two transforms
-    (the input blocks and the stage-1 result) in all; both steps return
-    int64 residues for every p, so u enters stage 2 as it stands and only
-    the returned products take the field's dtype.  A narrower group is
-    zero-padded to the widest inside the pass, and the charge is two
-    convolutions per generator and real block column of each group.
-    """
-    for X in blocks:
-        if X.shape[0] != n:
-            raise LengthMismatchError(f"block rows {X.shape[0]} != {n}")
-    widths = [X.shape[1] for X in blocks]
-    k = max(widths)
-    if width == 0 or k == 0:
-        return [field.zeros((n, w)) for w in widths]
-    if counter is not None:
-        counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
-    S = spectra()[::-1] if first else spectra()
-    if len(blocks) == 1:
-        stage1, stage2 = (X[:, None] for X in S)
-    else:
-        # A on blocks[0], A^T on blocks[1]: one stack, read both ways
-        stage1 = np.stack(S, axis=1)
-        stage2 = stage1[:, ::-1]
-    rx = np.zeros((len(blocks), 1, k, n), dtype=np.int64)
-    for r, X in zip(rx, blocks):
-        r[0, :X.shape[1]] = X[::-1].T
-    u = field.fft_product(stage1[:, :, :width, None],
-                          field.fft_spectra(rx, n, n, axis=1), n, n, n)
-    u[:, :flip] = u[:, :flip, :, ::-1]
-    out = field.fft_product(stage2[:, :, None],
-                            field.fft_spectra(u, n, n, axis=1), n, n, n)
-    return [field.from_int64(o[:w].T) for o, w in zip(out[:, 0], widths)]
+def _toeplitz_like(core: "ToeplitzCore") -> "THMatrix":
+    """C + J 0, the matrix that applies a core C with C's own spectra."""
+    return THMatrix(core.field, core, ToeplitzCore.zero(core.field, core.n))
 
 
 class ToeplitzCore:
-    """Matrix defined by generators of the down-shift Stein displacement."""
+    """Generators of the down-shift Stein displacement of a matrix C, and
+    their cached spectra; C is applied as a Toeplitz-like `THMatrix`."""
 
     __slots__ = ("field", "n", "G", "H", "_spectra")
 
@@ -167,26 +114,6 @@ class ToeplitzCore:
             if cell[0] is None:
                 cell[0] = self.field.fft_spectra(X.T, self.n, self.n, axis=0)
         return self._spectra[0][0], self._spectra[1][0]
-
-    def _pass(self, blocks, first, counter):
-        return _two_stage(self.field, self.n, self.spectra, self.width,
-                          self.width, blocks, first, counter)
-
-    def matvec_block(self, V: np.ndarray,
-                     counter: MultCounter | None = None) -> np.ndarray:
-        """C V for an n x k block, one `_two_stage` pass: two
-        triangular-Toeplitz products (two convolutions, and their charge)
-        per generator and block column."""
-        return self._pass([V], 0, counter)[0]
-
-    def matvec_t_block(self, V: np.ndarray,
-                       counter: MultCounter | None = None) -> np.ndarray:
-        return self._pass([V], 1, counter)[0]
-
-    def matvec_pair(self, V: np.ndarray, U: np.ndarray,
-                    counter: MultCounter | None = None):
-        """(C V, C^T U) in one `_two_stage` pass, for blocks of any widths."""
-        return tuple(self._pass([V, U], 0, counter))
 
     def swapped(self) -> "ToeplitzCore":
         """Transpose: displacement of C^T is (G H^T)^T = H G^T."""
@@ -257,9 +184,10 @@ def core_multiply(A: ToeplitzCore, B: ToeplitzCore,
         return ToeplitzCore.zero(field, n)
     en = field.unit_vector(n, n - 1).reshape(n, 1)
     # A [Z^T G_B | e_n] and B^T [H_A | e_n], one pass each
-    left = A.matvec_block(np.concatenate([_up_block(field, B.G), en], axis=1),
-                          counter)
-    right = B.matvec_t_block(np.concatenate([A.H, en], axis=1), counter)
+    left = _toeplitz_like(A).matvec_block(
+        np.concatenate([_up_block(field, B.G), en], axis=1), counter)
+    right = _toeplitz_like(B).matvec_t_block(
+        np.concatenate([A.H, en], axis=1), counter)
     mid = _down_block(field, left[:, :B.width])
     last_g = -_down_block(field, left[:, B.width:]) % field.p
     G = np.concatenate([A.G, mid, last_g], axis=1)
@@ -298,8 +226,9 @@ def core_power(A: ToeplitzCore, s: int,
     X = np.concatenate([_up_block(field, A.G), en], axis=1)
     left = []
     right = [np.concatenate([A.H, en], axis=1)]
+    view = _toeplitz_like(A)
     for _ in range(s - 1):
-        down, up = A.matvec_pair(X, right[-1], counter)
+        down, up = view.matvec_pair(X, right[-1], counter)
         left.append(_down_block(field, down))
         right.append(up)
         X = _up_block(field, left[-1])
@@ -332,7 +261,7 @@ def flip_conjugate(core: ToeplitzCore,
     if core.width == 0:
         return ToeplitzCore.zero(field, n)
     en = field.unit_vector(n, n - 1).reshape(n, 1)
-    col, row = core.matvec_pair(en, en, counter)
+    col, row = _toeplitz_like(core).matvec_pair(en, en, counter)
     col[n - 1, 0] = 0                           # C e_n - c_nn e_n
     G = np.concatenate([-_up_block(field, core.G) % field.p, en, col], axis=1)
     H = np.concatenate([_up_block(field, core.H), row, en], axis=1)
@@ -418,8 +347,7 @@ class THMatrix:
         """(S_H, S_G) = limb spectra of [H_P | H_Q] and [G_P | conj G_Q],
         as `ToeplitzCore.spectra` lays out a core's: P's own when Q = 0,
         otherwise transformed from the stacked generators on first use
-        and kept (conjugation folds J into Q's columns; see
-        `_two_stage`)."""
+        and kept (conjugation folds J into Q's columns; see `_pass`)."""
         if self.Q.width == 0:
             return self.P.spectra()
         if self._spectra is None:
@@ -432,23 +360,75 @@ class THMatrix:
         return self._spectra
 
     def _pass(self, blocks, first, counter):
-        return _two_stage(self.field, self.n, self.spectra, self.alpha,
-                          self.P.width, blocks, first, counter)
+        """Products of A with a group of input blocks in one pass.
+
+        A is sum_j L(g_j) U(h_j) over its alpha generator columns, P's
+        and then Q's, whose J `spectra` folds in.  `blocks` are n x k_i
+        input blocks; group i reads blocks[i] and writes A blocks[i] if
+        first + i is 0, A^T blocks[i] if it is 1 (first + len(blocks) <=
+        2).  Returns the list of n x k_i products.
+
+        A product reads S_H in stage 1 and S_G in stage 2, a transposed one
+        the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
+        every column, the correlation of its first-stage generator with x,
+        from the spectrum of rev(x): coefficients 0 .. n-1 are U(h) x
+        reversed, or, for a conjugated column, U(g) (J x) as it stands.
+        Stage 2 reverses the results of P's columns, multiplies each column
+        by its second-stage generator and sums the group's columns: L(g) u
+        for a plain column, and for a conjugated one the correlation of g
+        with the stage-1 result, which is J L(g) u.  conj(rfft(g)) is the
+        spectrum of g's cyclic reversal, and both correlations are
+        alias-free because the FFT size N is at least 2n - 1, with the
+        norms and so the kernel's error bound unchanged.  Two
+        `field.fft_product` calls, batched over the groups (two groups read
+        one stack of S_H and S_G, both ways round), and two transforms (the
+        input blocks and the stage-1 result) in all; both steps return
+        int64 residues for every p, so u enters stage 2 as it stands and
+        only the returned products take the field's dtype.  A narrower
+        group is zero-padded to the widest inside the pass, and the charge
+        is two convolutions per generator and real block column of each
+        group.
+        """
+        field, n, width = self.field, self.n, self.alpha
+        for X in blocks:
+            if X.shape[0] != n:
+                raise LengthMismatchError(f"block rows {X.shape[0]} != {n}")
+        widths = [X.shape[1] for X in blocks]
+        k = max(widths)
+        if width == 0 or k == 0:
+            return [field.zeros((n, w)) for w in widths]
+        if counter is not None:
+            counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
+        S = self.spectra()[::-1] if first else self.spectra()
+        if len(blocks) == 1:
+            stage1, stage2 = (X[:, None] for X in S)
+        else:
+            # A on blocks[0], A^T on blocks[1]: one stack, read both ways
+            stage1 = np.stack(S, axis=1)
+            stage2 = stage1[:, ::-1]
+        rx = np.zeros((len(blocks), 1, k, n), dtype=np.int64)
+        for r, X in zip(rx, blocks):
+            r[0, :X.shape[1]] = X[::-1].T
+        u = field.fft_product(stage1[:, :, :width, None],
+                              field.fft_spectra(rx, n, n, axis=1), n, n, n)
+        u[:, :self.P.width] = u[:, :self.P.width, :, ::-1]
+        out = field.fft_product(stage2[:, :, None],
+                                field.fft_spectra(u, n, n, axis=1), n, n, n)
+        return [field.from_int64(o[:w].T) for o, w in zip(out[:, 0], widths)]
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """A V = P V + J (Q V), both cores' columns in one `_two_stage`
-        pass."""
+        """A V = P V + J (Q V), both cores' columns in one `_pass`."""
         return self._pass([V], 0, counter)[0]
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
-        """A^T V = P^T V + Q^T (J V) in one `_two_stage` pass."""
+        """A^T V = P^T V + Q^T (J V) in one `_pass`."""
         return self._pass([V], 1, counter)[0]
 
     def matvec_pair(self, V: np.ndarray, U: np.ndarray,
                     counter: MultCounter | None = None):
-        """(A V, A^T U) in one `_two_stage` pass, for blocks of any widths
+        """(A V, A^T U) in one `_pass`, for blocks of any widths
         (the narrower is zero-padded inside the pass); charged as
         `matvec_block(V)` plus `matvec_t_block(U)`."""
         return tuple(self._pass([V, U], 0, counter))

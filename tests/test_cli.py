@@ -110,6 +110,15 @@ def test_minpoly_parse_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_minpoly_oversized_smx_is_a_parse_error(tmp_path, capsys):
+    # a size of 10^15 with a 3-residue generator line is reported as a
+    # format error (exit 2), not as a failed n x width allocation
+    big = tmp_path / "big.smx"
+    big.write_text("SMX 1\nfield 101\nsize 1000000000000000\ntpart 1\n1 2 3\n")
+    code, out, err = run(capsys, "minpoly", big, "--seed", 1)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 # -- charpoly ---------------------------------------------------------------------
 
 
@@ -299,17 +308,17 @@ def test_selftest_exit_one_on_failure():
     assert lines[-1].endswith("1 failures")
 
 
-# Runs check_homomorphism under `python -O` with the core matvec off by one
+# Runs check_homomorphism under `python -O` with the block matvec off by one
 # in row 0; -O strips assert statements, so a check written as one passes.
 _BROKEN_MATVEC_SELFTEST = """
 import sys
 from thpoly import selftest, structured
-good = structured.ToeplitzCore.matvec_block
+good = structured.THMatrix.matvec_block
 def off_by_one(self, V, counter=None):
     out = good(self, V, counter)
     out[0] = (out[0] + 1) % self.field.p
     return out
-structured.ToeplitzCore.matvec_block = off_by_one
+structured.THMatrix.matvec_block = off_by_one
 print("optimize", sys.flags.optimize)
 sys.exit(0 if selftest.run_selftest(checks=(selftest.check_homomorphism,)) else 1)
 """

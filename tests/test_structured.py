@@ -499,8 +499,9 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # a Toeplitz-like matrix reads its core's spectra, shared with the
     # swapped core; a matrix with J-flipped columns keeps its own
     first = 2 if A.Q.width == 0 else 4
-    for product in (lambda: core.matvec_block(V),
-                    lambda: core.swapped().matvec_block(V)):
+    zero = ToeplitzCore.zero(f, n)
+    for product in (lambda: THMatrix(f, core, zero).matvec_block(V),
+                    lambda: THMatrix(f, core.swapped(), zero).matvec_block(V)):
         assert run(product) == (2, first)
         first = 2
     # wide generators: several chunks of columns, still one pass each
@@ -515,11 +516,12 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
         assert run(product)[0] == 2
     # the algebra: core_power's s - 1 passes advancing both Krylov blocks
     # (the first takes e_n too), one for flip_conjugate, two for
-    # core_multiply
+    # core_multiply; each pass transforms only its input blocks and the
+    # stage-1 result, since the core's spectra are kept
     s = 5
-    assert run(lambda: core_power(core, s))[0] == 2 * (s - 1)
-    assert run(lambda: flip_conjugate(core))[0] == 2
-    assert run(lambda: core_multiply(core, core))[0] == 4
+    assert run(lambda: core_power(core, s)) == (2 * (s - 1), 2 * (s - 1))
+    assert run(lambda: flip_conjugate(core)) == (2, 2)
+    assert run(lambda: core_multiply(core, core)) == (4, 4)
 
 
 # -- core algebra --------------------------------------------------------------------
@@ -574,7 +576,8 @@ def test_flip_conjugate_compresses_before_reversing():
     A = random_structured(f, n, 2, 1, 66)
     for core in (A.P, A.Q):
         reversed_first = MultCounter()
-        col, row = core.matvec_pair(en, en, reversed_first)
+        view = THMatrix(f, core, ToeplitzCore.zero(f, n))
+        col, row = view.matvec_pair(en, en, reversed_first)
         col[n - 1, 0] = 0
         G = np.concatenate([-_up_block(f, core.G) % f.p, en, col], axis=1)
         H = np.concatenate([_up_block(f, core.H), row, en], axis=1)

@@ -14,7 +14,6 @@ from thpoly.errors import (BadBlockSizeError, FieldTooSmallError,
                            ShapeMismatchError, SingularEverywhereError)
 from thpoly.bench import run_case
 from thpoly.field import derive_seed
-from thpoly.structured import _two_stage
 from thpoly.wiedemann import KrylovPrefix, verification_vectors
 
 import _ref
@@ -530,16 +529,15 @@ def test_verify_prefix_of_other_vectors_refused():
 
 @pytest.mark.parametrize("p", [101, (1 << 61) - 1])
 def test_two_stage_unequal_group_widths(p):
-    # groups of widths (2, 1) and (1, 2): the separate passes' products,
-    # charged per real column, not per padded one
+    # groups of widths (2, 1) and (1, 2) in one matvec_pair pass: the
+    # separate passes' products, charged per real column, not per padded one
     field = PrimeField(p)
     A = random_structured(field, 12, 2, 1, 96)
     V = field.rand_mat(field.rng(1), (12, 2))
     U = field.rand_mat(field.rng(2), (12, 1))
     for X, Y in ((V, U), (U, V)):
         pair, apart = MultCounter(), MultCounter()
-        got = _two_stage(field, A.n, A.spectra, A.alpha, A.P.width, [X, Y], 0,
-                         pair)
+        got = A.matvec_pair(X, Y, pair)
         assert np.array_equal(got[0], A.matvec_block(X, apart))
         assert np.array_equal(got[1], A.matvec_t_block(Y, apart))
         assert pair.mults == apart.mults == 3 * column_charge(A)
@@ -582,11 +580,13 @@ def test_verification_rides_the_sequence_passes(monkeypatch):
     # ceil(n/beta) + 1 sequence passes and n - ceil(n/beta) Horner passes
     passes = []
 
+    one_pass = THMatrix._pass
+
     def counted(*args, **kwargs):
         passes.append(1)
-        return _two_stage(*args, **kwargs)
+        return one_pass(*args, **kwargs)
 
-    monkeypatch.setattr("thpoly.structured._two_stage", counted)
+    monkeypatch.setattr(THMatrix, "_pass", counted)
     A = random_structured(F, 16, 2, 1, 97)
     assert minpoly(A, 1, mode="naive").polynomial.degree == 16
     assert len(passes) == 17
