@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 selftest failure, 2 usage/parse errors,
-3 verification reject, 4 non-generic after retries.  Every command is
+Exit codes: 0 success, 1 selftest failure, 2 usage/parse errors (an
+input too large to allocate counts as one), 3 verification reject, 4
+non-generic after retries.  Every command is
 deterministic given --seed; without it a fresh seed is drawn and printed
 as `seed=<n>` for replay.
 """
@@ -230,7 +231,9 @@ def main(argv=None) -> int:
     except NotGenericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_GENERIC
-    except (ThpolyError, OSError, ValueError) as exc:
+    except (ThpolyError, OSError, ValueError, MemoryError) as exc:
+        # MemoryError: e.g. an SMX of zero widths parses at any size, and
+        # fails only when a solve allocates its n-vectors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

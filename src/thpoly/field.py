@@ -11,8 +11,10 @@ floating-point FFTs over b-bit limbs, exact by an a-priori rounding-error
 bound.  That kernel has a transform step (`fft_spectra`), so an operand
 applied many times is transformed once, and a product step
 (`fft_product`), batched over a leading axis of independent products and
-in int64 for every p; `conv_matmul`, the two in a row,
-returns the field's dtype.  All paths return identical residues.
+in int64 for every p, which forms the limb pairs of a slab of terms in
+one multiply and sums them into limb diagonals with one matmul;
+`conv_matmul`, the two steps in a row, returns the field's dtype.  All
+paths return identical residues.
 """
 
 from __future__ import annotations
@@ -40,8 +42,18 @@ _FFT_ERROR = 3 * (2 + math.sqrt(5)) * 2.0 ** -53
 # Error budget per output coefficient: np.rint is exact below 1/2, and the
 # factor of two covers the higher-order terms the bound above drops.
 _FFT_ROUNDING = 0.25
-# Diagonal spectra per slab of `fft_product`, in bytes.
+# Limb pair spectra per slab of `fft_product`, in bytes: the product step's
+# largest transient, L**2 spectra per term against the 2L - 1 diagonal
+# spectra per chunk that they are summed into.  Slabs stay within it, not
+# about it: pair buffers of 264 KB on a naive T+H-like minpoly (n = 128,
+# p = 2**61 - 1) were mapped afresh by glibc's malloc on every call,
+# 23,000 page faults per solve against 220 with 132 KB ones.
 _SLAB_BYTES = 1 << 18
+# ufunc buffer size, in elements, while `fft_product` forms limb pairs.  A
+# broadcast multiply allocates two buffers of up to numpy's default 8192
+# elements that it never fills (no cast is needed), 256 KB for complex
+# operands; the pairs are computed as fast with small ones.
+_PAIR_BUFSIZE = 256
 
 
 def _chunking(count: int, terms: int) -> tuple[int, int]:
@@ -50,14 +62,6 @@ def _chunking(count: int, terms: int) -> tuple[int, int]:
     way again."""
     chunks = -(-count // terms)
     return chunks, -(-count // chunks) if chunks else 0
-
-
-def _padded(shape, axis: int, terms: int) -> tuple[int, ...]:
-    """`shape` with its term axis padded to whole chunks (`_chunking`)."""
-    shape = list(shape)
-    chunks, size = _chunking(shape[axis], terms)
-    shape[axis] = chunks * size
-    return tuple(shape)
 
 
 def _fft_size(la: int, lb: int) -> int:
@@ -76,6 +80,57 @@ def _limb_plan(bits: int, la: int, lb: int) -> tuple[int, int, int]:
         if terms >= 1:
             return b, count, terms
     raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
+
+
+@functools.lru_cache(maxsize=256)
+def _spectra_plan(bits: int, la: int, lb: int, shape: tuple, axis: int):
+    """Constants of `PrimeField.fft_spectra` for one input shape: (limb
+    array shape with the term axis padded to whole chunks, index of the
+    input inside it, limb shifts shaped to broadcast over the input, FFT
+    size, limb bits)."""
+    b, count, terms = _limb_plan(bits, la, lb)
+    chunks, t = _chunking(shape[axis], terms)
+    padded = list(shape)
+    padded[axis] = chunks * t
+    fill = (slice(None),) + tuple(slice(0, m) for m in shape)
+    shifts = np.arange(0, b * count, b).reshape((count,) + (1,) * len(shape))
+    shifts.flags.writeable = False
+    return (count, *padded), fill, shifts, _fft_size(la, lb), b
+
+
+@functools.lru_cache(maxsize=256)
+def _product_plan(bits: int, la: int, lb: int, B: int, I: int, T: int, J: int):
+    """Constants of `PrimeField.fft_product` for one shape: (b, L, FFT
+    size, chunk count C and size t, rows, chunks and terms per slab,
+    weights).
+
+    A slab is some rows of a, some chunks of each and some terms of each
+    chunk, whose limb pairs, L**2 per term, take at most _SLAB_BYTES
+    unless one term does: the fewest slabs within it, split evenly over
+    whole rows, else over whole chunks of one row, else over the terms of
+    one chunk.  weights is the 0/1 (2L - 1) x t L**2 matrix that sums
+    pair (l, m) of each term into diagonal l + m; its first g L**2
+    columns serve g terms.
+    """
+    b, count, terms = _limb_plan(bits, la, lb)
+    size = _fft_size(la, lb)
+    C, t = _chunking(T, terms)
+
+    def per_slab(items: int, nbytes: int) -> int:
+        most = max(1, _SLAB_BYTES // nbytes)
+        return -(-items // -(-items // most))
+
+    term = count * count * B * J * (size // 2 + 1) * 16
+    if term * T <= _SLAB_BYTES:
+        split = per_slab(I, term * T), C, t
+    elif term * t <= _SLAB_BYTES:
+        split = 1, per_slab(C, term * t), t
+    else:
+        split = 1, 1, per_slab(t, term)
+    l, m = np.divmod(np.arange(count * count), count)
+    weights = np.tile(np.arange(2 * count - 1)[:, None] == l + m, t).astype(float)
+    weights.flags.writeable = False
+    return b, count, size, C, t, *split, weights
 
 
 def _v2(n: int) -> int:
@@ -383,14 +438,12 @@ class PrimeField:
         whole chunks.
         """
         x = np.asarray(x, dtype=np.int64)
-        bits, count, terms = self.fft_limbs(la, lb)
-        limbs = np.zeros((count,) + _padded(x.shape, axis, terms))
-        fill = tuple(slice(0, m) for m in x.shape)
-        mask = (1 << bits) - 1
-        for l in range(count):
-            np.bitwise_and(x >> (bits * l), mask, out=limbs[l][fill],
-                           casting="unsafe")
-        return np.fft.rfft(limbs, n=_fft_size(la, lb), axis=-1)
+        shape, fill, shifts, size, bits = _spectra_plan(
+            (self.p - 1).bit_length(), la, lb, x.shape, axis)
+        limbs = np.zeros(shape)
+        np.bitwise_and(x >> shifts, (1 << bits) - 1, out=limbs[fill],
+                       casting="unsafe")
+        return np.fft.rfft(limbs, n=size, axis=-1)
 
     def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
                     out_len: int) -> np.ndarray:
@@ -407,42 +460,59 @@ class PrimeField:
         a[t] b[m + t], a correlation, which does not alias for m < lb
         since N >= la + lb - 1.
 
-        The T terms fall into equal chunks of at most `terms`
-        (`fft_spectra` pads T to fit).  One einsum per output limb diagonal
-        d sums the limb pairs l + l' = d and the terms of each chunk in the
-        frequency domain, for every batch and chunk at once; one irfft and
-        np.rint then give each chunk's 2L - 1 diagonals exactly, a diagonal
-        d standing for 2**(b d) times its value.  Each is below 2**47.4,
-        since terms * L * (2**b - 1)**2 * sqrt(la lb) * 3 lg N *
-        (2 + sqrt 5) * 2**-53 < 1/4.  Rows of a go through in slabs whose
-        diagonal spectra fill about _SLAB_BYTES, which bounds the
-        intermediates of products with many rows.
+        The T terms fall into C equal chunks of t <= `terms` (`fft_spectra`
+        pads T to fit).  Two numpy calls contract a slab: one elementwise
+        multiply forms every limb pair (l, m) of every term, batch, row and
+        chunk in one C-contiguous array, the L**2 pairs of each term
+        leading, and one real matmul by the 0/1 weights of `_product_plan`,
+        on the complex values viewed as float pairs, sums them into the
+        output limb diagonals d = l + m.  One irfft and np.rint then give
+        each chunk's 2L - 1 diagonals exactly, a diagonal d standing for
+        2**(b d) times its value.  Each is below 2**47.4, since terms * L *
+        (2**b - 1)**2 * sqrt(la lb) * 3 lg N * (2 + sqrt 5) * 2**-53 < 1/4,
+        whatever the order of the sums.  The slabs of `_product_plan` keep
+        the limb pairs within _SLAB_BYTES; a slab of some terms of a chunk
+        adds its sums to the earlier terms'.
         """
-        bits, count, terms = self.fft_limbs(la, lb)
-        size = _fft_size(la, lb)
-        B, I, T, F = fa.shape[1:]
+        _, B, I, T, F = fa.shape
         J = fb.shape[3]
-        out = np.zeros((B, I, J, out_len), dtype=np.int64)
-        if T == 0 or out.size == 0:
-            return out
-        C, t = _chunking(T, terms)
-        fa = fa.reshape(count, B, I, C, t, F)
-        fb = fb.reshape(count, B, C, t, J, F)
-        diagonals = 2 * count - 1
-        rows = max(1, _SLAB_BYTES // (diagonals * B * C * J * F * 16))
+        if T == 0 or B * I * J * out_len == 0:
+            return np.zeros((B, I, J, out_len), dtype=np.int64)
+        bits, count, size, C, t, rows, chunks, group, weights = _product_plan(
+            (self.p - 1).bit_length(), la, lb, B, I, T, J)
+        diagonals = len(weights)
+        # (t, l, m, c, b, i, j, f): a broadcast over m and j, b over l and i
+        fa = fa.reshape(count, B, I, C, t, F).transpose(4, 0, 3, 1, 2, 5)[
+            :, :, None, ..., None, :]
+        fb = fb.reshape(count, B, C, t, J, F).transpose(3, 0, 2, 1, 4, 5)[
+            :, None, ..., None, :, :]
+        digits = None
         for i in range(0, I, rows):
-            slab = fa[:, :, i:i + rows]
-            spec = np.empty((diagonals, C, B, slab.shape[2], J, F), dtype=complex)
-            for d in range(diagonals):
-                lo, hi = max(0, d - count + 1), min(d, count - 1) + 1
-                # limbs l of a against limbs d - l of b, l = lo .. hi - 1
-                np.einsum("lbictf,lbctjf->cbijf", slab[lo:hi],
-                          fb[d - hi + 1:d - lo + 1][::-1], out=spec[d])
-            raw = np.fft.irfft(spec, n=size, axis=-1)[..., :out_len]
+            spec = np.empty((diagonals, C, B, min(rows, I - i), J, F),
+                            dtype=complex)
+            with np.errstate():
+                np.setbufsize(_PAIR_BUFSIZE)
+                for c in range(0, C, chunks):
+                    sums = spec[:, c:c + chunks].view(float).reshape(diagonals, -1)
+                    for s in range(0, t, group):
+                        pairs = np.multiply(
+                            fa[s:s + group, :, :, c:c + chunks, :, i:i + rows],
+                            fb[s:s + group, :, :, c:c + chunks], order="C")
+                        pairs = pairs.view(float).reshape(-1, sums.shape[1])
+                        w = weights[:, :len(pairs)]
+                        if s:
+                            sums += w @ pairs
+                        else:
+                            np.matmul(w, pairs, out=sums)
+                        del pairs       # before the next slab's are formed
+            raw = np.fft.irfft(spec, n=size, axis=-1)
             del spec
-            out[:, i:i + rows] = self._recombine(
-                np.rint(raw, out=raw).astype(np.int64), bits)
-        return out
+            if digits is None:          # made here, not beside the pairs
+                digits = np.empty((diagonals, C, B, I, J, out_len), dtype=np.int64)
+            # rint on whole rows: on a strided view it allocates buffers
+            digits[:, :, :, i:i + rows] = np.rint(raw, out=raw)[..., :out_len]
+            del raw
+        return self._recombine(digits, bits)
 
     def _recombine(self, digits: np.ndarray, bits: int) -> np.ndarray:
         """Int64 residues of sum_c sum_d digits[d, c] * 2**(b d), the chunk

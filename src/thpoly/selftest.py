@@ -192,17 +192,21 @@ def check_homomorphism():
 def check_fft_kernel():
     # FFT rounding depends on the installed numpy: on all-(p-1) inputs (the
     # largest limbs), run the kernel at the largest n that still uses
-    # 16-bit limbs, where one generator fills the error budget, and at
-    # n = 128 with generators filling two whole chunks, whose sums one
-    # kernel call takes in a single batch
+    # 16-bit limbs, where one generator fills the error budget, at n = 128
+    # with generators filling two whole chunks, whose sums one kernel call
+    # takes in a single batch, and at n = 256 with nine chunks against one
+    # column, whose limb pairs the kernel forms a few chunks at a time (a
+    # few terms at a time above 2**31), as in a BSGS giant step
     for p in ((1 << 31) - 1, _P_NTT, _P_BIG, _P_TOP):
         field = PrimeField(p)
         widest = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
                      if field.fft_limbs(m, m)[0] == 16)
-        for n, width in ((widest, 2), (128, 2 * field.fft_limbs(128, 128)[2])):
+        for n, width, k in ((widest, 2, 2),
+                            (128, 2 * field.fft_limbs(128, 128)[2], 2),
+                            (256, 9 * field.fft_limbs(256, 256)[2], 1)):
             G = np.full((n, width), p - 1, dtype=np.int64)
             core = ToeplitzCore(field, n, G, G)
-            V = np.full((n, 2), p - 1, dtype=field.dtype)
+            V = np.full((n, k), p - 1, dtype=field.dtype)
             C = core.dense()
             T = THMatrix(field, core, ToeplitzCore.zero(field, n))
             _expect(np.array_equal(T.matvec_block(V), field.matmul(C, V)))

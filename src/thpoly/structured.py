@@ -404,16 +404,21 @@ class THMatrix:
             stage1, stage2 = (X[:, None] for X in S)
         else:
             # A on blocks[0], A^T on blocks[1]: one stack, read both ways
-            stage1 = np.stack(S, axis=1)
+            stage1 = np.array(S).swapaxes(0, 1)
             stage2 = stage1[:, ::-1]
         rx = np.zeros((len(blocks), 1, k, n), dtype=np.int64)
         for r, X in zip(rx, blocks):
             r[0, :X.shape[1]] = X[::-1].T
         u = field.fft_product(stage1[:, :, :width, None],
                               field.fft_spectra(rx, n, n, axis=1), n, n, n)
-        u[:, :self.P.width] = u[:, :self.P.width, :, ::-1]
-        out = field.fft_product(stage2[:, :, None],
-                                field.fft_spectra(u, n, n, axis=1), n, n, n)
+        # each stage's input goes once transformed: stage 2's transform and
+        # its limb pairs are the pass's memory peaks
+        del rx
+        a = self.P.width
+        u[:, :a] = u[:, :a, :, ::-1]
+        fu = field.fft_spectra(u, n, n, axis=1)
+        del u
+        out = field.fft_product(stage2[:, :, None], fu, n, n, n)
         return [field.from_int64(o[:w].T) for o, w in zip(out[:, 0], widths)]
 
     def matvec_block(self, V: np.ndarray,

@@ -212,7 +212,9 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
                   counter: MultCounter | None = None,
                   carry: np.ndarray | None = None) -> BlockSequence:
     """Same output as the naive path, scheduled as baby steps A^i V for
-    i < s, one structured power B = A^s, and giant rows U^T B^j.
+    i < s, one structured power B = A^s, and giant rows U^T B^j, each
+    one matrix product with the baby steps side by side (charged as the
+    s products of its terms).
 
     `carry`, an n x t block of verification vectors, rides all m =
     min(s, L) - 1 baby steps beside V; its powers come back as the
@@ -226,23 +228,22 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     if carry is not None:
         chain = np.concatenate([V, carry], axis=1)
         prefix = _start_prefix(carry, min(s, L) - 1, carry.shape[1])
-    babies = [V.copy()]
+    # babies[:, i beta:(i + 1) beta] = A^i V, so a giant row is one product
+    babies = field.zeros((A.n, min(s, L) * beta))
+    babies[:, :beta] = V
     for i in range(1, min(s, L)):
         chain = A.matvec_block(chain, counter)
-        babies.append(chain[:, :beta].copy())
+        babies[:, i * beta:(i + 1) * beta] = chain[:, :beta]
         if prefix is not None:
             prefix.powers[i] = chain[:, beta:]
     giants = math.ceil(L / s)
     B = A.power(s, counter) if giants > 1 else None
     terms = np.zeros((L, beta, beta), dtype=field.dtype)
-    W = U.copy()
+    W = U
     for j in range(giants):
-        Wt = W.T.copy()
-        for i in range(s):
-            k = j * s + i
-            if k >= L:
-                break
-            terms[k] = field.matmul(Wt, babies[i], counter)
+        k = min(s, L - j * s)
+        row = field.matmul(W.T.copy(), babies[:, :k * beta], counter)
+        terms[j * s:j * s + k] = row.reshape(beta, k, beta).swapaxes(0, 1)
         if (j + 1) * s < L:
             W = B.matvec_t_block(W, counter)
     return BlockSequence(field, beta, terms, prefix)

@@ -33,6 +33,36 @@ def schoolbook_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
+def kronecker_matmul(a, b, out_len: int, p: int) -> list:
+    """First out_len coefficients mod p of sum_t a[i][t] * b[t][j] for
+    coefficient lists low-to-high, as nested lists.  Each polynomial is
+    packed into one integer with a slot per coefficient wide enough for
+    the whole sum (Kronecker substitution), so a sum over t is a sum of
+    big-integer products with no carry between slots."""
+    coeffs = [x for rows in (a, b) for row in rows for x in row]
+    longest = max((len(x) for x in coeffs), default=1)
+    bits = 2 * (p - 1).bit_length() + (longest * len(b)).bit_length() + 1
+    width = -(-bits // 8)
+
+    def pack(x):
+        return int.from_bytes(b"".join(int(c).to_bytes(width, "little")
+                                       for c in x), "little")
+
+    A = [[pack(x) for x in row] for row in a]
+    B = [[pack(x) for x in row] for row in b]
+    out = []
+    for Ai in A:
+        out.append([])
+        for j in range(len(B[0]) if B else 0):
+            total = sum(x * Bt[j] for x, Bt in zip(Ai, B))
+            raw = total.to_bytes(out_len * width + total.bit_length() // 8 + 1,
+                                 "little")
+            out[-1].append([int.from_bytes(raw[k * width:(k + 1) * width],
+                                           "little") % p
+                            for k in range(out_len)])
+    return out
+
+
 def powersum_eval(coeffs: list[int], x: int, p: int) -> int:
     return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
 

@@ -119,6 +119,15 @@ def test_minpoly_oversized_smx_is_a_parse_error(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_minpoly_huge_zero_width_smx_is_a_usage_error(tmp_path, capsys):
+    # zero widths parse at any size; the solve's first n-vector cannot be
+    # allocated, which exits 2 with a message, not 1 with a traceback
+    big = tmp_path / "big0.smx"
+    big.write_text("SMX 1\nfield 101\nsize 1000000000000000\ntpart 0\nhpart 0\n")
+    code, out, err = run(capsys, "minpoly", big, "--seed", 1)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 # -- charpoly ---------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from thpoly import PrimeField, derive_seed, is_prime, random_structured
 from thpoly.errors import DivisionByZeroError, NotPrimeError, TooLargeError
+from thpoly.field import _chunking, _limb_plan, _product_plan
 
 import _ref
 
@@ -118,12 +119,26 @@ FFT_LIMB_PINS = (
     ((1 << 61) - 1, 128, (16, 4, 10)),
     ((1 << 61) - 1, 937, (16, 4, 1)),
     ((1 << 61) - 1, 938, (13, 5, 51)),
+    (65537, 256, (17, 1, 4)),
 )
 
 
 @pytest.mark.parametrize("p,n,plan", FFT_LIMB_PINS)
 def test_fft_limbs_pins(p, n, plan):
     assert PrimeField(p).fft_limbs(n, n) == plan
+
+
+# Products that take several slabs of `fft_product` and several chunks, at
+# each limb count of FFT_LIMB_PINS: slabs of rows, of the chunks of a row
+# and of the terms of a chunk.
+SLAB_CASES = (
+    (65537, 8, 9, 1, 256, 256, 511),                 # 1 limb, row slabs
+    (P_NTT, 2, 17, 1, 256, 256, 511),                # 2 limbs, chunk slabs
+    ((1 << 61) - 1, 130, 3, 1, 4, 4, 7),             # 3 limbs, row slabs
+    ((1 << 61) - 1, 2, 517, 1, 5, 5, 9),             # 4 limbs, term slabs
+    ((1 << 61) - 1, 2, 21, 1, 128, 128, 255),        # 4 limbs, chunk slabs
+    ((1 << 61) - 1, 2, 52, 1, 938, 938, 1875),       # 5 limbs, term slabs
+)
 
 
 @pytest.mark.parametrize("p,I,T,J,la,lb,out_len", [
@@ -138,29 +153,51 @@ def test_fft_limbs_pins(p, n, plan):
     ((1 << 61) - 1, 1, 517, 2, 5, 5, 9),             # 515 terms per transform
     ((1 << 61) - 1, 1, 2, 1, 937, 937, 1873),        # one term per transform
     ((1 << 61) - 1, 1, 1, 2, 938, 938, 938),         # 13-bit limbs
-])
+] + list(SLAB_CASES))
 def test_conv_matmul_vs_exact_convolution(p, I, T, J, la, lb, out_len):
     f = PrimeField(p)
     rng = f.rng(I * 100 + T * 10 + la)
     a = f.rand_mat(rng, (I * T, la)).reshape(I, T, la)
     b = f.rand_mat(rng, (T * J, lb)).reshape(T, J, lb)
-    a[0, :1] = p - 1                   # all-(p-1) rows on both sides
-    b[:1, 0] = p - 1
+    a[0] = p - 1                       # all-(p-1) rows on both sides
+    b[:, 0] = p - 1
     out = f.conv_matmul(a, b, out_len)
     assert out.dtype == f.dtype
     assert np.array_equal(out, _exact_conv_matmul(f, a, b, out_len))
 
 
+def test_slab_cases_split():
+    kinds = set()
+    for p, I, T, J, la, lb, _ in SLAB_CASES:
+        bits = (p - 1).bit_length()
+        C, t = _chunking(T, _limb_plan(bits, la, lb)[2])
+        rows, chunks, group = _product_plan(bits, la, lb, 1, I, C * t, J)[5:8]
+        assert C > 1 and (rows < I or chunks < C or group < t)
+        kinds.add("terms" if group < t else "chunks" if chunks < C else "rows")
+    assert kinds == {"rows", "chunks", "terms"}
+
+
+def test_kronecker_reference_matches_schoolbook():
+    rng = np.random.default_rng(4)
+    for p in (101, (1 << 61) - 1):
+        a = [[rng.integers(0, p, size=k).tolist() for k in (3, 1)]
+             for _ in range(2)]
+        b = [[rng.integers(0, p, size=k).tolist() for k in (4, 2, 5)]
+             for _ in range(2)]
+        got = _ref.kronecker_matmul(a, b, 7, p)
+        for i in range(2):
+            for j in range(3):
+                want = [0] * 7
+                for t in range(2):
+                    for k, c in enumerate(_ref.schoolbook_mul(a[i][t], b[t][j], p)):
+                        want[k] = (want[k] + c) % p
+                assert got[i][j] == want
+
+
 def _exact_conv_matmul(f, a, b, out_len):
-    I, T, _ = a.shape
-    J = b.shape[1]
-    want = f.zeros((I, J, out_len))
-    for i in range(I):
-        for j in range(J):
-            for t in range(T):
-                c = _ref.schoolbook_mul([int(x) for x in a[i, t]],
-                                        [int(x) for x in b[t, j]], f.p)[:out_len]
-                want[i, j, :len(c)] = (want[i, j, :len(c)] + c) % f.p
+    want = f.zeros((a.shape[0], b.shape[1], out_len))
+    if a.shape[1]:
+        want[:] = _ref.kronecker_matmul(a.tolist(), b.tolist(), out_len, f.p)
     return want
 
 

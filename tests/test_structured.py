@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -522,6 +524,24 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     assert run(lambda: core_power(core, s)) == (2 * (s - 1), 2 * (s - 1))
     assert run(lambda: flip_conjugate(core)) == (2, 2)
     assert run(lambda: core_multiply(core, core)) == (4, 4)
+
+
+def test_giant_step_transient_memory():
+    # the kernel's limb pairs stay within its slabs: one warm giant step of
+    # a BSGS minpoly at n = 256 (B = A^23 of width 68) peaks where stage 2
+    # transforms the stage-1 result, at 1,031,584 traced bytes; the limb
+    # pairs of the whole stage-2 product at once would add 1.18 MB
+    f = PrimeField(P_NTT)
+    B = random_structured(f, 256, 2, 0, 1).power(23)
+    W = f.rand_mat(f.rng(2), (256, 1))
+    B.matvec_t_block(W)
+    tracemalloc.start()
+    try:
+        B.matvec_t_block(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B.alpha == 68 and peak <= 1_031_584
 
 
 # -- core algebra --------------------------------------------------------------------
