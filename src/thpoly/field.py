@@ -7,26 +7,24 @@ also fits int64 wherever a kernel needs it to.  `conv` goes through an
 iterative radix-2 NTT when the modulus supports one, and otherwise through
 `np.convolve` when its int64 sums cannot overflow; every other product
 of polynomials, and every batched product of polynomial matrices, runs on
-floating-point FFTs over b-bit limbs, exact by an a-priori rounding-error
-bound.  That kernel has a transform step (`fft_spectra`), so an operand
-applied many times is transformed once, and a product step
-(`fft_product`), batched over a leading axis of independent products and
-in int64 for every p, which forms the limb pairs of a slab of terms in
-one multiply and sums them into limb diagonals with one matmul;
-`conv_matmul`, the two steps in a row, returns the field's dtype.  All
-paths return identical residues.
+the exact floating-point FFT kernel of `kernel.py`, with a transform step
+and a product step that a caller applying one operand many times keeps
+(`kernel.PassPlan`, for the structured passes).  `fft_spectra` and
+`fft_product` build a step for one call, and `conv_matmul`, the two steps
+in a row, returns the field's dtype.  All paths return identical
+residues.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import math
 
 import numpy as np
 
 from .counting import MultCounter, pow_cost
 from .errors import DivisionByZeroError, NotPrimeError, TooLargeError
+from .kernel import (ProductStep, TransformStep, _buffer, _limb_plan, _nbytes,
+                     _reserve, recombine)
 
 MAX_MODULUS = 1 << 62
 
@@ -35,103 +33,10 @@ _INT64_LIMIT = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Rounding error of one FFT product (Percival 2003, to first order): with
-# unit roundoff 2**-53, a size-N FFT product of x and y is off by at most
-# ||x||_2 ||y||_2 * 3 lg N * (2 + sqrt 5) * 2**-53 in every coefficient.
-_FFT_ERROR = 3 * (2 + math.sqrt(5)) * 2.0 ** -53
-# Error budget per output coefficient: np.rint is exact below 1/2, and the
-# factor of two covers the higher-order terms the bound above drops.
-_FFT_ROUNDING = 0.25
-# Limb pair spectra per slab of `fft_product`, in bytes: the product step's
-# largest transient, L**2 spectra per term against the 2L - 1 diagonal
-# spectra per chunk that they are summed into.  Slabs stay within it, not
-# about it: pair buffers of 264 KB on a naive T+H-like minpoly (n = 128,
-# p = 2**61 - 1) were mapped afresh by glibc's malloc on every call,
-# 23,000 page faults per solve against 220 with 132 KB ones.
-_SLAB_BYTES = 1 << 18
-# ufunc buffer size, in elements, while `fft_product` forms limb pairs.  A
-# broadcast multiply allocates two buffers of up to numpy's default 8192
-# elements that it never fills (no cast is needed), 256 KB for complex
-# operands; the pairs are computed as fast with small ones.
-_PAIR_BUFSIZE = 256
-
-
-def _chunking(count: int, terms: int) -> tuple[int, int]:
-    """(chunks, size): count terms split into the fewest chunks of at most
-    `terms`, all of one size; a padded count chunks * size splits the same
-    way again."""
-    chunks = -(-count // terms)
-    return chunks, -(-count // chunks) if chunks else 0
-
-
-def _fft_size(la: int, lb: int) -> int:
-    """Power-of-two FFT size of a product of lengths la and lb."""
-    return 1 << max(0, la + lb - 2).bit_length()
-
-
-@functools.lru_cache(maxsize=256)
-def _limb_plan(bits: int, la: int, lb: int) -> tuple[int, int, int]:
-    """`PrimeField.fft_limbs` for residues of `bits` bits."""
-    lg = max(1, _fft_size(la, lb).bit_length() - 1)
-    for count in range(1, bits + 1):
-        b = -(-bits // count)
-        err = ((1 << b) - 1) ** 2 * math.sqrt(la * lb) * lg * _FFT_ERROR
-        terms = int(_FFT_ROUNDING / (count * err))
-        if terms >= 1:
-            return b, count, terms
-    raise TooLargeError(f"no exact FFT split for lengths {la}, {lb}")
-
-
-@functools.lru_cache(maxsize=256)
-def _spectra_plan(bits: int, la: int, lb: int, shape: tuple, axis: int):
-    """Constants of `PrimeField.fft_spectra` for one input shape: (limb
-    array shape with the term axis padded to whole chunks, index of the
-    input inside it, limb shifts shaped to broadcast over the input, FFT
-    size, limb bits)."""
-    b, count, terms = _limb_plan(bits, la, lb)
-    chunks, t = _chunking(shape[axis], terms)
-    padded = list(shape)
-    padded[axis] = chunks * t
-    fill = (slice(None),) + tuple(slice(0, m) for m in shape)
-    shifts = np.arange(0, b * count, b).reshape((count,) + (1,) * len(shape))
-    shifts.flags.writeable = False
-    return (count, *padded), fill, shifts, _fft_size(la, lb), b
-
-
-@functools.lru_cache(maxsize=256)
-def _product_plan(bits: int, la: int, lb: int, B: int, I: int, T: int, J: int):
-    """Constants of `PrimeField.fft_product` for one shape: (b, L, FFT
-    size, chunk count C and size t, rows, chunks and terms per slab,
-    weights).
-
-    A slab is some rows of a, some chunks of each and some terms of each
-    chunk, whose limb pairs, L**2 per term, take at most _SLAB_BYTES
-    unless one term does: the fewest slabs within it, split evenly over
-    whole rows, else over whole chunks of one row, else over the terms of
-    one chunk.  weights is the 0/1 (2L - 1) x t L**2 matrix that sums
-    pair (l, m) of each term into diagonal l + m; its first g L**2
-    columns serve g terms.
-    """
-    b, count, terms = _limb_plan(bits, la, lb)
-    size = _fft_size(la, lb)
-    C, t = _chunking(T, terms)
-
-    def per_slab(items: int, nbytes: int) -> int:
-        most = max(1, _SLAB_BYTES // nbytes)
-        return -(-items // -(-items // most))
-
-    term = count * count * B * J * (size // 2 + 1) * 16
-    if term * T <= _SLAB_BYTES:
-        split = per_slab(I, term * T), C, t
-    elif term * t <= _SLAB_BYTES:
-        split = 1, per_slab(C, term * t), t
-    else:
-        split = 1, 1, per_slab(t, term)
-    l, m = np.divmod(np.arange(count * count), count)
-    weights = np.tile(np.arange(2 * count - 1)[:, None] == l + m, t).astype(float)
-    weights.flags.writeable = False
-    return b, count, size, C, t, *split, weights
-
+# Limbs of `PrimeField.matmul_int64`: 21-bit limbs of residues below 2**62
+# and up to 2**11 terms per float matmul keep every sum below 2**53.
+_LIMB_BITS = 21
+_LIMB_TERMS = 1 << 11
 
 def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
@@ -351,6 +256,39 @@ class PrimeField:
         lo = B & 0xFFFF
         return (((A @ hi % p) << 16) + (A @ lo % p)) % p
 
+    def matmul_int64(self, A, B, counter: MultCounter | None = None) -> np.ndarray:
+        """Exact (a x k)(k x b) product of int64 residue arrays, in int64
+        for every p, charged as `matmul`.
+
+        Both factors split into L <= 3 limbs of 21 bits, and one float
+        matmul per limb of B, over at most 2**11 terms at a time, gives
+        every limb product sum A_i B_j exactly (below 2**11 * 2**42 =
+        2**53); summed into diagonals i + j in int64 and reduced mod p, they
+        are recombined as `fft_product`'s are.  No residue becomes a Python
+        int, which an object-dtype `matmul` of a long k needs (k x b of
+        them)."""
+        a, k = A.shape
+        b = B.shape[1]
+        if counter is not None:
+            counter.add(a * k * b)
+        count = -(-(self.p - 1).bit_length() // _LIMB_BITS)
+        shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS)
+        mask = (1 << _LIMB_BITS) - 1
+        digits = np.zeros((2 * count - 1, 1, a, b), dtype=np.int64)
+        half = _nbytes((min(k, _LIMB_TERMS), b), np.int64)
+        _reserve(2 * half)                  # B's limbs: the kernel's scratch
+        for s in range(0, k, _LIMB_TERMS):
+            As = ((A[None, :, s:s + _LIMB_TERMS] >> shifts[:, None, None]) & mask
+                  ).astype(float)
+            Bs = B[s:s + _LIMB_TERMS]
+            ints = _buffer(0, Bs.shape, np.int64)
+            limb = _buffer(half, Bs.shape, float)
+            for j, shift in enumerate(shifts):
+                limb[...] = np.bitwise_and(np.right_shift(Bs, shift, out=ints),
+                                           mask, out=ints)
+                digits[j:j + count, 0] += (As @ limb).astype(np.int64)
+        return recombine(digits % self.p, _LIMB_BITS, self.p)
+
     def matvec_dense(self, A, v, counter: MultCounter | None = None) -> np.ndarray:
         return self.matmul(A, v.reshape(-1, 1), counter).reshape(-1)
 
@@ -427,125 +365,23 @@ class PrimeField:
         return _limb_plan((self.p - 1).bit_length(), la, lb)
 
     def fft_spectra(self, x, la: int, lb: int, axis: int) -> np.ndarray:
-        """Transform step of the FFT product kernel.
-
-        x holds residues (below 2**62, so int64) with coefficients on its
-        last axis, at most max(la, lb) of them.  Returns the complex limb
-        spectra, shape (L,) + x.shape[:-1] + (size // 2 + 1,), of the
-        la x lb products of `fft_limbs`: residues split into L limbs of b
-        bits, transformed with rfft at the FFT size.  The term axis `axis`
-        (the summed axis of `fft_product`) is padded with zero terms to
-        whole chunks.
-        """
+        """Transform step of the FFT product kernel (`TransformStep`): the
+        limb spectra, new arrays, of residues x for la x lb products, term
+        axis `axis`."""
         x = np.asarray(x, dtype=np.int64)
-        shape, fill, shifts, size, bits = _spectra_plan(
-            (self.p - 1).bit_length(), la, lb, x.shape, axis)
-        limbs = np.zeros(shape)
-        np.bitwise_and(x >> shifts, (1 << bits) - 1, out=limbs[fill],
-                       casting="unsafe")
-        return np.fft.rfft(limbs, n=size, axis=-1)
+        return TransformStep(self.p, la, lb, x.shape, axis)(x)
 
     def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
                     out_len: int) -> np.ndarray:
-        """Product step: residues of sum_t a[g, i, t] * b[g, t, j] for each
-        g of a leading batch axis, first out_len coefficients, from
-        `fft_spectra` fa (L, B, I, T, F) of a and fb (L, B, T, J, F) of b;
-        returns (B, I, J, out_len) int64 for every p.
-
-        The product is cyclic, of size N = `_fft_size(la, lb)` >= la + lb
-        - 1, so its coefficients are the linear product's.  A spectrum may
-        also be conjugated: conj(rfft(a)) is the spectrum of a's cyclic
-        reversal a'[m] = a[-m mod N], which has a's norm, so the error
-        bound below holds unchanged; coefficient m of a' b is then sum_t
-        a[t] b[m + t], a correlation, which does not alias for m < lb
-        since N >= la + lb - 1.
-
-        The T terms fall into C equal chunks of t <= `terms` (`fft_spectra`
-        pads T to fit).  Two numpy calls contract a slab: one elementwise
-        multiply forms every limb pair (l, m) of every term, batch, row and
-        chunk in one C-contiguous array, the L**2 pairs of each term
-        leading, and one real matmul by the 0/1 weights of `_product_plan`,
-        on the complex values viewed as float pairs, sums them into the
-        output limb diagonals d = l + m.  One irfft and np.rint then give
-        each chunk's 2L - 1 diagonals exactly, a diagonal d standing for
-        2**(b d) times its value.  Each is below 2**47.4, since terms * L *
-        (2**b - 1)**2 * sqrt(la lb) * 3 lg N * (2 + sqrt 5) * 2**-53 < 1/4,
-        whatever the order of the sums.  The slabs of `_product_plan` keep
-        the limb pairs within _SLAB_BYTES; a slab of some terms of a chunk
-        adds its sums to the earlier terms'.
-        """
-        _, B, I, T, F = fa.shape
+        """Product step (`ProductStep`) of `fft_spectra` fa (L, B, I, T, F)
+        of a and fb (L, B, T, J, F) of b, built for this one product;
+        returns (B, I, J, out_len) int64 residues."""
+        _, B, I, T, _ = fa.shape
         J = fb.shape[3]
         if T == 0 or B * I * J * out_len == 0:
             return np.zeros((B, I, J, out_len), dtype=np.int64)
-        bits, count, size, C, t, rows, chunks, group, weights = _product_plan(
-            (self.p - 1).bit_length(), la, lb, B, I, T, J)
-        diagonals = len(weights)
-        # (t, l, m, c, b, i, j, f): a broadcast over m and j, b over l and i
-        fa = fa.reshape(count, B, I, C, t, F).transpose(4, 0, 3, 1, 2, 5)[
-            :, :, None, ..., None, :]
-        fb = fb.reshape(count, B, C, t, J, F).transpose(3, 0, 2, 1, 4, 5)[
-            :, None, ..., None, :, :]
-        digits = None
-        for i in range(0, I, rows):
-            spec = np.empty((diagonals, C, B, min(rows, I - i), J, F),
-                            dtype=complex)
-            with np.errstate():
-                np.setbufsize(_PAIR_BUFSIZE)
-                for c in range(0, C, chunks):
-                    sums = spec[:, c:c + chunks].view(float).reshape(diagonals, -1)
-                    for s in range(0, t, group):
-                        pairs = np.multiply(
-                            fa[s:s + group, :, :, c:c + chunks, :, i:i + rows],
-                            fb[s:s + group, :, :, c:c + chunks], order="C")
-                        pairs = pairs.view(float).reshape(-1, sums.shape[1])
-                        w = weights[:, :len(pairs)]
-                        if s:
-                            sums += w @ pairs
-                        else:
-                            np.matmul(w, pairs, out=sums)
-                        del pairs       # before the next slab's are formed
-            raw = np.fft.irfft(spec, n=size, axis=-1)
-            del spec
-            if digits is None:          # made here, not beside the pairs
-                digits = np.empty((diagonals, C, B, I, J, out_len), dtype=np.int64)
-            # rint on whole rows: on a strided view it allocates buffers
-            digits[:, :, :, i:i + rows] = np.rint(raw, out=raw)[..., :out_len]
-            del raw
-        return self._recombine(digits, bits)
-
-    def _recombine(self, digits: np.ndarray, bits: int) -> np.ndarray:
-        """Int64 residues of sum_c sum_d digits[d, c] * 2**(b d), the chunk
-        diagonals of `fft_product` (each below 2**47.4): chunks summed raw,
-        2**14 at a time (so a residue plus such a sum is below 2**63), and
-        reduced mod p (a lone chunk stays raw), then Horner steps acc * 2**b
-        + diagonal mod p from the top, acc < p.  While (acc << b) +
-        diagonal fits int64, as for every p < 2**31, a step is a shift, an
-        add and a remainder (whole solves run ~7% faster than with the
-        quotient step).  Above that, q = floor(acc * (2**b / p)) in float64
-        is off by at most one (relative error below 2**-51, quotient below
-        2**b), so (acc << b) - q p lies in [-p, 2p), exact in wrapping
-        int64, and adding diagonal - p keeps it in int64 for the remainder."""
-        p = self.p
-        diag = digits[:, 0]
-        for c in range(1, digits.shape[1], 1 << 14):
-            diag = (diag + digits[:, c:c + (1 << 14)].sum(axis=1)) % p
-        acc = diag[-1] % p
-        if ((p - 1) << bits) + max(p, 1 << 48) <= 1 << 63:
-            for d in range(len(diag) - 2, -1, -1):
-                acc <<= bits
-                acc += diag[d]
-                acc %= p
-            return acc
-        scale = (1 << bits) / p
-        low = diag[:-1] - p
-        for d in range(len(diag) - 2, -1, -1):
-            q = (acc * scale).astype(np.int64)
-            acc <<= bits
-            acc -= q * p
-            acc += low[d]
-            acc %= p
-        return acc
+        step = ProductStep(self.p, la, lb, B, I, T, J, out_len)
+        return step(step.layout(fa), fb)
 
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:

@@ -195,8 +195,10 @@ def check_fft_kernel():
     # 16-bit limbs, where one generator fills the error budget, at n = 128
     # with generators filling two whole chunks, whose sums one kernel call
     # takes in a single batch, and at n = 256 with nine chunks against one
-    # column, whose limb pairs the kernel forms a few chunks at a time (a
-    # few terms at a time above 2**31), as in a BSGS giant step
+    # column, whose limb pairs the kernel forms over several slabs (a few
+    # chunks, or above 2**31 a few terms, at a time), as in a BSGS giant
+    # step; each also in a pair pass of unequal widths, A on k + 1 columns
+    # beside A^T on k
     for p in ((1 << 31) - 1, _P_NTT, _P_BIG, _P_TOP):
         field = PrimeField(p)
         widest = max(m for m in range(1, RECONSTRUCT_GUARD + 1)
@@ -207,14 +209,18 @@ def check_fft_kernel():
             G = np.full((n, width), p - 1, dtype=np.int64)
             core = ToeplitzCore(field, n, G, G)
             V = np.full((n, k), p - 1, dtype=field.dtype)
+            W = np.full((n, k + 1), p - 1, dtype=field.dtype)
             C = core.dense()
             T = THMatrix(field, core, ToeplitzCore.zero(field, n))
             _expect(np.array_equal(T.matvec_block(V), field.matmul(C, V)))
             # A = C + J C: half the columns of each pass J-folded
             A, M = THMatrix(field, core, core), (C + C[::-1]) % p
+            Mt = M.T.copy()
             _expect(np.array_equal(A.matvec_block(V), field.matmul(M, V)))
-            _expect(np.array_equal(A.matvec_t_block(V),
-                                   field.matmul(M.T.copy(), V)))
+            _expect(np.array_equal(A.matvec_t_block(V), field.matmul(Mt, V)))
+            AW, AtV = A.matvec_pair(W, V)
+            _expect(np.array_equal(AW, field.matmul(M, W)))
+            _expect(np.array_equal(AtV, field.matmul(Mt, V)))
     return "float-FFT matvec exact at the widest 16-bit-limb size"
 
 

@@ -17,7 +17,8 @@ have Q = 0, Hankel matrices have P = 0.  Every block product, A V, A^T V
 or both A V and A^T U, is one pass of `THMatrix._pass` (a core C is
 applied as the Toeplitz-like matrix C + J 0): two kernel product steps,
 whatever the generator width, batched over the input blocks, on generator
-spectra transformed once and kept.  J is folded into those spectra:
+spectra transformed once and kept, run from a plan the matrix keeps for
+each pass shape (`kernel.PassPlan`).  J is folded into those spectra:
 conj(rfft(g)) is the spectrum of g's cyclic reversal, so a conjugated g
 turns a product with g into a correlation, which gives J L(g) u and
 U(g) (J x) without reversing an input or an output; with FFT size
@@ -34,6 +35,7 @@ from .errors import (BadLengthError, CornerMismatchError,
                      DimensionMismatchError, FieldMismatchError,
                      LengthMismatchError, TooLargeError)
 from .field import PrimeField
+from .kernel import PassPlan
 from .linalg import rank_factor
 
 RECONSTRUCT_GUARD = 4096
@@ -279,10 +281,15 @@ def _core_concat(field: PrimeField, n: int, cores,
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
 
+# Pass plans one matrix keeps, the oldest dropped first: a solve passes
+# each matrix in at most three shapes (sequence, last step, verification).
+_PLANS_KEPT = 4
+
+
 class THMatrix:
     """Structured matrix A = P + J Q with Toeplitz-like cores P, Q."""
 
-    __slots__ = ("field", "n", "P", "Q", "_spectra")
+    __slots__ = ("field", "n", "P", "Q", "_spectra", "_plans")
 
     def __init__(self, field: PrimeField, P: ToeplitzCore, Q: ToeplitzCore):
         if P.n != Q.n:
@@ -294,6 +301,7 @@ class THMatrix:
         self.P = P
         self.Q = Q
         self._spectra = None
+        self._plans = {}
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "THMatrix":
@@ -346,18 +354,33 @@ class THMatrix:
     def spectra(self):
         """(S_H, S_G) = limb spectra of [H_P | H_Q] and [G_P | conj G_Q],
         as `ToeplitzCore.spectra` lays out a core's: P's own when Q = 0,
-        otherwise transformed from the stacked generators on first use
-        and kept (conjugation folds J into Q's columns; see `_pass`)."""
+        otherwise the two halves of one (L, 2, T, F) array, transformed
+        from the stacked generators on first use and kept (conjugation
+        folds J into Q's columns; see `_pass`)."""
         if self.Q.width == 0:
             return self.P.spectra()
         if self._spectra is None:
             a, n = self.P.width, self.n
-            S_H, S_G = (self.field.fft_spectra(np.concatenate([X, Y], axis=1).T,
-                                               n, n, axis=0)
-                        for X, Y in ((self.P.H, self.Q.H), (self.P.G, self.Q.G)))
-            np.conjugate(S_G[:, a:self.alpha], out=S_G[:, a:self.alpha])
-            self._spectra = S_H, S_G
-        return self._spectra
+            X = np.stack([np.concatenate([self.P.H, self.Q.H], axis=1).T,
+                          np.concatenate([self.P.G, self.Q.G], axis=1).T])
+            S = self.field.fft_spectra(X, n, n, axis=1)
+            np.conjugate(S[:, 1, a:self.alpha], out=S[:, 1, a:self.alpha])
+            self._spectra = S
+        return self._spectra[:, 0], self._spectra[:, 1]
+
+    def _plan(self, first: int, groups: int, k: int) -> PassPlan:
+        """The `PassPlan` of `_pass` for a direction, group count and widest
+        block: stage 1 of group i reads S_H if first + i is 0 and S_G if it
+        is 1, stage 2 the other, as views of the kept spectra; two groups
+        read one (L, 2, T, F) stack of S_H and S_G both ways round, the
+        matrix's own when Q is not 0, else a stacked copy of its core's."""
+        S = self.spectra()
+        if groups == 1:
+            s1, s2 = S[first][:, None], S[1 - first][:, None]
+        else:
+            both = self._spectra if self.Q.width else np.stack(S, axis=1)
+            s1, s2 = both, both[:, ::-1]
+        return PassPlan(self.field.p, self.n, self.alpha, self.P.width, k, s1, s2)
 
     def _pass(self, blocks, first, counter):
         """Products of A with a group of input blocks in one pass.
@@ -366,7 +389,7 @@ class THMatrix:
         and then Q's, whose J `spectra` folds in.  `blocks` are n x k_i
         input blocks; group i reads blocks[i] and writes A blocks[i] if
         first + i is 0, A^T blocks[i] if it is 1 (first + len(blocks) <=
-        2).  Returns the list of n x k_i products.
+        2).  Returns the list of n x k_i products, new arrays.
 
         A product reads S_H in stage 1 and S_G in stage 2, a transposed one
         the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
@@ -379,15 +402,16 @@ class THMatrix:
         with the stage-1 result, which is J L(g) u.  conj(rfft(g)) is the
         spectrum of g's cyclic reversal, and both correlations are
         alias-free because the FFT size N is at least 2n - 1, with the
-        norms and so the kernel's error bound unchanged.  Two
-        `field.fft_product` calls, batched over the groups (two groups read
-        one stack of S_H and S_G, both ways round), and two transforms (the
-        input blocks and the stage-1 result) in all; both steps return
-        int64 residues for every p, so u enters stage 2 as it stands and
-        only the returned products take the field's dtype.  A narrower
-        group is zero-padded to the widest inside the pass, and the charge
-        is two convolutions per generator and real block column of each
-        group.
+        norms and so the kernel's error bound unchanged.
+
+        The pass runs the matrix's `PassPlan` for its direction, group
+        count and widest block, built on first use and kept: two product
+        steps, batched over the groups, and two transform steps (the input
+        blocks and the stage-1 result); both product steps return int64
+        residues for every p, so u enters stage 2 as it stands and only the
+        returned products take the field's dtype.  A narrower group is
+        zero-padded to the widest inside the pass, and the charge is two
+        convolutions per generator and real block column of each group.
         """
         field, n, width = self.field, self.n, self.alpha
         for X in blocks:
@@ -399,27 +423,14 @@ class THMatrix:
             return [field.zeros((n, w)) for w in widths]
         if counter is not None:
             counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
-        S = self.spectra()[::-1] if first else self.spectra()
-        if len(blocks) == 1:
-            stage1, stage2 = (X[:, None] for X in S)
-        else:
-            # A on blocks[0], A^T on blocks[1]: one stack, read both ways
-            stage1 = np.array(S).swapaxes(0, 1)
-            stage2 = stage1[:, ::-1]
-        rx = np.zeros((len(blocks), 1, k, n), dtype=np.int64)
-        for r, X in zip(rx, blocks):
-            r[0, :X.shape[1]] = X[::-1].T
-        u = field.fft_product(stage1[:, :, :width, None],
-                              field.fft_spectra(rx, n, n, axis=1), n, n, n)
-        # each stage's input goes once transformed: stage 2's transform and
-        # its limb pairs are the pass's memory peaks
-        del rx
-        a = self.P.width
-        u[:, :a] = u[:, :a, :, ::-1]
-        fu = field.fft_spectra(u, n, n, axis=1)
-        del u
-        out = field.fft_product(stage2[:, :, None], fu, n, n, n)
-        return [field.from_int64(o[:w].T) for o, w in zip(out[:, 0], widths)]
+        key = first, len(blocks), k
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _PLANS_KEPT:
+                self._plans.pop(next(iter(self._plans)), None)
+            plan = self._plans[key] = self._plan(first, len(blocks), k)
+        out = plan(blocks)
+        return [field.from_int64(o[:w].T) for o, w in zip(out, widths)]
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:

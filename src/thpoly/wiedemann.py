@@ -258,10 +258,12 @@ def minimal_matrix_generator(seq: BlockSequence, dbound: int,
     pivot rows chosen by minimal shifted degree.  Each basis row is held
     beside its residue in one (2 beta, 3 beta, L + 2) coefficient array,
     so a pivot eliminates every other row of its column in one update and
-    then multiplies its own row by x in place.  The top-block rows of
-    smallest degree, reversed at their degree, form the generator.  For
-    beta = 1 and a sequence long enough to certify minimality this equals
-    the Berlekamp-Massey output exactly.
+    then multiplies its own row by x in place.  Each order's residues are
+    read once into Python ints, which carry the pivot choices, degrees and
+    charges; only the row updates and shifts touch the array.  The
+    top-block rows of smallest degree, reversed at their degree, form the
+    generator.  For beta = 1 and a sequence long enough to certify
+    minimality this equals the Berlekamp-Massey output exactly.
     """
     beta = seq.beta
     L = seq.L
@@ -276,29 +278,37 @@ def minimal_matrix_generator(seq: BlockSequence, dbound: int,
     E[np.arange(m), np.arange(m), 0] = 1
     E[:beta, m:, :L] = np.transpose(seq.terms, (1, 2, 0))
     E[np.arange(beta, m), np.arange(m, m + beta), 0] = p - 1
-    d = np.array([0] * beta + [1] * beta)          # shifted row degrees
-    degm = np.zeros(m, dtype=np.int64)             # support bound of the basis
+    d = [0] * beta + [1] * beta                     # shifted row degrees
+    degm = [0] * m                                  # support bound of the basis
+    charge = 0
     for k in range(L):
-        for c in range(m, m + beta):
-            nz = np.flatnonzero(E[:, c, k])
-            if not nz.size:
+        block = E[:, m:, k].tolist()                # residues of this order
+        for c in range(beta):
+            nz = [r for r in range(m) if block[r][c]]
+            if not nz:
                 continue
-            piv = nz[np.argmin(d[nz])]
-            inv = field.inv(int(E[piv, c, k]), counter)
-            rest = nz[nz != piv]
-            if rest.size:
-                if counter is not None:
-                    counter.add(rest.size * (1 + m * (int(degm[piv]) + 1)
-                                             + beta * (L - k)))
-                f = E[rest, c, k] * inv % p
-                E[rest] = (E[rest] - f[:, None, None] * E[piv]) % p
-                degm[rest] = np.maximum(degm[rest], degm[piv])
+            piv = min(nz, key=d.__getitem__)
+            inv = field.inv(block[piv][c], counter)
+            rest = [r for r in nz if r != piv]
+            if rest:
+                charge += len(rest) * (1 + m * (degm[piv] + 1) + beta * (L - k))
+                f = [0] * m                 # the other rows are left as they are
+                for r in rest:
+                    f[r] = fr = block[r][c] * inv % p
+                    block[r] = [(x - fr * y) % p
+                                for x, y in zip(block[r], block[piv])]
+                    degm[r] = max(degm[r], degm[piv])
+                E -= np.array(f, dtype=E.dtype)[:, None, None] * E[piv]
+                E %= p
             E[piv, :, 1:] = E[piv, :, :-1]
             E[piv, :, 0] = 0
+            block[piv] = [0] * beta         # orders below k are cleared
             d[piv] += 1
             degm[piv] += 1
-    chosen = np.argsort(d, kind="stable")[:beta]
-    degrees = tuple(int(d[i]) for i in chosen)
+    if counter is not None:
+        counter.add(charge)
+    chosen = sorted(range(m), key=d.__getitem__)[:beta]
+    degrees = tuple(d[i] for i in chosen)
     coeffs = field.zeros((beta, beta, max(degrees) + 1))
     for r, i in enumerate(chosen):
         delta = degrees[r]
@@ -379,11 +389,12 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
     `prefix` holds powers 0 .. m of these trials' vectors, carried on the
     sequence's Krylov passes (`krylov_sequence_naive`, `bsgs_sequence`).
     With d = deg f and k = min(m, d), f(A) b is sum_{i<k} f_i A^i b, one
-    product of the row (f_0 .. f_{k-1}) with the carried powers flattened
-    to k x (n trials), plus a Horner chain over f_k .. f_d started from
-    A^k b: d - k block passes, each advancing the A-side trials by A and
-    the A^T-side ones by A^T.  Without a prefix (k = 0) every trial is
-    A-side and this is the plain Horner chain of d passes.
+    int64 product (`PrimeField.matmul_int64`) of the row (f_0 .. f_{k-1})
+    with the carried powers flattened to k x (n trials), plus a Horner
+    chain over f_k .. f_d started from A^k b: d - k block passes, each
+    advancing the A-side trials by A and the A^T-side ones by A^T.
+    Without a prefix (k = 0) every trial is A-side and this is the plain
+    Horner chain of d passes.
 
     Each coefficient costs one product per trial entry, (d+1) n trials in
     all, and a pass is charged as `trials` single-vector matvecs.  With the
@@ -402,9 +413,9 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
     field = A.field
     d = int(f.degree)
     k = min(prefix.m, d)
-    S = field.matmul(f.coeffs[None, :k],
-                     field.from_int64(prefix.powers[:k].reshape(k, B.size)),
-                     counter).reshape(B.shape)
+    S = field.matmul_int64(np.asarray(f.coeffs[None, :k], dtype=np.int64),
+                           prefix.powers[:k].reshape(k, B.size),
+                           counter).reshape(B.shape)
     coeffs = [int(c) for c in f.coeffs]
     w = field.from_int64(prefix.powers[k])
     W = field.vmul(w, coeffs[d], counter)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from thpoly import PrimeField, derive_seed, is_prime, random_structured
+from thpoly import (MultCounter, PrimeField, derive_seed, is_prime,
+                    random_structured)
 from thpoly.errors import DivisionByZeroError, NotPrimeError, TooLargeError
-from thpoly.field import _chunking, _limb_plan, _product_plan
+from thpoly.kernel import _chunking, _limb_plan, _product_plan, recombine
 
 import _ref
 
@@ -239,7 +240,7 @@ def test_recombine_near_quotient_boundaries(p):
     last = [0] * len(X) + [(1 << 47) - 1] * len(X)
     X = np.array(X * 2, dtype=np.int64)
     digits = np.stack([np.array(last, dtype=np.int64), X & 0xFFFF, X >> 16])
-    got = PrimeField(p)._recombine(digits.reshape(3, 1, -1), 16)
+    got = recombine(digits.reshape(3, 1, -1), 16, p)
     assert got.tolist() == [((int(x) << 16) + y) % p for x, y in zip(X, last)]
 
 
@@ -262,3 +263,20 @@ def test_kernel_dtype_contract(p):
     for out in outs:
         assert out.dtype == f.dtype
         assert f.dtype is np.int64 or all(type(x) is int for x in out.flat)
+
+
+@pytest.mark.parametrize("p", ((1 << 61) - 1, (1 << 62) - 57, P_NTT, 101))
+@pytest.mark.parametrize("a,k,b", [(1, 128, 256), (2, 3, 5), (1, 0, 4),
+                                   (3, 2049, 2)])    # two float matmuls of k
+def test_matmul_int64_vs_matmul(p, a, k, b):
+    f = PrimeField(p)
+    rng = f.rng(k + b)
+    A = rng.integers(0, p, size=(a, k), dtype=np.int64)
+    B = rng.integers(0, p, size=(k, b), dtype=np.int64)
+    A[0] = p - 1                        # all-(p-1) row and column
+    B[:, 0] = p - 1
+    mine, theirs = MultCounter(), MultCounter()
+    got = f.matmul_int64(A, B, mine)
+    want = f.matmul(f.from_int64(A), f.from_int64(B), theirs)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert mine.mults == theirs.mults == a * k * b

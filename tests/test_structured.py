@@ -9,6 +9,7 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
+from thpoly.kernel import PassPlan, ProductStep, TransformStep
 from thpoly.linalg import det, rank, rank_factor, rref
 from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
                                _up_block)
@@ -472,31 +473,38 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # steps however many chunks its generator columns fill, and two
     # transforms (the input blocks and the stage-1 result) once the
     # matrix's generators have been transformed, which happens once: one
-    # transform each of the stacked H and of the stacked G columns
+    # transform of the stacked H and G columns when Q is not 0, else one
+    # each of its core's.  A pass shape builds its plan once, and a
+    # repeated pass builds none and still transforms only its inputs.
     f = PrimeField(p)
-    calls = {"fft_spectra": 0, "fft_product": 0}
-    for name in calls:
-        def counting(self, *args, _kernel=getattr(PrimeField, name), _name=name,
-                     **kwargs):
+    calls = {"transform": 0, "product": 0, "plan": 0}
+    for name, owner, attr in (("transform", TransformStep, "__call__"),
+                              ("product", ProductStep, "__call__"),
+                              ("plan", PassPlan, "__init__")):
+        def counting(*args, _kernel=getattr(owner, attr), _name=name, **kwargs):
             calls[_name] += 1
-            return _kernel(self, *args, **kwargs)
-        monkeypatch.setattr(PrimeField, name, counting)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
 
     def run(product):
         for name in calls:
             calls[name] = 0
         product()
-        return calls["fft_product"], calls["fft_spectra"]
+        return calls["product"], calls["transform"]
 
     n = 16
     A = random_structured(f, n, alpha_t, alpha_h, 5)
     cores = [c for c in (A.P, A.Q) if c.width]
     core = cores[0]
     V = f.rand_mat(f.rng(6), (n, 2))
-    first = 4                                   # + S_H and S_G
-    for product in (lambda: A.matvec_block(V), lambda: A.matvec_block(V),
-                    lambda: A.matvec_t_block(V), lambda: A.matvec_pair(V, V)):
-        assert run(product) == (2, first)
+    first = 3 if A.Q.width else 4               # + the generator spectra
+    for product, plans in ((lambda: A.matvec_block(V), 1),
+                           (lambda: A.matvec_block(V), 0),
+                           (lambda: A.matvec_t_block(V), 1),
+                           (lambda: A.matvec_pair(V, V), 1),
+                           (lambda: A.matvec_pair(V, V[:, :1]), 0),
+                           (lambda: A.matvec_t_block(V), 0)):
+        assert run(product) == (2, first) and calls["plan"] == plans
         first = 2
     # a Toeplitz-like matrix reads its core's spectra, shared with the
     # swapped core; a matrix with J-flipped columns keeps its own
@@ -513,15 +521,17 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     wide = f.fft_limbs(n, n)[2] < W.alpha
     assert wide == (p != 101)
     V = f.rand_mat(f.rng(8), (n, 2))
+    W.matvec_block(V)
     for product in (lambda: W.matvec_block(V), lambda: W.matvec_t_block(V),
                     lambda: W.matvec_pair(V, V)):
-        assert run(product)[0] == 2
+        assert run(product) == (2, 2)
     # the algebra: core_power's s - 1 passes advancing both Krylov blocks
     # (the first takes e_n too), one for flip_conjugate, two for
     # core_multiply; each pass transforms only its input blocks and the
     # stage-1 result, since the core's spectra are kept
     s = 5
     assert run(lambda: core_power(core, s)) == (2 * (s - 1), 2 * (s - 1))
+    assert calls["plan"] == 1
     assert run(lambda: flip_conjugate(core)) == (2, 2)
     assert run(lambda: core_multiply(core, core)) == (4, 4)
 
@@ -542,6 +552,66 @@ def test_giant_step_transient_memory():
     finally:
         tracemalloc.stop()
     assert B.alpha == 68 and peak <= 1_031_584
+
+
+def test_pair_pass_transient_memory():
+    # a warm pair pass of a block charpoly (T+H-like n = 64, widths [4|3])
+    # works in the thread's kernel buffer: its traced peak is the parent
+    # commit's 220,784 bytes at most (6,728 now: the products it returns)
+    f = PrimeField(P_NTT)
+    A = random_structured(f, 64, 2, 1, 3)
+    V, U = f.rand_mat(f.rng(1), (64, 4)), f.rand_mat(f.rng(2), (64, 3))
+    A.matvec_pair(V, U)
+    tracemalloc.start()
+    try:
+        A.matvec_pair(V, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 220_784
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
+def test_pass_plans_vs_dense(p):
+    # every pass shape against the dense product: both directions, pairs of
+    # unequal widths either way round, a repeated shape (its kept plan) and
+    # more shapes than a matrix keeps plans for
+    f = PrimeField(p)
+    rng = f.rng(p % 97)
+    for n, alpha_t, alpha_h in ((1, 1, 1), (9, 2, 1), (17, 0, 2), (33, 3, 0)):
+        A = random_structured(f, n, alpha_t, alpha_h, n + alpha_t)
+        M = A.reconstruct()
+        Mt = M.T.copy()
+        for widths in ((3, 1), (1, 3), (2, 2), (3, 1), (1,), (4,), (2, 5)):
+            blocks = [f.rand_mat(rng, (n, w)) for w in widths]
+            for first in range(3 - len(blocks)):
+                out = A._pass(blocks, first, None)
+                for i, (X, Y) in enumerate(zip(blocks, out)):
+                    want = f.matmul(M if first + i == 0 else Mt, X)
+                    assert Y.dtype == f.dtype, (n, widths)
+                    assert np.array_equal(Y, want), (n, widths)
+        assert len(A._plans) <= 4
+
+
+def test_pass_plans_belong_to_their_matrix():
+    # plans live on the matrix that built them: two matrices of one shape
+    # keep their own, and a fresh power made after another was dropped
+    # builds its own instead of reading a dead one's
+    f = PrimeField(P_NTT)
+    A, B = (random_structured(f, 32, 2, 1, seed) for seed in (1, 2))
+    V = f.rand_mat(f.rng(3), (32, 2))
+    for M in (A, B, A, B):
+        assert np.array_equal(M.matvec_block(V), f.matmul(M.reconstruct(), V))
+    assert A._plans.keys() == B._plans.keys()
+    assert all(a is not b for a, b in zip(A._plans.values(), B._plans.values()))
+    T = random_structured(f, 32, 2, 0, 4)
+    dense = T.reconstruct()
+    for s in (5, 7, 5):
+        P = T.power(s)
+        P.matvec_t_block(V)
+        want = f.matmul(_ref.mat_pow(f, dense, s).T.copy(), V)
+        assert np.array_equal(P.matvec_t_block(V), want), s
+        del P
 
 
 # -- core algebra --------------------------------------------------------------------
