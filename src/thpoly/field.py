@@ -10,9 +10,9 @@ of polynomials, and every batched product of polynomial matrices, runs on
 the exact floating-point FFT kernel of `kernel.py`, with a transform step
 and a product step that a caller applying one operand many times keeps
 (`kernel.PassPlan`, for the structured passes).  `fft_spectra` and
-`fft_product` build a step for one call, and `conv_matmul`, the two steps
-in a row, returns the field's dtype.  All paths return identical
-residues.
+`fft_product` build a step for one call, which works in memory of its
+own, freed when it returns, and `conv_matmul`, the two steps in a row,
+returns the field's dtype.  All paths return identical residues.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from .counting import MultCounter, pow_cost
 from .errors import DivisionByZeroError, NotPrimeError, TooLargeError
-from .kernel import (ProductStep, TransformStep, _buffer, _limb_plan, _nbytes,
-                     _reserve, recombine)
+from .kernel import ProductStep, TransformStep, _limb_plan, recombine
 
 MAX_MODULUS = 1 << 62
 
@@ -263,10 +262,11 @@ class PrimeField:
         Both factors split into L <= 3 limbs of 21 bits, and one float
         matmul per limb of B, over at most 2**11 terms at a time, gives
         every limb product sum A_i B_j exactly (below 2**11 * 2**42 =
-        2**53); summed into diagonals i + j in int64 and reduced mod p, they
-        are recombined as `fft_product`'s are.  No residue becomes a Python
-        int, which an object-dtype `matmul` of a long k needs (k x b of
-        them)."""
+        2**53); summed into diagonals i + j in int64 and reduced mod p
+        after each 2**11 terms (a residue plus L such sums is below 2**63,
+        so no k overflows), they are recombined as `fft_product`'s are.  No
+        residue becomes a Python int, which an object-dtype `matmul` of a
+        long k needs (k x b of them)."""
         a, k = A.shape
         b = B.shape[1]
         if counter is not None:
@@ -275,19 +275,19 @@ class PrimeField:
         shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS)
         mask = (1 << _LIMB_BITS) - 1
         digits = np.zeros((2 * count - 1, 1, a, b), dtype=np.int64)
-        half = _nbytes((min(k, _LIMB_TERMS), b), np.int64)
-        _reserve(2 * half)                  # B's limbs: the kernel's scratch
+        ints = np.empty((min(k, _LIMB_TERMS), b), dtype=np.int64)
+        limb = np.empty(ints.shape)
         for s in range(0, k, _LIMB_TERMS):
             As = ((A[None, :, s:s + _LIMB_TERMS] >> shifts[:, None, None]) & mask
                   ).astype(float)
             Bs = B[s:s + _LIMB_TERMS]
-            ints = _buffer(0, Bs.shape, np.int64)
-            limb = _buffer(half, Bs.shape, float)
+            x, y = ints[:len(Bs)], limb[:len(Bs)]
             for j, shift in enumerate(shifts):
-                limb[...] = np.bitwise_and(np.right_shift(Bs, shift, out=ints),
-                                           mask, out=ints)
-                digits[j:j + count, 0] += (As @ limb).astype(np.int64)
-        return recombine(digits % self.p, _LIMB_BITS, self.p)
+                y[...] = np.bitwise_and(np.right_shift(Bs, shift, out=x), mask,
+                                        out=x)
+                digits[j:j + count, 0] += (As @ y).astype(np.int64)
+            np.remainder(digits, self.p, out=digits)
+        return recombine(digits, _LIMB_BITS, self.p)
 
     def matvec_dense(self, A, v, counter: MultCounter | None = None) -> np.ndarray:
         return self.matmul(A, v.reshape(-1, 1), counter).reshape(-1)
@@ -369,7 +369,8 @@ class PrimeField:
         limb spectra, new arrays, of residues x for la x lb products, term
         axis `axis`."""
         x = np.asarray(x, dtype=np.int64)
-        return TransformStep(self.p, la, lb, x.shape, axis)(x)
+        step = TransformStep(self.p, la, lb, x.shape, axis)
+        return step.run(step.bind(x))
 
     def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
                     out_len: int) -> np.ndarray:
@@ -381,7 +382,7 @@ class PrimeField:
         if T == 0 or B * I * J * out_len == 0:
             return np.zeros((B, I, J, out_len), dtype=np.int64)
         step = ProductStep(self.p, la, lb, B, I, T, J, out_len)
-        return step(step.layout(fa), fb)
+        return step.run(step.bind(step.layout(fa.swapaxes(0, 1)), fb))
 
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:

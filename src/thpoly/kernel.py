@@ -6,9 +6,10 @@ an a-priori rounding-error bound (Percival 2003).  The kernel has a
 transform step (`TransformStep`), so an operand applied many times is
 transformed once, and a product step (`ProductStep`), batched over a
 leading axis of independent products and in int64 for every p.  A step is
-built once per shape and works in one scratch buffer per thread, at byte
-offsets its caller chooses, so a caller that keeps its steps, as a
-structured pass does, allocates only its result.
+built once per shape and works in a buffer at a byte offset its caller
+chooses: a structured pass (`PassPlan`) keeps its steps and works in one
+buffer per thread, so it allocates only its result, and a one-off
+product works in a buffer of its own.
 """
 
 from __future__ import annotations
@@ -29,20 +30,18 @@ _FFT_ERROR = 3 * (2 + math.sqrt(5)) * 2.0 ** -53
 # factor of two covers the higher-order terms the bound above drops.
 _FFT_ROUNDING = 0.25
 # Limb pair spectra per slab of a product step, in bytes: the step's
-# largest arrays, L**2 spectra per term (twice over: the pairs and the
-# operand they are formed with) against the 2L - 1 diagonal spectra per
+# largest arrays (the pairs and the operand they are formed with, each this
+# large), L**2 spectra per term against the 2L - 1 diagonal spectra per
 # chunk that they are summed into.  Slabs stay within it, not about it.
 _SLAB_BYTES = 1 << 18
 
-# The kernel's working arrays live in one buffer per thread, grown to the
-# largest request and reused by every later step of the thread, so a warm
-# step allocates only its result and maps no memory afresh.  A step works
-# at a byte offset of it that its caller chooses, so that arrays live at
-# once never share bytes and arrays that are not may; the dict of each
-# thread also keeps the views it has handed out, up to _VIEWS_KEPT of them,
-# until the buffer grows.
+# A structured pass works in one buffer per thread, grown to the largest
+# pass and reused by every later pass of the thread, so a warm pass
+# allocates only its result and maps no memory afresh.  Each step of a
+# pass works at a byte offset of it that the plan chooses, so that arrays
+# live at once never share bytes and arrays that are not may.  A one-off
+# product works in a buffer of its own, freed when it returns.
 _scratch = threading.local()
-_VIEWS_KEPT = 1024
 
 
 def _nbytes(shape: tuple, dtype) -> int:
@@ -50,31 +49,17 @@ def _nbytes(shape: tuple, dtype) -> int:
     return -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
 
 
-def _reserve(nbytes: int) -> None:
-    """Grow this thread's kernel buffer to at least `nbytes`.  Growing
-    leaves the views already handed out on the old buffer, so a caller
-    reserves all it will use before it takes any."""
-    cache = _scratch.__dict__
-    buf = cache.get("buffer")
+def _pass_buffer(nbytes: int) -> np.ndarray:
+    """This thread's pass buffer, grown to at least `nbytes`."""
+    buf = getattr(_scratch, "buffer", None)
     if buf is None or buf.nbytes < nbytes:
-        cache.clear()
-        cache["buffer"] = np.empty(nbytes, dtype=np.uint8)
+        buf = _scratch.buffer = np.empty(nbytes, dtype=np.uint8)
+    return buf
 
 
-def _buffer(offset: int, shape: tuple, dtype) -> np.ndarray:
-    """An array of `shape` at byte `offset` of this thread's kernel
-    buffer, reserved beforehand; contents undefined."""
-    cache = _scratch.__dict__
-    key = offset, shape, dtype
-    view = cache.get(key)
-    if view is None:
-        buf = cache["buffer"]
-        if len(cache) > _VIEWS_KEPT:
-            cache.clear()
-            cache["buffer"] = buf
-        raw = buf[offset:offset + _nbytes(shape, dtype)].view(dtype)
-        view = cache[key] = raw[:math.prod(shape)].reshape(shape)
-    return view
+def _view(buf: np.ndarray, offset: int, shape: tuple, dtype) -> np.ndarray:
+    """An array of `shape` at byte `offset` of `buf`; contents undefined."""
+    return np.ndarray(shape, dtype, buffer=buf, offset=offset)
 
 
 def _chunking(count: int, terms: int) -> tuple[int, int]:
@@ -145,10 +130,10 @@ class TransformStep:
     spectra of shape (L,) + shape[:-1] + (size // 2 + 1,), the term axis
     `axis` padded with zero terms to whole chunks; p is the modulus.
 
-    Its limbs take the first `head` bytes of its place in the kernel
-    buffer, the limb integers the next ones, and then the spectra, if kept
-    there, the same bytes as the integers, which are spent by the time the
-    spectra are written: `footprint` bytes in all."""
+    Its limbs take the first `head` bytes of its place in a buffer, the
+    limb integers the next ones, and then the spectra, if kept there, the
+    same bytes as the integers, which are spent by the time the spectra
+    are written: `footprint` bytes in all."""
 
     __slots__ = ("ints", "limbs", "spectra", "axis", "fill", "pad", "shifts",
                  "mask", "size", "head", "footprint")
@@ -174,40 +159,47 @@ class TransformStep:
         self.footprint = self.head + max(_nbytes(self.ints, np.int64),
                                          _nbytes(self.spectra, complex))
 
-    def __call__(self, x: np.ndarray, flip: int = 0,
-                 base: int | None = None) -> np.ndarray:
-        """Spectra of x, its first `flip` terms read in reverse order of
-        coefficients, kept at byte `base` + `head` of the kernel buffer
-        (reserved beforehand), or a new array if `base` is None."""
-        if base is None:
-            _reserve(self.head + _nbytes(self.ints, np.int64))
-        at = base or 0
-        limbs = _buffer(at, self.limbs, float)
-        ints = _buffer(at + self.head, self.ints, np.int64)
-        if self.pad is not None:
-            limbs[self.pad] = 0
-        np.right_shift(x, self.shifts, out=ints)
-        np.bitwise_and(ints, self.mask, out=ints)
+    def bind(self, x: np.ndarray, flip: int = 0,
+             buf: np.ndarray | None = None, base: int = 0) -> tuple:
+        """The arrays of a transform of x, its first `flip` terms read in
+        reverse order of coefficients, for `run`: the spectra are kept at
+        byte `base` + `head` of `buf`, or are a new array on each run if
+        `buf` is None (the step then works in a buffer of its own)."""
+        out = None
+        if buf is None:
+            buf = np.empty(self.head + _nbytes(self.ints, np.int64), np.uint8)
+        else:
+            out = _view(buf, base + self.head, self.spectra, complex)
+        limbs = _view(buf, base, self.limbs, float)
+        ints = _view(buf, base + self.head, self.ints, np.int64)
         if flip:
             i, fill = self.axis + 1, self.fill
             head = fill[:i] + (slice(0, flip),) + fill[i + 1:]
             tail = fill[:i] + (slice(flip, fill[i].stop),) + fill[i + 1:]
-            limbs[head] = ints[head][..., ::-1]
-            limbs[tail] = ints[tail]
+            copies = ((limbs[head], ints[head][..., ::-1]),
+                      (limbs[tail], ints[tail]))
         else:
-            limbs[self.fill] = ints
-        out = None
-        if base is not None:
-            out = _buffer(at + self.head, self.spectra, complex)
+            copies = ((limbs[self.fill], ints),)
+        if self.pad is not None:
+            copies += ((limbs[self.pad], 0),)
+        return x, ints, copies, limbs, out
+
+    def run(self, work: tuple) -> np.ndarray:
+        """The spectra of a transform bound by `bind`."""
+        x, ints, copies, limbs, out = work
+        np.right_shift(x, self.shifts, out=ints)
+        np.bitwise_and(ints, self.mask, out=ints)
+        for dst, src in copies:
+            np.copyto(dst, src)
         return np.fft.rfft(limbs, n=self.size, axis=-1, out=out)
 
 
 class ProductStep:
     """Product step of the FFT product kernel for one shape: residues of
     sum_t a[g, i, t] * b[g, t, j] for each g of a leading batch axis, first
-    out_len coefficients, from the `TransformStep` spectra fa (L, B, I, T,
-    F) of a and fb (L, B, T, J, F) of b; returns (B, I, J, out_len) int64
-    residues mod p for every p.
+    out_len coefficients, from the `TransformStep` spectra of a, one (L, I,
+    T, F) array per batch entry g, and fb (L, B, T, J, F) of b; returns (B,
+    I, J, out_len) int64 residues mod p for every p.
 
     The product is cyclic, of size N = `_fft_size(la, lb)` >= la + lb - 1,
     so its coefficients are the linear product's.  A spectrum may also be
@@ -220,7 +212,7 @@ class ProductStep:
     step pads T to fit).  A slab of terms, rows and chunks takes two copies,
     one multiply and one matmul: both operands are copied out to the shape
     of their limb pairs (l, m) of every term, batch, row and chunk, (t, l,
-    m, c, b, i, j, f), so that the multiply that forms the pairs reads two
+    m, c, b, i, j, f), a's per batch entry, so that the multiply that forms the pairs reads two
     C-contiguous arrays of its own shape (a broadcast multiply allocates
     iterator buffers), and one real matmul by the 0/1 weights of
     `_product_plan`, on the complex values viewed as float pairs, sums them
@@ -232,8 +224,8 @@ class ProductStep:
     pairs within _SLAB_BYTES; a slab of some terms of a chunk adds its sums
     to the earlier terms'.
 
-    Its working arrays take `footprint` bytes of the kernel buffer: the
-    diagonal spectra of a slab of rows, its pairs and their operand or,
+    Its working arrays take `footprint` bytes of a buffer: the diagonal
+    spectra of a slab of rows, its pairs and their operand or,
     once those are summed, its inverse transforms, and then the digits of
     all rows.
     """
@@ -259,65 +251,71 @@ class ProductStep:
         self.footprint = self.digits + _nbytes((D, C, B, I, J, out_len),
                                                np.int64)
 
-    def layout(self, fa: np.ndarray) -> np.ndarray:
-        """The a side's spectra as the pair multiply reads them: a view of
-        fa in the pair order, (t, l, 1, c, b, i, 1, f)."""
-        return fa.reshape(self.count, self.B, self.I, self.C, self.t,
-                          fa.shape[-1]).transpose(4, 0, 3, 1, 2, 5)[
-            :, :, None, ..., None, :]
+    def layout(self, parts) -> list:
+        """The a side's spectra as the pair multiply reads them: views of
+        the (L, I, T, F) spectra of each batch entry in the pair order, (t,
+        l, 1, c, i, 1, f)."""
+        return [fa.reshape(self.count, self.I, self.C, self.t, fa.shape[-1])
+                .transpose(3, 0, 2, 1, 4)[:, :, None, :, :, None] for fa in parts]
 
-    def __call__(self, a: np.ndarray, fb: np.ndarray,
-                 out: np.ndarray | None = None, base: int | None = None
-                 ) -> np.ndarray:
-        """The product of `layout` a and the spectra fb, into `out` if
-        given, else a new array; it works at byte `base` of the kernel
-        buffer (reserved beforehand), or at 0 if `base` is None."""
+    def bind(self, a: list, fb: np.ndarray, out: np.ndarray | None = None,
+             buf: np.ndarray | None = None, base: int = 0) -> tuple:
+        """The arrays of a product of `layout` a and the spectra fb, slab
+        by slab, for `run`: the residues go into `out` if given, else into
+        a new array on each run; the step works at byte `base` of `buf`, or
+        in a buffer of its own if `buf` is None."""
+        if buf is None:
+            buf = np.empty(self.footprint, np.uint8)
         B, I, J, out_len = self.B, self.I, self.J, self.out_len
-        if out is None:
-            out = np.empty((B, I, J, out_len), dtype=np.int64)
-        if base is None:
-            _reserve(self.footprint)
-        at = base or 0
         count, C, t, size = self.count, self.C, self.t, self.size
         F = fb.shape[-1]
         diagonals = len(self.weights)
         b = fb.reshape(count, B, C, t, J, F).transpose(3, 0, 2, 1, 4, 5)[
             :, None, ..., None, :, :]
-        digits = _buffer(at + self.digits, (diagonals, C, B, I, J, out_len),
-                         np.int64)
-        whole = self.rows == I and self.chunks == C and self.group == t
+        digits = _view(buf, base + self.digits,
+                       (diagonals, C, B, I, J, out_len), np.int64)
+        slabs = []
         for i in range(0, I, self.rows):
             r = min(self.rows, I - i)
-            spec = _buffer(at, (diagonals, C, B, r, J, F), complex)
+            spec = _view(buf, base, (diagonals, C, B, r, J, F), complex)
+            raw = _view(buf, base + self.pairs, (diagonals, C, B, r, J, size),
+                        float)
+            terms = []
             for c in range(0, C, self.chunks):
                 k = min(self.chunks, C - c)
-                if k == C:
-                    sums = _buffer(at, (diagonals, C * B * r * J * F * 2), float)
-                else:
-                    sums = spec[:, c:c + k].view(float).reshape(diagonals, -1)
+                sums = spec[:, c:c + k].view(float).reshape(diagonals, -1)
                 for s in range(0, t, self.group):
                     g = min(self.group, t - s)
                     shape = (g, count, count, k, B, r, J, F)
-                    pairs = _buffer(at + self.pairs, shape, complex)
-                    other = _buffer(at + self.operand, shape, complex)
-                    if whole:                   # one slab: no slicing
-                        np.copyto(pairs, a)
-                        np.copyto(other, b)
-                    else:
-                        np.copyto(pairs, a[s:s + g, :, :, c:c + k, :, i:i + r])
-                        np.copyto(other, b[s:s + g, :, :, c:c + k])
-                    np.multiply(pairs, other, out=pairs)
-                    flat = _buffer(at + self.pairs,
-                                   (g * count * count, sums.shape[1]), float)
-                    if s:
-                        sums += self.weights[:, :len(flat)] @ flat
-                    else:
-                        np.matmul(self.weights[:, :len(flat)], flat, out=sums)
-            raw = _buffer(at + self.pairs, (diagonals, C, B, r, J, size), float)
-            np.fft.irfft(spec, n=size, axis=-1, out=raw)
-            digits[:, :, :, i:i + r] = np.rint(raw, out=raw)[..., :out_len]
-        return recombine(digits, self.bits, self.p, out)
+                    pairs = _view(buf, base + self.pairs, shape, complex)
+                    other = _view(buf, base + self.operand, shape, complex)
+                    copies = [(pairs[:, :, :, :, e],
+                               x[s:s + g, :, :, c:c + k, i:i + r])
+                              for e, x in enumerate(a)]
+                    copies.append((other, b[s:s + g, :, :, c:c + k]))
+                    flat = pairs.reshape(g * count * count, -1).view(float)
+                    terms.append((copies, pairs, other,
+                                  self.weights[:, :len(flat)], flat, sums, s))
+            slabs.append((terms, spec, raw, digits[:, :, :, i:i + r],
+                          raw[..., :out_len]))
+        return slabs, digits, out
 
+    def run(self, work: tuple) -> np.ndarray:
+        """The residues of a product bound by `bind`."""
+        slabs, digits, out = work
+        for terms, spec, raw, rows, head in slabs:
+            for copies, pairs, other, weights, flat, sums, s in terms:
+                for dst, src in copies:
+                    np.copyto(dst, src)
+                np.multiply(pairs, other, out=pairs)
+                if s:
+                    sums += weights @ flat
+                else:
+                    np.matmul(weights, flat, out=sums)
+            np.fft.irfft(spec, n=self.size, axis=-1, out=raw)
+            np.rint(raw, out=raw)
+            rows[...] = head
+        return recombine(digits, self.bits, self.p, out)
 
 
 def recombine(digits: np.ndarray, bits: int, p: int,
@@ -368,32 +366,34 @@ class PassPlan:
     """The steps of one shape of a two-stage structured pass (see
     `THMatrix._pass`): G groups of n x k blocks, each through two product
     steps in a row over `width` generator columns, the first `flip` of
-    which are reversed between the stages.  s1 and s2 (L, G, T, F) are the
-    generator spectra the two stages read, views of the kept ones, which
-    the plan keeps laid out for the pair multiply.
+    which are reversed between the stages.  s1 and s2 hold, for each group,
+    the (L, T, F) generator spectra its two stages read, which the plan
+    keeps as views laid out for the pair multiply, no copies.
 
-    A pass works in the thread's kernel buffer: the input blocks and then
+    A pass works in the thread's pass buffer: the input blocks and then
     the stage-1 result u at its start, and each transform step after u.
     Stage 1's product step works after the spectra it reads; stage 2's
     over u and the transform's limbs, both spent by then, if it fits
     there, else after its spectra too.  `footprint` is the most that any
-    step of the pass reaches."""
+    step of the pass reaches.  The plan binds its steps to the buffer on
+    first use and again only if the thread's buffer is another (grown, or
+    another thread's); until then a bound plan keeps the old buffer."""
 
     __slots__ = ("shape", "flip", "transform1", "stage1", "fixed1",
                  "transform2", "stage2", "fixed2", "u", "work1", "work2",
-                 "footprint")
+                 "footprint", "bound")
 
     def __init__(self, p: int, n: int, width: int, flip: int, k: int,
-                 s1: np.ndarray, s2: np.ndarray):
-        groups = s1.shape[1]
+                 s1: list, s2: list):
+        groups = len(s1)
         self.shape = groups, k, n, width
         self.flip = flip
         self.transform1 = t1 = _transform_step(p, n, n, (groups, 1, k, n), 1)
         self.stage1 = _product_step(p, n, n, groups, width, 1, k, n)
-        self.fixed1 = self.stage1.layout(s1[:, :, :width, None])
+        self.fixed1 = self.stage1.layout([S[:, :width, None] for S in s1])
         self.transform2 = t2 = _transform_step(p, n, n, (groups, width, k, n), 1)
-        self.stage2 = _product_step(p, n, n, groups, 1, s2.shape[2], k, n)
-        self.fixed2 = self.stage2.layout(s2[:, :, None])
+        self.stage2 = _product_step(p, n, n, groups, 1, s2[0].shape[1], k, n)
+        self.fixed2 = self.stage2.layout([S[:, None] for S in s2])
         self.u = u = _nbytes((groups, width, k, n), np.int64)
         self.work1 = u + t1.head + _nbytes(t1.spectra, complex)
         self.work2 = 0
@@ -401,18 +401,31 @@ class PassPlan:
             self.work2 = u + t2.head + _nbytes(t2.spectra, complex)
         self.footprint = max(u + t1.footprint, self.work1 + self.stage1.footprint,
                              u + t2.footprint, self.work2 + self.stage2.footprint)
+        self.bound = None
+
+    def _bind(self, buf: np.ndarray) -> tuple:
+        """The pass's steps bound to `buf`, and the rows of its input."""
+        groups, k, n, width = self.shape
+        x = _view(buf, 0, (groups, 1, k, n), np.int64)
+        u = _view(buf, 0, (groups, width, k, n), np.int64)
+        t1 = self.transform1.bind(x, 0, buf, self.u)
+        s1 = self.stage1.bind(self.fixed1, t1[-1], u, buf, self.work1)
+        t2 = self.transform2.bind(u, self.flip, buf, self.u)
+        s2 = self.stage2.bind(self.fixed2, t2[-1], None, buf, self.work2)
+        return buf, list(x[:, 0]), t1, s1, t2, s2
 
     def __call__(self, blocks) -> np.ndarray:
         """(G, k, n) int64 products of the input blocks, a new array."""
-        groups, k, n, width = self.shape
-        _reserve(self.footprint)
-        x = _buffer(0, (groups, 1, k, n), np.int64)
-        for r, X in zip(x, blocks):
+        buf = _pass_buffer(self.footprint)
+        bound = self.bound
+        if bound is None or bound[0] is not buf:
+            bound = self.bound = self._bind(buf)
+        _, rows, t1, s1, t2, s2 = bound
+        for r, X in zip(rows, blocks):
             w = X.shape[1]
-            r[0, :w] = X[::-1].T
-            r[0, w:] = 0
-        fx = self.transform1(x, base=self.u)
-        u = _buffer(0, (groups, width, k, n), np.int64)
-        self.stage1(self.fixed1, fx, u, self.work1)
-        fu = self.transform2(u, self.flip, self.u)
-        return self.stage2(self.fixed2, fu, base=self.work2)[:, 0]
+            r[:w] = X[::-1].T
+            r[w:] = 0
+        self.transform1.run(t1)
+        self.stage1.run(s1)
+        self.transform2.run(t2)
+        return self.stage2.run(s2)[:, 0]

@@ -354,33 +354,27 @@ class THMatrix:
     def spectra(self):
         """(S_H, S_G) = limb spectra of [H_P | H_Q] and [G_P | conj G_Q],
         as `ToeplitzCore.spectra` lays out a core's: P's own when Q = 0,
-        otherwise the two halves of one (L, 2, T, F) array, transformed
-        from the stacked generators on first use and kept (conjugation
-        folds J into Q's columns; see `_pass`)."""
+        otherwise transformed from the stacked generators on first use
+        and kept (conjugation folds J into Q's columns; see `_pass`)."""
         if self.Q.width == 0:
             return self.P.spectra()
         if self._spectra is None:
             a, n = self.P.width, self.n
-            X = np.stack([np.concatenate([self.P.H, self.Q.H], axis=1).T,
-                          np.concatenate([self.P.G, self.Q.G], axis=1).T])
-            S = self.field.fft_spectra(X, n, n, axis=1)
-            np.conjugate(S[:, 1, a:self.alpha], out=S[:, 1, a:self.alpha])
-            self._spectra = S
-        return self._spectra[:, 0], self._spectra[:, 1]
+            S_H, S_G = (self.field.fft_spectra(np.concatenate([X, Y], axis=1).T,
+                                               n, n, axis=0)
+                        for X, Y in ((self.P.H, self.Q.H), (self.P.G, self.Q.G)))
+            np.conjugate(S_G[:, a:self.alpha], out=S_G[:, a:self.alpha])
+            self._spectra = S_H, S_G
+        return self._spectra
 
     def _plan(self, first: int, groups: int, k: int) -> PassPlan:
         """The `PassPlan` of `_pass` for a direction, group count and widest
         block: stage 1 of group i reads S_H if first + i is 0 and S_G if it
-        is 1, stage 2 the other, as views of the kept spectra; two groups
-        read one (L, 2, T, F) stack of S_H and S_G both ways round, the
-        matrix's own when Q is not 0, else a stacked copy of its core's."""
+        is 1, stage 2 the other, both kept `spectra`."""
         S = self.spectra()
-        if groups == 1:
-            s1, s2 = S[first][:, None], S[1 - first][:, None]
-        else:
-            both = self._spectra if self.Q.width else np.stack(S, axis=1)
-            s1, s2 = both, both[:, ::-1]
-        return PassPlan(self.field.p, self.n, self.alpha, self.P.width, k, s1, s2)
+        return PassPlan(self.field.p, self.n, self.alpha, self.P.width, k,
+                        [S[first + i] for i in range(groups)],
+                        [S[1 - first - i] for i in range(groups)])
 
     def _pass(self, blocks, first, counter):
         """Products of A with a group of input blocks in one pass.

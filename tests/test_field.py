@@ -4,7 +4,8 @@ import pytest
 from thpoly import (MultCounter, PrimeField, derive_seed, is_prime,
                     random_structured)
 from thpoly.errors import DivisionByZeroError, NotPrimeError, TooLargeError
-from thpoly.kernel import _chunking, _limb_plan, _product_plan, recombine
+from thpoly.kernel import (_chunking, _limb_plan, _product_plan, _scratch,
+                           recombine)
 
 import _ref
 
@@ -280,3 +281,31 @@ def test_matmul_int64_vs_matmul(p, a, k, b):
     want = f.matmul(f.from_int64(A), f.from_int64(B), theirs)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert mine.mults == theirs.mults == a * k * b
+
+
+def test_matmul_int64_long_sums():
+    # the limb diagonals are reduced after each chunk of terms: at
+    # 2**62 - 57 a middle diagonal of all-(p-1) inputs gains about 2**43
+    # per term, so over 1.2 million terms unreduced sums would pass 2**63;
+    # (p - 1)**2 = 1 mod p, so each entry is k mod p
+    p = (1 << 62) - 57
+    k = 1_200_000
+    A = np.full((1, k), p - 1, dtype=np.int64)
+    B = np.full((k, 2), p - 1, dtype=np.int64)
+    assert PrimeField(p).matmul_int64(A, B).tolist() == [[k, k]]
+
+
+def test_one_off_products_leave_the_pass_buffer():
+    # only structured passes work in the thread's buffer; a one-off product
+    # works in memory of its own, so a large one leaves the buffer as it was
+    f = PrimeField((1 << 61) - 1)
+    A = random_structured(f, 16, 2, 1, 1)
+    A.matvec(f.unit_vector(16, 0))
+    before = _scratch.buffer
+    rng = f.rng(9)
+    a, b = f.rand_vec(rng, 4096), f.rand_vec(rng, 4096)
+    want = _ref.schoolbook_mul(a[:64].tolist(), b[:64].tolist(), f.p)[:64]
+    assert f.conv(a, b)[:64].tolist() == want
+    f.matmul_int64(f.rand_mat(rng, (4, 3000)).astype(np.int64),
+                   f.rand_mat(rng, (3000, 4)).astype(np.int64))
+    assert _scratch.buffer is before

@@ -473,13 +473,13 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # steps however many chunks its generator columns fill, and two
     # transforms (the input blocks and the stage-1 result) once the
     # matrix's generators have been transformed, which happens once: one
-    # transform of the stacked H and G columns when Q is not 0, else one
-    # each of its core's.  A pass shape builds its plan once, and a
+    # transform each of the stacked H and of the stacked G columns.  A pass
+    # shape builds its plan once, and a
     # repeated pass builds none and still transforms only its inputs.
     f = PrimeField(p)
     calls = {"transform": 0, "product": 0, "plan": 0}
-    for name, owner, attr in (("transform", TransformStep, "__call__"),
-                              ("product", ProductStep, "__call__"),
+    for name, owner, attr in (("transform", TransformStep, "run"),
+                              ("product", ProductStep, "run"),
                               ("plan", PassPlan, "__init__")):
         def counting(*args, _kernel=getattr(owner, attr), _name=name, **kwargs):
             calls[_name] += 1
@@ -497,7 +497,7 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     cores = [c for c in (A.P, A.Q) if c.width]
     core = cores[0]
     V = f.rand_mat(f.rng(6), (n, 2))
-    first = 3 if A.Q.width else 4               # + the generator spectra
+    first = 4                                   # + S_H and S_G
     for product, plans in ((lambda: A.matvec_block(V), 1),
                            (lambda: A.matvec_block(V), 0),
                            (lambda: A.matvec_t_block(V), 1),
@@ -591,6 +591,10 @@ def test_pass_plans_vs_dense(p):
                     assert Y.dtype == f.dtype, (n, widths)
                     assert np.array_equal(Y, want), (n, widths)
         assert len(A._plans) <= 4
+        # a plan reads the matrix's kept spectra, copying none of them
+        for plan in A._plans.values():
+            for part in plan.fixed1 + plan.fixed2:
+                assert any(np.shares_memory(part, S) for S in A.spectra())
 
 
 def test_pass_plans_belong_to_their_matrix():
