@@ -10,9 +10,9 @@ of polynomials, and every batched product of polynomial matrices, runs on
 the exact floating-point FFT kernel of `kernel.py`, with a transform step
 and a product step that a caller applying one operand many times keeps
 (`kernel.PassPlan`, for the structured passes).  `fft_spectra` and
-`fft_product` build a step for one call, which works in memory of its
-own, freed when it returns, and `conv_matmul`, the two steps in a row,
-returns the field's dtype.  All paths return identical residues.
+`fft_product` build a step for one call, which never grows the
+passes' buffer, and `conv_matmul`, the two steps in a row, returns the
+field's dtype.  All paths return identical residues.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 
 from .counting import MultCounter, pow_cost
 from .errors import DivisionByZeroError, NotPrimeError, TooLargeError
-from .kernel import ProductStep, TransformStep, _limb_plan, recombine
+from .kernel import (ProductStep, TransformStep, _limb_plan, _nbytes,
+                     _spare_buffer, _view, recombine)
 
 MAX_MODULUS = 1 << 62
 
@@ -275,8 +276,10 @@ class PrimeField:
         shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS)
         mask = (1 << _LIMB_BITS) - 1
         digits = np.zeros((2 * count - 1, 1, a, b), dtype=np.int64)
-        ints = np.empty((min(k, _LIMB_TERMS), b), dtype=np.int64)
-        limb = np.empty(ints.shape)
+        shape = min(k, _LIMB_TERMS), b
+        half = _nbytes(shape, np.int64)
+        buf = _spare_buffer(2 * half)       # B's limbs
+        ints, limb = _view(buf, 0, shape, np.int64), _view(buf, half, shape, float)
         for s in range(0, k, _LIMB_TERMS):
             As = ((A[None, :, s:s + _LIMB_TERMS] >> shifts[:, None, None]) & mask
                   ).astype(float)
@@ -382,7 +385,7 @@ class PrimeField:
         if T == 0 or B * I * J * out_len == 0:
             return np.zeros((B, I, J, out_len), dtype=np.int64)
         step = ProductStep(self.p, la, lb, B, I, T, J, out_len)
-        return step.run(step.bind(step.layout(fa.swapaxes(0, 1)), fb))
+        return step.run(step.bind(fb), step.layout(fa.swapaxes(0, 1)))
 
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:

@@ -8,8 +8,8 @@ transformed once, and a product step (`ProductStep`), batched over a
 leading axis of independent products and in int64 for every p.  A step is
 built once per shape and works in a buffer at a byte offset its caller
 chooses: a structured pass (`PassPlan`) keeps its steps and works in one
-buffer per thread, so it allocates only its result, and a one-off
-product works in a buffer of its own.
+buffer per thread, so it allocates only its result, and a one-off step
+borrows that buffer if it is large enough, else works in one of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ _SLAB_BYTES = 1 << 18
 # allocates only its result and maps no memory afresh.  Each step of a
 # pass works at a byte offset of it that the plan chooses, so that arrays
 # live at once never share bytes and arrays that are not may.  A one-off
-# product works in a buffer of its own, freed when it returns.
+# step borrows the buffer if it is large enough and never grows it, so a
+# large one-off product stays transient.
 _scratch = threading.local()
 
 
@@ -54,6 +55,15 @@ def _pass_buffer(nbytes: int) -> np.ndarray:
     buf = getattr(_scratch, "buffer", None)
     if buf is None or buf.nbytes < nbytes:
         buf = _scratch.buffer = np.empty(nbytes, dtype=np.uint8)
+    return buf
+
+
+def _spare_buffer(nbytes: int) -> np.ndarray:
+    """At least `nbytes` for a one-off step: this thread's pass buffer if
+    it is that large, else a new buffer."""
+    buf = getattr(_scratch, "buffer", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
     return buf
 
 
@@ -164,10 +174,10 @@ class TransformStep:
         """The arrays of a transform of x, its first `flip` terms read in
         reverse order of coefficients, for `run`: the spectra are kept at
         byte `base` + `head` of `buf`, or are a new array on each run if
-        `buf` is None (the step then works in a buffer of its own)."""
+        `buf` is None (the step then works in a `_spare_buffer`)."""
         out = None
         if buf is None:
-            buf = np.empty(self.head + _nbytes(self.ints, np.int64), np.uint8)
+            buf = _spare_buffer(self.head + _nbytes(self.ints, np.int64))
         else:
             out = _view(buf, base + self.head, self.spectra, complex)
         limbs = _view(buf, base, self.limbs, float)
@@ -258,14 +268,14 @@ class ProductStep:
         return [fa.reshape(self.count, self.I, self.C, self.t, fa.shape[-1])
                 .transpose(3, 0, 2, 1, 4)[:, :, None, :, :, None] for fa in parts]
 
-    def bind(self, a: list, fb: np.ndarray, out: np.ndarray | None = None,
+    def bind(self, fb: np.ndarray, out: np.ndarray | None = None,
              buf: np.ndarray | None = None, base: int = 0) -> tuple:
-        """The arrays of a product of `layout` a and the spectra fb, slab
-        by slab, for `run`: the residues go into `out` if given, else into
-        a new array on each run; the step works at byte `base` of `buf`, or
-        in a buffer of its own if `buf` is None."""
+        """The arrays of a product with the spectra fb, slab by slab, for
+        `run`: the residues go into `out` if given, else into a new array
+        on each run; the step works at byte `base` of `buf`, or in a
+        `_spare_buffer` if `buf` is None."""
         if buf is None:
-            buf = np.empty(self.footprint, np.uint8)
+            buf = _spare_buffer(self.footprint)
         B, I, J, out_len = self.B, self.I, self.J, self.out_len
         count, C, t, size = self.count, self.C, self.t, self.size
         F = fb.shape[-1]
@@ -289,24 +299,26 @@ class ProductStep:
                     shape = (g, count, count, k, B, r, J, F)
                     pairs = _view(buf, base + self.pairs, shape, complex)
                     other = _view(buf, base + self.operand, shape, complex)
-                    copies = [(pairs[:, :, :, :, e],
-                               x[s:s + g, :, :, c:c + k, i:i + r])
-                              for e, x in enumerate(a)]
-                    copies.append((other, b[s:s + g, :, :, c:c + k]))
+                    slab = (slice(s, s + g), slice(None), slice(None),
+                            slice(c, c + k), slice(i, i + r))
                     flat = pairs.reshape(g * count * count, -1).view(float)
-                    terms.append((copies, pairs, other,
+                    dsts = [pairs[:, :, :, :, e] for e in range(B)]
+                    terms.append((dsts, slab, other,
+                                  b[slab[:4]], pairs,
                                   self.weights[:, :len(flat)], flat, sums, s))
             slabs.append((terms, spec, raw, digits[:, :, :, i:i + r],
                           raw[..., :out_len]))
         return slabs, digits, out
 
-    def run(self, work: tuple) -> np.ndarray:
-        """The residues of a product bound by `bind`."""
+    def run(self, work: tuple, a: list) -> np.ndarray:
+        """The residues of the product of `layout` a and the spectra bound
+        by `bind`."""
         slabs, digits, out = work
         for terms, spec, raw, rows, head in slabs:
-            for copies, pairs, other, weights, flat, sums, s in terms:
-                for dst, src in copies:
-                    np.copyto(dst, src)
+            for dsts, slab, other, src, pairs, weights, flat, sums, s in terms:
+                for dst, x in zip(dsts, a):
+                    np.copyto(dst, x[slab])
+                np.copyto(other, src)
                 np.multiply(pairs, other, out=pairs)
                 if s:
                     sums += weights @ flat
@@ -357,18 +369,13 @@ def recombine(digits: np.ndarray, bits: int, p: int,
     return acc
 
 
-# Steps hold constants of their shape only, so all plans share them.
-_transform_step = functools.lru_cache(maxsize=256)(TransformStep)
-_product_step = functools.lru_cache(maxsize=256)(ProductStep)
-
-
 class PassPlan:
     """The steps of one shape of a two-stage structured pass (see
     `THMatrix._pass`): G groups of n x k blocks, each through two product
-    steps in a row over `width` generator columns, the first `flip` of
-    which are reversed between the stages.  s1 and s2 hold, for each group,
-    the (L, T, F) generator spectra its two stages read, which the plan
-    keeps as views laid out for the pair multiply, no copies.
+    steps in a row over `width` generator columns, T of them padded, the
+    first `flip` of which are reversed between the stages.  A plan holds
+    constants of its shape only, so every matrix of the shape shares it;
+    a matrix keeps its spectra laid out for the plan (`layout`).
 
     A pass works in the thread's pass buffer: the input blocks and then
     the stage-1 result u at its start, and each transform step after u.
@@ -379,21 +386,17 @@ class PassPlan:
     first use and again only if the thread's buffer is another (grown, or
     another thread's); until then a bound plan keeps the old buffer."""
 
-    __slots__ = ("shape", "flip", "transform1", "stage1", "fixed1",
-                 "transform2", "stage2", "fixed2", "u", "work1", "work2",
-                 "footprint", "bound")
+    __slots__ = ("shape", "flip", "transform1", "stage1", "transform2",
+                 "stage2", "u", "work1", "work2", "footprint", "bound")
 
-    def __init__(self, p: int, n: int, width: int, flip: int, k: int,
-                 s1: list, s2: list):
-        groups = len(s1)
+    def __init__(self, p: int, n: int, width: int, T: int, flip: int,
+                 groups: int, k: int):
         self.shape = groups, k, n, width
         self.flip = flip
         self.transform1 = t1 = _transform_step(p, n, n, (groups, 1, k, n), 1)
         self.stage1 = _product_step(p, n, n, groups, width, 1, k, n)
-        self.fixed1 = self.stage1.layout([S[:, :width, None] for S in s1])
         self.transform2 = t2 = _transform_step(p, n, n, (groups, width, k, n), 1)
-        self.stage2 = _product_step(p, n, n, groups, 1, s2[0].shape[1], k, n)
-        self.fixed2 = self.stage2.layout([S[:, None] for S in s2])
+        self.stage2 = _product_step(p, n, n, groups, 1, T, k, n)
         self.u = u = _nbytes((groups, width, k, n), np.int64)
         self.work1 = u + t1.head + _nbytes(t1.spectra, complex)
         self.work2 = 0
@@ -403,19 +406,28 @@ class PassPlan:
                              u + t2.footprint, self.work2 + self.stage2.footprint)
         self.bound = None
 
+    def layout(self, s1: list, s2: list) -> tuple:
+        """The generator spectra of a pass, views laid out for its two
+        product steps: s1 and s2 hold, for each group, the (L, T, F)
+        spectra that its stages 1 and 2 read."""
+        width = self.shape[3]
+        return (self.stage1.layout([S[:, :width, None] for S in s1]),
+                self.stage2.layout([S[:, None] for S in s2]))
+
     def _bind(self, buf: np.ndarray) -> tuple:
         """The pass's steps bound to `buf`, and the rows of its input."""
         groups, k, n, width = self.shape
         x = _view(buf, 0, (groups, 1, k, n), np.int64)
         u = _view(buf, 0, (groups, width, k, n), np.int64)
         t1 = self.transform1.bind(x, 0, buf, self.u)
-        s1 = self.stage1.bind(self.fixed1, t1[-1], u, buf, self.work1)
+        s1 = self.stage1.bind(t1[-1], u, buf, self.work1)
         t2 = self.transform2.bind(u, self.flip, buf, self.u)
-        s2 = self.stage2.bind(self.fixed2, t2[-1], None, buf, self.work2)
+        s2 = self.stage2.bind(t2[-1], None, buf, self.work2)
         return buf, list(x[:, 0]), t1, s1, t2, s2
 
-    def __call__(self, blocks) -> np.ndarray:
-        """(G, k, n) int64 products of the input blocks, a new array."""
+    def __call__(self, blocks, fixed: tuple) -> np.ndarray:
+        """(G, k, n) int64 products of the input blocks with the `layout`
+        spectra `fixed`, a new array."""
         buf = _pass_buffer(self.footprint)
         bound = self.bound
         if bound is None or bound[0] is not buf:
@@ -426,6 +438,12 @@ class PassPlan:
             r[:w] = X[::-1].T
             r[w:] = 0
         self.transform1.run(t1)
-        self.stage1.run(s1)
+        self.stage1.run(s1, fixed[0])
         self.transform2.run(t2)
-        return self.stage2.run(s2)[:, 0]
+        return self.stage2.run(s2, fixed[1])[:, 0]
+
+
+# Steps and plans hold constants of their shape only, so all share them.
+_transform_step = functools.lru_cache(maxsize=256)(TransformStep)
+_product_step = functools.lru_cache(maxsize=256)(ProductStep)
+pass_plan = functools.lru_cache(maxsize=256)(PassPlan)

@@ -35,7 +35,7 @@ from .errors import (BadLengthError, CornerMismatchError,
                      DimensionMismatchError, FieldMismatchError,
                      LengthMismatchError, TooLargeError)
 from .field import PrimeField
-from .kernel import PassPlan
+from .kernel import pass_plan
 from .linalg import rank_factor
 
 RECONSTRUCT_GUARD = 4096
@@ -281,8 +281,9 @@ def _core_concat(field: PrimeField, n: int, cores,
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
 
-# Pass plans one matrix keeps, the oldest dropped first: a solve passes
-# each matrix in at most three shapes (sequence, last step, verification).
+# Pass plans one matrix keeps, each with its spectra laid out for the plan,
+# the oldest dropped first: a solve passes each matrix in at most three
+# shapes (sequence, last step, verification).
 _PLANS_KEPT = 4
 
 
@@ -367,14 +368,16 @@ class THMatrix:
             self._spectra = S_H, S_G
         return self._spectra
 
-    def _plan(self, first: int, groups: int, k: int) -> PassPlan:
-        """The `PassPlan` of `_pass` for a direction, group count and widest
-        block: stage 1 of group i reads S_H if first + i is 0 and S_G if it
-        is 1, stage 2 the other, both kept `spectra`."""
+    def _plan(self, first: int, groups: int, k: int) -> tuple:
+        """The `kernel.PassPlan` of `_pass` for a direction, group count
+        and widest block, and the kept `spectra` laid out for it: stage 1
+        of group i reads S_H if first + i is 0 and S_G if it is 1, stage 2
+        the other."""
         S = self.spectra()
-        return PassPlan(self.field.p, self.n, self.alpha, self.P.width, k,
-                        [S[first + i] for i in range(groups)],
-                        [S[1 - first - i] for i in range(groups)])
+        plan = pass_plan(self.field.p, self.n, self.alpha, S[0].shape[1],
+                         self.P.width, groups, k)
+        return plan, plan.layout([S[first + i] for i in range(groups)],
+                                 [S[1 - first - i] for i in range(groups)])
 
     def _pass(self, blocks, first, counter):
         """Products of A with a group of input blocks in one pass.
@@ -398,8 +401,9 @@ class THMatrix:
         alias-free because the FFT size N is at least 2n - 1, with the
         norms and so the kernel's error bound unchanged.
 
-        The pass runs the matrix's `PassPlan` for its direction, group
-        count and widest block, built on first use and kept: two product
+        The pass runs the `kernel.PassPlan` of its direction, group count
+        and widest block, which all matrices of the shape share, on the
+        matrix's spectra laid out for it, kept from first use: two product
         steps, batched over the groups, and two transform steps (the input
         blocks and the stage-1 result); both product steps return int64
         residues for every p, so u enters stage 2 as it stands and only the
@@ -423,7 +427,7 @@ class THMatrix:
             if len(self._plans) >= _PLANS_KEPT:
                 self._plans.pop(next(iter(self._plans)), None)
             plan = self._plans[key] = self._plan(first, len(blocks), k)
-        out = plan(blocks)
+        out = plan[0](blocks, plan[1])
         return [field.from_int64(o[:w].T) for o, w in zip(out, widths)]
 
     def matvec_block(self, V: np.ndarray,

@@ -9,7 +9,7 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
-from thpoly.kernel import PassPlan, ProductStep, TransformStep
+from thpoly.kernel import ProductStep, TransformStep
 from thpoly.linalg import det, rank, rank_factor, rref
 from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
                                _up_block)
@@ -473,14 +473,14 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # steps however many chunks its generator columns fill, and two
     # transforms (the input blocks and the stage-1 result) once the
     # matrix's generators have been transformed, which happens once: one
-    # transform each of the stacked H and of the stacked G columns.  A pass
-    # shape builds its plan once, and a
-    # repeated pass builds none and still transforms only its inputs.
+    # transform each of the stacked H and of the stacked G columns.  A
+    # matrix takes the plan of a pass shape once, and a repeated pass takes
+    # none and still transforms only its inputs.
     f = PrimeField(p)
     calls = {"transform": 0, "product": 0, "plan": 0}
     for name, owner, attr in (("transform", TransformStep, "run"),
                               ("product", ProductStep, "run"),
-                              ("plan", PassPlan, "__init__")):
+                              ("plan", THMatrix, "_plan")):
         def counting(*args, _kernel=getattr(owner, attr), _name=name, **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
@@ -593,21 +593,24 @@ def test_pass_plans_vs_dense(p):
         assert len(A._plans) <= 4
         # a plan reads the matrix's kept spectra, copying none of them
         for plan in A._plans.values():
-            for part in plan.fixed1 + plan.fixed2:
+            for part in plan[1][0] + plan[1][1]:
                 assert any(np.shares_memory(part, S) for S in A.spectra())
 
 
 def test_pass_plans_belong_to_their_matrix():
-    # plans live on the matrix that built them: two matrices of one shape
-    # keep their own, and a fresh power made after another was dropped
-    # builds its own instead of reading a dead one's
+    # plans live on the matrix that took them: two matrices of one shape
+    # share the plan but keep their own spectra laid out for it, and a
+    # fresh power made after another was dropped takes its own instead of
+    # reading a dead one's
     f = PrimeField(P_NTT)
     A, B = (random_structured(f, 32, 2, 1, seed) for seed in (1, 2))
     V = f.rand_mat(f.rng(3), (32, 2))
     for M in (A, B, A, B):
         assert np.array_equal(M.matvec_block(V), f.matmul(M.reconstruct(), V))
     assert A._plans.keys() == B._plans.keys()
-    assert all(a is not b for a, b in zip(A._plans.values(), B._plans.values()))
+    for (plan, fixed), (other, theirs) in zip(A._plans.values(),
+                                              B._plans.values()):
+        assert plan is other and fixed is not theirs
     T = random_structured(f, 32, 2, 0, 4)
     dense = T.reconstruct()
     for s in (5, 7, 5):
