@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 
 import numpy as np
 
@@ -39,9 +40,11 @@ _SLAB_BYTES = 1 << 18
 # pass and reused by every later pass of the thread, so a warm pass
 # allocates only its result and maps no memory afresh.  Each step of a
 # pass works at a byte offset of it that the plan chooses, so that arrays
-# live at once never share bytes and arrays that are not may.  A one-off
-# step borrows the buffer if it is large enough and never grows it, so a
-# large one-off product stays transient.
+# live at once never share bytes and arrays that are not may.  The plans
+# bound to the buffer, whose views keep it alive, are unbound when it
+# grows, so the old one is freed.  A one-off step borrows the buffer if it
+# is large enough and never grows it, so a large one-off product stays
+# transient.
 _scratch = threading.local()
 
 
@@ -54,6 +57,9 @@ def _pass_buffer(nbytes: int) -> np.ndarray:
     """This thread's pass buffer, grown to at least `nbytes`."""
     buf = getattr(_scratch, "buffer", None)
     if buf is None or buf.nbytes < nbytes:
+        for plan in getattr(_scratch, "plans", ()):
+            plan.bound = None
+        _scratch.plans = weakref.WeakSet()
         buf = _scratch.buffer = np.empty(nbytes, dtype=np.uint8)
     return buf
 
@@ -383,11 +389,11 @@ class PassPlan:
     over u and the transform's limbs, both spent by then, if it fits
     there, else after its spectra too.  `footprint` is the most that any
     step of the pass reaches.  The plan binds its steps to the buffer on
-    first use and again only if the thread's buffer is another (grown, or
-    another thread's); until then a bound plan keeps the old buffer."""
+    first use, and again only if the thread's buffer has grown since or is
+    another thread's."""
 
     __slots__ = ("shape", "flip", "transform1", "stage1", "transform2",
-                 "stage2", "u", "work1", "work2", "footprint", "bound")
+                 "stage2", "u", "work1", "work2", "footprint", "bound", "__weakref__")
 
     def __init__(self, p: int, n: int, width: int, T: int, flip: int,
                  groups: int, k: int):
@@ -432,6 +438,7 @@ class PassPlan:
         bound = self.bound
         if bound is None or bound[0] is not buf:
             bound = self.bound = self._bind(buf)
+            _scratch.plans.add(self)
         _, rows, t1, s1, t2, s2 = bound
         for r, X in zip(rows, blocks):
             w = X.shape[1]

@@ -1,4 +1,7 @@
+import gc
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
-from thpoly.kernel import ProductStep, TransformStep
+from thpoly.kernel import ProductStep, TransformStep, _scratch
 from thpoly.linalg import det, rank, rank_factor, rref
 from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
                                _up_block)
@@ -619,6 +622,29 @@ def test_pass_plans_belong_to_their_matrix():
         want = f.matmul(_ref.mat_pow(f, dense, s).T.copy(), V)
         assert np.array_equal(P.matvec_t_block(V), want), s
         del P
+
+
+def test_pass_buffer_grows_without_keeping_the_old():
+    # a thread's pass buffer grows to its largest pass: the plans bound to
+    # the smaller one are unbound, so it is freed, and bind again when run
+    f = PrimeField(P_NTT)
+    A, B = (random_structured(f, n, 2, 1, 1) for n in (16, 128))
+    V = f.rand_mat(f.rng(4), (16, 2))
+    want = f.matmul(A.reconstruct(), V)
+    seen = {}
+
+    def fresh_thread():
+        A.matvec_block(V)
+        small = weakref.ref(_scratch.buffer)
+        B.matvec_block(f.rand_mat(f.rng(5), (128, 2)))
+        gc.collect()
+        seen["freed"] = small() is None
+        seen["again"] = np.array_equal(A.matvec_block(V), want)
+
+    thread = threading.Thread(target=fresh_thread)
+    thread.start()
+    thread.join()
+    assert seen == {"freed": True, "again": True}
 
 
 # -- core algebra --------------------------------------------------------------------
