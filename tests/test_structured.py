@@ -1,4 +1,5 @@
 import gc
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -645,6 +646,44 @@ def test_pass_buffer_grows_without_keeping_the_old():
     thread.start()
     thread.join()
     assert seen == {"freed": True, "again": True}
+
+
+def test_shared_pass_plans_across_threads():
+    # matrices of one shape share their plans, which each thread binds to
+    # its own buffer, and a thread whose buffer grows unbinds its plans:
+    # threads passing the same matrices at once, some growing their
+    # buffers, still get the dense products
+    f = PrimeField(P_NTT)
+    mats = [random_structured(f, n, 2, 1, seed) for n, seed in
+            ((24, 1), (24, 2), (96, 3))]
+    cases = []
+    for A in mats:
+        V = f.rand_mat(f.rng(A.n), (A.n, 3))
+        M = A.reconstruct()
+        cases.append((A, V, f.matmul(M, V), f.matmul(M.T.copy(), V[:, :2])))
+    bad = []
+
+    def work(order):
+        for _ in range(15):
+            for i in order:
+                A, V, AV, AtV = cases[i]
+                got = A.matvec_pair(V, V[:, :2])
+                if not (np.array_equal(got[0], AV) and np.array_equal(got[1], AtV)):
+                    bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(order,)) for order in
+                   ((0, 1), (1, 0, 2), (0, 2), (2, 1, 0), (1,))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
 
 
 # -- core algebra --------------------------------------------------------------------
