@@ -225,25 +225,25 @@ class ProductStep:
     correlation, which does not alias for m < lb since N >= la + lb - 1.
 
     The T terms fall into C equal chunks of t <= `terms` (the transform
-    step pads T to fit).  A slab of terms, rows and chunks takes two copies,
-    one multiply and one matmul: both operands are copied out to the shape
-    of their limb pairs (l, m) of every term, batch, row and chunk, (t, l,
-    m, c, b, i, j, f), a's per batch entry, so that the multiply that forms the pairs reads two
-    C-contiguous arrays of its own shape (a broadcast multiply allocates
-    iterator buffers), and one real matmul by the 0/1 weights of
-    `_product_plan`, on the complex values viewed as float pairs, sums them
-    into the output limb diagonals d = l + m.  One irfft and np.rint then
-    give each chunk's 2L - 1 diagonals exactly, a diagonal d standing for
-    2**(b d) times its value.  Each is below 2**47.4, since terms * L *
-    (2**b - 1)**2 * sqrt(la lb) * 3 lg N * (2 + sqrt 5) * 2**-53 < 1/4,
-    whatever the order of the sums.  The slabs of `_product_plan` keep the
-    pairs within _SLAB_BYTES; a slab of some terms of a chunk adds its sums
-    to the earlier terms'.
+    step pads T to fit).  A slab of terms, rows and chunks takes copies, one
+    multiply and one matmul: both operands are copied out to the shape of
+    their limb pairs (l, m) of every term, batch, row and chunk, (t, l, m,
+    c, b, i, j, f), a's one batch entry at a time, so that the multiply that
+    forms the pairs reads two C-contiguous arrays of its own shape (a
+    broadcast multiply allocates iterator buffers), and one real matmul by
+    the 0/1 weights of `_product_plan`, on the complex values viewed as
+    float pairs, sums them into the output limb diagonals d = l + m.  One
+    irfft and np.rint then give each chunk's 2L - 1 diagonals exactly, a
+    diagonal d standing for 2**(b d) times its value.  Each is below
+    2**47.4, since terms * L * (2**b - 1)**2 * sqrt(la lb) * 3 lg N * (2 +
+    sqrt 5) * 2**-53 < 1/4, whatever the order of the sums.  The slabs of
+    `_product_plan` keep the pairs within _SLAB_BYTES; a slab of some terms
+    of a chunk adds its sums to the earlier terms'.
 
     Its working arrays take `footprint` bytes of a buffer: the diagonal
-    spectra of a slab of rows, its pairs and their operand or,
-    once those are summed, its inverse transforms, and then the digits of
-    all rows.
+    spectra of a slab of rows, its pairs and their operand or, once those
+    are summed, its inverse transforms, and then the digits of all rows.
+    `bind` lays them out once, with every slab's views, for `run`.
     """
 
     __slots__ = ("p", "B", "I", "T", "J", "out_len", "bits", "count",
@@ -393,7 +393,8 @@ class PassPlan:
     another thread's."""
 
     __slots__ = ("shape", "flip", "transform1", "stage1", "transform2",
-                 "stage2", "u", "work1", "work2", "footprint", "bound", "__weakref__")
+                 "stage2", "u", "work1", "work2", "footprint", "bound",
+                 "__weakref__")
 
     def __init__(self, p: int, n: int, width: int, T: int, flip: int,
                  groups: int, k: int):

@@ -17,8 +17,9 @@ have Q = 0, Hankel matrices have P = 0.  Every block product, A V, A^T V
 or both A V and A^T U, is one pass of `THMatrix._pass` (a core C is
 applied as the Toeplitz-like matrix C + J 0): two kernel product steps,
 whatever the generator width, batched over the input blocks, on generator
-spectra transformed once and kept, run from a plan the matrix keeps for
-each pass shape (`kernel.PassPlan`).  J is folded into those spectra:
+spectra transformed once and kept, run by the plan of the pass shape
+(`kernel.PassPlan`) on the spectra laid out for it, which the matrix
+keeps.  J is folded into those spectra:
 conj(rfft(g)) is the spectrum of g's cyclic reversal, so a conjugated g
 turns a product with g into a correlation, which gives J L(g) u and
 U(g) (J x) without reversing an input or an output; with FFT size

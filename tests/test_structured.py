@@ -560,8 +560,8 @@ def test_giant_step_transient_memory():
 
 def test_pair_pass_transient_memory():
     # a warm pair pass of a block charpoly (T+H-like n = 64, widths [4|3])
-    # works in the thread's kernel buffer: its traced peak is the parent
-    # commit's 220,784 bytes at most (6,728 now: the products it returns)
+    # works in the thread's pass buffer: its traced peak is the parent
+    # commit's 220,784 bytes at most (5,249 now: the products it returns)
     f = PrimeField(P_NTT)
     A = random_structured(f, 64, 2, 1, 3)
     V, U = f.rand_mat(f.rng(1), (64, 4)), f.rand_mat(f.rng(2), (64, 3))
