@@ -423,12 +423,13 @@ class THMatrix:
         if counter is not None:
             counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
         key = first, len(blocks), k
-        plan = self._plans.get(key)
-        if plan is None:
+        entry = self._plans.get(key)
+        if entry is None:
             if len(self._plans) >= _PLANS_KEPT:
                 self._plans.pop(next(iter(self._plans)), None)
-            plan = self._plans[key] = self._plan(first, len(blocks), k)
-        out = plan[0](blocks, plan[1])
+            entry = self._plans[key] = self._plan(first, len(blocks), k)
+        plan, fixed = entry
+        out = plan(blocks, fixed)
         return [field.from_int64(o[:w].T) for o, w in zip(out, widths)]
 
     def matvec_block(self, V: np.ndarray,
