@@ -10,9 +10,10 @@ of polynomials, and every batched product of polynomial matrices, runs on
 the exact floating-point FFT kernel of `kernel.py`, with a transform step
 and a product step that a caller applying one operand many times keeps
 (`kernel.PassPlan`, for the structured passes).  `fft_spectra` and
-`fft_product` build a step for one call, which never grows the
-passes' buffer, and `conv_matmul`, the two steps in a row, returns the
-field's dtype.  All paths return identical residues.
+`conv_matmul` build their steps for one call, which never grows the
+passes' buffer; `conv_matmul`, a transform step per operand and a
+product step, returns the field's dtype.  All paths return identical
+residues.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ class PrimeField:
         every limb product sum A_i B_j exactly (below 2**11 * 2**42 =
         2**53); summed into diagonals i + j in int64 and reduced mod p
         after each 2**11 terms (a residue plus L such sums is below 2**63,
-        so no k overflows), they are recombined as `fft_product`'s are.  No
+        so no k overflows), they are recombined as a product step's are.  No
         residue becomes a Python int, which an object-dtype `matmul` of a
         long k needs (k x b of them)."""
         a, k = A.shape
@@ -375,33 +376,23 @@ class PrimeField:
         step = TransformStep(self.p, la, lb, x.shape, axis)
         return step.run(step.bind(x))
 
-    def fft_product(self, fa: np.ndarray, fb: np.ndarray, la: int, lb: int,
-                    out_len: int) -> np.ndarray:
-        """Product step (`ProductStep`) of `fft_spectra` fa (L, B, I, T, F)
-        of a and fb (L, B, T, J, F) of b, built for this one product;
-        returns (B, I, J, out_len) int64 residues."""
-        _, B, I, T, _ = fa.shape
-        J = fb.shape[3]
-        if T == 0 or B * I * J * out_len == 0:
-            return np.zeros((B, I, J, out_len), dtype=np.int64)
-        step = ProductStep(self.p, la, lb, B, I, T, J, out_len)
-        return step.run(step.bind(fb), step.layout(fa.swapaxes(0, 1)))
-
     def conv_matmul(self, a: np.ndarray, b: np.ndarray,
                     out_len: int) -> np.ndarray:
         """Exact polynomial matrix product: a is (I, T, la) and b is
         (T, J, lb), coefficients on the last axis; returns the (I, J,
         out_len) residues, in the field's dtype, of the first out_len
         coefficients of sum_t a[i, t] * b[t, j].  One transform step per
-        operand (`fft_spectra`) and one product step (`fft_product`);
-        callers that apply one operand many times keep its spectra."""
+        operand (`fft_spectra`) and one `ProductStep`, built for this one
+        product; callers that apply one operand many times keep its
+        spectra."""
         I, T, la = np.shape(a)
         J, lb = np.shape(b)[1:]
-        if T == 0 or la == 0 or lb == 0:
+        if 0 in (I, T, J, la, lb, out_len):
             return self.zeros((I, J, out_len))
-        fa = self.fft_spectra(a[None], la, lb, axis=2)
+        fa = self.fft_spectra(a, la, lb, axis=1)
         fb = self.fft_spectra(b[None], la, lb, axis=1)
-        return self.from_int64(self.fft_product(fa, fb, la, lb, out_len)[0])
+        step = ProductStep(self.p, la, lb, 1, I, fa.shape[2], J, out_len)
+        return self.from_int64(step.run(step.bind(fb), step.layout([fa]))[0])
 
     def _pad(self, a, size) -> np.ndarray:
         out = np.zeros(size, dtype=np.int64)

@@ -5,11 +5,11 @@ product of polynomial matrices runs on numpy.fft over the limbs, exact by
 an a-priori rounding-error bound (Percival 2003).  The kernel has a
 transform step (`TransformStep`), so an operand applied many times is
 transformed once, and a product step (`ProductStep`), batched over a
-leading axis of independent products and in int64 for every p.  A step is
-built once per shape and works in a buffer at a byte offset its caller
-chooses: a structured pass (`PassPlan`) keeps its steps and works in one
-buffer per thread, so it allocates only its result, and a one-off step
-borrows that buffer if it is large enough, else works in one of its own.
+leading axis of independent products and in int64 for every p.  A step
+works in a buffer at a byte offset its caller chooses: the plan of a
+structured pass (`PassPlan`, cached by `pass_plan`) builds its steps once
+and works in one buffer per thread, so it allocates only its result, and
+a one-off step borrows that buffer if it is large enough, else its own.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ _SLAB_BYTES = 1 << 18
 # bound to the buffer, whose views keep it alive, are unbound when it
 # grows, so the old one is freed.  A one-off step borrows the buffer if it
 # is large enough and never grows it, so a large one-off product stays
-# transient.
+# transient.  Borrowing it is measured: with one-off steps and
+# `PrimeField.matmul_int64` working in fresh arrays instead, peak RSS rose
+# by 0.5 MB on a Toeplitz-like BSGS minpoly at n = 256 and by 0.8-0.9 MB
+# on a naive T+H-like minpoly at n = 128, p = 2**61 - 1 (3 of 3 process
+# pairs each), and did not change on a block charpoly at n = 64.
 _scratch = threading.local()
 
 
@@ -270,7 +274,7 @@ class ProductStep:
     def layout(self, parts) -> list:
         """The a side's spectra as the pair multiply reads them: views of
         the (L, I, T, F) spectra of each batch entry in the pair order, (t,
-        l, 1, c, i, 1, f)."""
+        l, 1, c, i, 1, f), the same for every B and J."""
         return [fa.reshape(self.count, self.I, self.C, self.t, fa.shape[-1])
                 .transpose(3, 0, 2, 1, 4)[:, :, None, :, :, None] for fa in parts]
 
@@ -381,7 +385,7 @@ class PassPlan:
     steps in a row over `width` generator columns, T of them padded, the
     first `flip` of which are reversed between the stages.  A plan holds
     constants of its shape only, so every matrix of the shape shares it;
-    a matrix keeps its spectra laid out for the plan (`layout`).
+    a matrix lays its spectra out once for every plan (`THMatrix._pass`).
 
     A pass works in the thread's pass buffer: the input blocks and then
     the stage-1 result u at its start, and each transform step after u.
@@ -400,10 +404,10 @@ class PassPlan:
                  groups: int, k: int):
         self.shape = groups, k, n, width
         self.flip = flip
-        self.transform1 = t1 = _transform_step(p, n, n, (groups, 1, k, n), 1)
-        self.stage1 = _product_step(p, n, n, groups, width, 1, k, n)
-        self.transform2 = t2 = _transform_step(p, n, n, (groups, width, k, n), 1)
-        self.stage2 = _product_step(p, n, n, groups, 1, T, k, n)
+        self.transform1 = t1 = TransformStep(p, n, n, (groups, 1, k, n), 1)
+        self.stage1 = ProductStep(p, n, n, groups, width, 1, k, n)
+        self.transform2 = t2 = TransformStep(p, n, n, (groups, width, k, n), 1)
+        self.stage2 = ProductStep(p, n, n, groups, 1, T, k, n)
         self.u = u = _nbytes((groups, width, k, n), np.int64)
         self.work1 = u + t1.head + _nbytes(t1.spectra, complex)
         self.work2 = 0
@@ -412,14 +416,6 @@ class PassPlan:
         self.footprint = max(u + t1.footprint, self.work1 + self.stage1.footprint,
                              u + t2.footprint, self.work2 + self.stage2.footprint)
         self.bound = None
-
-    def layout(self, s1: list, s2: list) -> tuple:
-        """The generator spectra of a pass, views laid out for its two
-        product steps: s1 and s2 hold, for each group, the (L, T, F)
-        spectra that its stages 1 and 2 read."""
-        width = self.shape[3]
-        return (self.stage1.layout([S[:, :width, None] for S in s1]),
-                self.stage2.layout([S[:, None] for S in s2]))
 
     def _bind(self, buf: np.ndarray) -> tuple:
         """The pass's steps bound to `buf`, and the rows of its input."""
@@ -433,8 +429,8 @@ class PassPlan:
         return buf, list(x[:, 0]), t1, s1, t2, s2
 
     def __call__(self, blocks, fixed: tuple) -> np.ndarray:
-        """(G, k, n) int64 products of the input blocks with the `layout`
-        spectra `fixed`, a new array."""
+        """(G, k, n) int64 products of the input blocks with the laid-out
+        spectra `fixed` of stages 1 and 2, a new array."""
         buf = _pass_buffer(self.footprint)
         bound = self.bound
         if bound is None or bound[0] is not buf:
@@ -451,7 +447,5 @@ class PassPlan:
         return self.stage2.run(s2, fixed[1])[:, 0]
 
 
-# Steps and plans hold constants of their shape only, so all share them.
-_transform_step = functools.lru_cache(maxsize=256)(TransformStep)
-_product_step = functools.lru_cache(maxsize=256)(ProductStep)
+# Plans hold constants of their shape only, so all passes of a shape share one.
 pass_plan = functools.lru_cache(maxsize=256)(PassPlan)

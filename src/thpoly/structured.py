@@ -18,13 +18,13 @@ or both A V and A^T U, is one pass of `THMatrix._pass` (a core C is
 applied as the Toeplitz-like matrix C + J 0): two kernel product steps,
 whatever the generator width, batched over the input blocks, on generator
 spectra transformed once and kept, run by the plan of the pass shape
-(`kernel.PassPlan`) on the spectra laid out for it, which the matrix
-keeps.  J is folded into those spectra:
-conj(rfft(g)) is the spectrum of g's cyclic reversal, so a conjugated g
-turns a product with g into a correlation, which gives J L(g) u and
-U(g) (J x) without reversing an input or an output; with FFT size
-N >= 2n - 1 the correlation does not alias, and the norms, so the
-kernel's exactness bound, do not change.
+(`kernel.pass_plan`).  The matrix lays its spectra out for the two stages
+once, as views that every plan of its passes reads.  J is folded into
+those spectra: conj(rfft(g)) is the spectrum of g's cyclic reversal, so
+a conjugated g turns a product with g into a correlation, which gives
+J L(g) u and U(g) (J x) without reversing an input or an output; with
+FFT size N >= 2n - 1 the correlation does not alias, and the norms, so
+the kernel's exactness bound, do not change.
 """
 
 from __future__ import annotations
@@ -282,16 +282,10 @@ def _core_concat(field: PrimeField, n: int, cores,
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
 
-# Pass plans one matrix keeps, each with its spectra laid out for the plan,
-# the oldest dropped first: a solve passes each matrix in at most three
-# shapes (sequence, last step, verification).
-_PLANS_KEPT = 4
-
-
 class THMatrix:
     """Structured matrix A = P + J Q with Toeplitz-like cores P, Q."""
 
-    __slots__ = ("field", "n", "P", "Q", "_spectra", "_plans")
+    __slots__ = ("field", "n", "P", "Q", "_spectra", "_layout")
 
     def __init__(self, field: PrimeField, P: ToeplitzCore, Q: ToeplitzCore):
         if P.n != Q.n:
@@ -303,7 +297,7 @@ class THMatrix:
         self.P = P
         self.Q = Q
         self._spectra = None
-        self._plans = {}
+        self._layout = None
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "THMatrix":
@@ -369,17 +363,6 @@ class THMatrix:
             self._spectra = S_H, S_G
         return self._spectra
 
-    def _plan(self, first: int, groups: int, k: int) -> tuple:
-        """The `kernel.PassPlan` of `_pass` for a direction, group count
-        and widest block, and the kept `spectra` laid out for it: stage 1
-        of group i reads S_H if first + i is 0 and S_G if it is 1, stage 2
-        the other."""
-        S = self.spectra()
-        plan = pass_plan(self.field.p, self.n, self.alpha, S[0].shape[1],
-                         self.P.width, groups, k)
-        return plan, plan.layout([S[first + i] for i in range(groups)],
-                                 [S[1 - first - i] for i in range(groups)])
-
     def _pass(self, blocks, first, counter):
         """Products of A with a group of input blocks in one pass.
 
@@ -403,14 +386,18 @@ class THMatrix:
         norms and so the kernel's error bound unchanged.
 
         The pass runs the `kernel.PassPlan` of its direction, group count
-        and widest block, which all matrices of the shape share, on the
-        matrix's spectra laid out for it, kept from first use: two product
-        steps, batched over the groups, and two transform steps (the input
-        blocks and the stage-1 result); both product steps return int64
-        residues for every p, so u enters stage 2 as it stands and only the
-        returned products take the field's dtype.  A narrower group is
-        zero-padded to the widest inside the pass, and the charge is two
-        convolutions per generator and real block column of each group.
+        and widest block, which all matrices of the shape share, from
+        `kernel.pass_plan`: two product steps, batched over the groups, and
+        two transform steps (the input blocks and the stage-1 result).  The
+        plan reads the matrix's `spectra` laid out for its product steps,
+        views the first pass makes and every later one reuses: stage 1
+        reads the first alpha columns and stage 2 all of them, whatever
+        the direction, group count or block width.  Both product steps
+        return int64 residues for every p, so u enters stage 2 as it stands
+        and only the returned products take the field's dtype.  A narrower
+        group is zero-padded to the widest inside the pass, and the charge
+        is two convolutions per generator and real block column of each
+        group.
         """
         field, n, width = self.field, self.n, self.alpha
         for X in blocks:
@@ -422,14 +409,17 @@ class THMatrix:
             return [field.zeros((n, w)) for w in widths]
         if counter is not None:
             counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
-        key = first, len(blocks), k
-        entry = self._plans.get(key)
-        if entry is None:
-            if len(self._plans) >= _PLANS_KEPT:
-                self._plans.pop(next(iter(self._plans)), None)
-            entry = self._plans[key] = self._plan(first, len(blocks), k)
-        plan, fixed = entry
-        out = plan(blocks, fixed)
+        S = self.spectra()
+        plan = pass_plan(field.p, n, width, S[0].shape[1], self.P.width,
+                         len(blocks), k)
+        if self._layout is None:
+            # stage 1 of group i reads S_H if first + i is 0, S_G if it is
+            # 1, and stage 2 the other
+            self._layout = (plan.stage1.layout([X[:, :width, None] for X in S]),
+                            plan.stage2.layout([X[:, None] for X in S[::-1]]))
+        one, two = self._layout
+        end = first + len(blocks)
+        out = plan(blocks, (one[first:end], two[first:end]))
         return [field.from_int64(o[:w].T) for o, w in zip(out, widths)]
 
     def matvec_block(self, V: np.ndarray,

@@ -4,8 +4,8 @@ import pytest
 from thpoly import (MultCounter, PrimeField, derive_seed, is_prime,
                     random_structured)
 from thpoly.errors import DivisionByZeroError, NotPrimeError, TooLargeError
-from thpoly.kernel import (_chunking, _limb_plan, _product_plan, _scratch,
-                           recombine)
+from thpoly.kernel import (ProductStep, _chunking, _limb_plan, _product_plan,
+                           _scratch, recombine)
 
 import _ref
 
@@ -130,7 +130,7 @@ def test_fft_limbs_pins(p, n, plan):
     assert PrimeField(p).fft_limbs(n, n) == plan
 
 
-# Products that take several slabs of `fft_product` and several chunks, at
+# Products that take several slabs of a product step and several chunks, at
 # each limb count of FFT_LIMB_PINS: slabs of rows, of the chunks of a row
 # and of the terms of a chunk.
 SLAB_CASES = (
@@ -254,8 +254,10 @@ def test_kernel_dtype_contract(p):
     rng = f.rng(5)
     a = f.rand_mat(rng, (6, 9)).reshape(2, 3, 9)
     b = f.rand_mat(rng, (3, 9)).reshape(3, 1, 9)
-    raw = f.fft_product(f.fft_spectra(a[None], 9, 9, axis=2),
-                        f.fft_spectra(b[None], 9, 9, axis=1), 9, 9, 17)[0]
+    fa = f.fft_spectra(a, 9, 9, axis=1)
+    step = ProductStep(p, 9, 9, 1, 2, fa.shape[2], 1, 17)
+    raw = step.run(step.bind(f.fft_spectra(b[None], 9, 9, axis=1)),
+                   step.layout([fa]))[0]
     assert raw.dtype == np.int64 and raw.min() >= 0 and raw.max() < p
     A = random_structured(f, 9, 2, 1, 5)
     V = f.rand_mat(rng, (9, 2))

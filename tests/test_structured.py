@@ -13,7 +13,8 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
                            TooLargeError)
-from thpoly.kernel import ProductStep, TransformStep, _scratch
+from thpoly.kernel import (PassPlan, ProductStep, TransformStep, _scratch,
+                           pass_plan)
 from thpoly.linalg import det, rank, rank_factor, rref
 from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
                                _up_block)
@@ -477,23 +478,28 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # steps however many chunks its generator columns fill, and two
     # transforms (the input blocks and the stage-1 result) once the
     # matrix's generators have been transformed, which happens once: one
-    # transform each of the stacked H and of the stacked G columns.  A
-    # matrix takes the plan of a pass shape once, and a repeated pass takes
-    # none and still transforms only its inputs.
+    # transform each of the stacked H and of the stacked G columns.  A new
+    # pass shape builds one plan and a repeated one none, a transposed
+    # product sharing its plan; a matrix lays its spectra out for both
+    # stages on its first pass only (two layouts), and a repeated pass
+    # still transforms only its inputs.
     f = PrimeField(p)
-    calls = {"transform": 0, "product": 0, "plan": 0}
+    calls = {"transform": 0, "product": 0, "layout": 0}
     for name, owner, attr in (("transform", TransformStep, "run"),
                               ("product", ProductStep, "run"),
-                              ("plan", THMatrix, "_plan")):
+                              ("layout", ProductStep, "layout")):
         def counting(*args, _kernel=getattr(owner, attr), _name=name, **kwargs):
             calls[_name] += 1
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(owner, attr, counting)
+    pass_plan.cache_clear()
 
     def run(product):
         for name in calls:
             calls[name] = 0
+        misses = pass_plan.cache_info().misses
         product()
+        calls["plan"] = pass_plan.cache_info().misses - misses
         return calls["product"], calls["transform"]
 
     n = 16
@@ -501,22 +507,23 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     cores = [c for c in (A.P, A.Q) if c.width]
     core = cores[0]
     V = f.rand_mat(f.rng(6), (n, 2))
-    first = 4                                   # + S_H and S_G
+    first, layouts = 4, 2                       # + S_H and S_G
     for product, plans in ((lambda: A.matvec_block(V), 1),
                            (lambda: A.matvec_block(V), 0),
-                           (lambda: A.matvec_t_block(V), 1),
+                           (lambda: A.matvec_t_block(V), 0),
                            (lambda: A.matvec_pair(V, V), 1),
                            (lambda: A.matvec_pair(V, V[:, :1]), 0),
                            (lambda: A.matvec_t_block(V), 0)):
-        assert run(product) == (2, first) and calls["plan"] == plans
-        first = 2
+        assert run(product) == (2, first)
+        assert (calls["plan"], calls["layout"]) == (plans, layouts)
+        first, layouts = 2, 0
     # a Toeplitz-like matrix reads its core's spectra, shared with the
     # swapped core; a matrix with J-flipped columns keeps its own
     first = 2 if A.Q.width == 0 else 4
     zero = ToeplitzCore.zero(f, n)
     for product in (lambda: THMatrix(f, core, zero).matvec_block(V),
                     lambda: THMatrix(f, core.swapped(), zero).matvec_block(V)):
-        assert run(product) == (2, first)
+        assert run(product) == (2, first) and calls["layout"] == 2
         first = 2
     # wide generators: several chunks of columns, still one pass each
     # (p = 101 sums millions of terms per transform, so it never chunks)
@@ -535,7 +542,7 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     # stage-1 result, since the core's spectra are kept
     s = 5
     assert run(lambda: core_power(core, s)) == (2 * (s - 1), 2 * (s - 1))
-    assert calls["plan"] == 1
+    assert (calls["plan"], calls["layout"]) == (1, 2)
     assert run(lambda: flip_conjugate(core)) == (2, 2)
     assert run(lambda: core_multiply(core, core)) == (4, 4)
 
@@ -578,8 +585,8 @@ def test_pair_pass_transient_memory():
 @pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1))
 def test_pass_plans_vs_dense(p):
     # every pass shape against the dense product: both directions, pairs of
-    # unequal widths either way round, a repeated shape (its kept plan) and
-    # more shapes than a matrix keeps plans for
+    # unequal widths either way round, a repeated shape and seven shapes in
+    # all
     f = PrimeField(p)
     rng = f.rng(p % 97)
     for n, alpha_t, alpha_h in ((1, 1, 1), (9, 2, 1), (17, 0, 2), (33, 3, 0)):
@@ -594,27 +601,57 @@ def test_pass_plans_vs_dense(p):
                     want = f.matmul(M if first + i == 0 else Mt, X)
                     assert Y.dtype == f.dtype, (n, widths)
                     assert np.array_equal(Y, want), (n, widths)
-        assert len(A._plans) <= 4
-        # a plan reads the matrix's kept spectra, copying none of them
-        for plan in A._plans.values():
-            for part in plan[1][0] + plan[1][1]:
-                assert any(np.shares_memory(part, S) for S in A.spectra())
+        # the laid-out spectra are views of the matrix's kept spectra:
+        # stage 1 of (S_H, S_G), stage 2 of (S_G, S_H)
+        one, two = A._layout
+        S_H, S_G = A.spectra()
+        for part, S in zip(one + two, (S_H, S_G, S_G, S_H)):
+            assert np.shares_memory(part, S)
 
 
-def test_pass_plans_belong_to_their_matrix():
-    # plans live on the matrix that took them: two matrices of one shape
-    # share the plan but keep their own spectra laid out for it, and a
-    # fresh power made after another was dropped takes its own instead of
-    # reading a dead one's
+def test_one_layout_per_matrix(monkeypatch):
+    # a matrix lays its spectra out once, on its first pass, for every
+    # pass shape after it: both directions, pairs of unequal widths either
+    # way round and seven shapes in all (`test_pass_plans_vs_dense` checks
+    # their products)
+    calls = []
+
+    def counting(step, parts, _layout=ProductStep.layout):
+        calls.append(step)
+        return _layout(step, parts)
+    monkeypatch.setattr(ProductStep, "layout", counting)
+    f = PrimeField(P_NTT)
+    A = random_structured(f, 17, 2, 1, 4)
+    rng = f.rng(5)
+    shapes = set()
+    for widths in ((3, 1), (1, 3), (2, 2), (3, 1), (1,), (4,), (2, 5)):
+        blocks = [f.rand_mat(rng, (17, w)) for w in widths]
+        for first in range(3 - len(blocks)):
+            shapes.add((first, len(blocks), max(widths)))
+            A._pass(blocks, first, None)
+    assert len(shapes) == 7 and len(calls) == 2
+
+
+def test_pass_plans_belong_to_their_matrix(monkeypatch):
+    # two matrices of one shape run the same plan, each on its own laid-out
+    # spectra, and a fresh power made after another was dropped reads its
+    # own spectra, not a dead one's
+    seen = []
+
+    def recording(plan, blocks, fixed, _call=PassPlan.__call__):
+        seen.append((plan, fixed))
+        return _call(plan, blocks, fixed)
+    monkeypatch.setattr(PassPlan, "__call__", recording)
     f = PrimeField(P_NTT)
     A, B = (random_structured(f, 32, 2, 1, seed) for seed in (1, 2))
     V = f.rand_mat(f.rng(3), (32, 2))
     for M in (A, B, A, B):
         assert np.array_equal(M.matvec_block(V), f.matmul(M.reconstruct(), V))
-    assert A._plans.keys() == B._plans.keys()
-    for (plan, fixed), (other, theirs) in zip(A._plans.values(),
-                                              B._plans.values()):
-        assert plan is other and fixed is not theirs
+    assert len(seen) == 4 and all(plan is seen[0][0] for plan, _ in seen)
+    for M, (_, (one, two)) in zip((A, B, A, B), seen):
+        assert one[0] is M._layout[0][0] and two[0] is M._layout[1][0]
+    assert np.shares_memory(A._layout[0][0], A.spectra()[0])
+    assert not np.shares_memory(A._layout[0][0], B.spectra()[0])
     T = random_structured(f, 32, 2, 0, 4)
     dense = T.reconstruct()
     for s in (5, 7, 5):
