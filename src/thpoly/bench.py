@@ -9,6 +9,7 @@ materializing the structured input.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 
@@ -34,10 +35,17 @@ class BenchRecord:
     field_mults: int
     wall_ns: int
     seed: int
+    p: int
 
     def csv_row(self) -> str:
         return (f"{self.n},{self.alpha_t},{self.alpha_h},{self.beta},"
                 f"{self.algorithm},{self.field_mults},{self.wall_ns},{self.seed}")
+
+    def json_record(self) -> dict:
+        return {"n": self.n, "alphaT": self.alpha_t, "alphaH": self.alpha_h,
+                "beta": self.beta, "algorithm": self.algorithm, "p": self.p,
+                "seed": self.seed, "field_mults": self.field_mults,
+                "wall_ns": self.wall_ns}
 
 
 def run_case(field: PrimeField, n: int, alpha_t: int, alpha_h: int, beta: int,
@@ -68,7 +76,8 @@ def run_case(field: PrimeField, n: int, alpha_t: int, alpha_h: int, beta: int,
         report = minpoly(A, seed, mode=mode)
         wall = time.perf_counter_ns() - start
         mults = report.field_mult_count
-    return BenchRecord(n, alpha_t, alpha_h, beta, algorithm, mults, wall, seed)
+    return BenchRecord(n, alpha_t, alpha_h, beta, algorithm, mults, wall, seed,
+                       field.p)
 
 
 def run_grid(field: PrimeField, sizes, alpha_t: int, alpha_h: int, beta: int,
@@ -84,3 +93,9 @@ def run_grid(field: PrimeField, sizes, alpha_t: int, alpha_h: int, beta: int,
 
 def to_csv(records) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
+
+
+def to_json(records) -> str:
+    """A JSON list of the records, one per line."""
+    rows = [json.dumps(r.json_record()) for r in records]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"

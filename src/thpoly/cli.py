@@ -139,12 +139,12 @@ def cmd_bench(args) -> int:
     field = PrimeField(args.p)
     records = bench_mod.run_grid(field, sizes, args.alpha_t, args.alpha_h,
                                  args.beta, algorithms, seeds)
-    csv = bench_mod.to_csv(records)
+    text = (bench_mod.to_json if args.json else bench_mod.to_csv)(records)
     if args.out == "-":
-        sys.stdout.write(csv)
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv)
+            fh.write(text)
     return EXIT_OK
 
 
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     omp.add_argument("path")
     omp.set_defaults(func=cmd_oracle_minpoly)
 
-    bn = sub.add_parser("bench", help="operation-counting benchmark grid to CSV")
+    bn = sub.add_parser("bench", help="operation-counting benchmark grid to CSV "
+                                      "or JSON")
     bn.add_argument("--sizes", required=True, help="comma-separated dimensions")
     bn.add_argument("--algorithms", required=True,
                     help=f"comma-separated subset of {','.join(bench_mod.ALGORITHMS)}")
@@ -212,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--beta", type=positive_int, default=2)
     bn.add_argument("--p", type=int, default=2013265921)
     bn.add_argument("--out", default="-")
+    bn.add_argument("--json", action="store_true",
+                    help="one JSON record per case, with p, instead of CSV")
     bn.set_defaults(func=cmd_bench)
 
     st = sub.add_parser("selftest", help="run the reduced invariant suite")

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -283,6 +284,23 @@ def test_bench_csv_and_determinism(tmp_path, capsys):
     strip = lambda rows: [",".join(r.split(",")[:6] + r.split(",")[7:])
                           for r in rows]
     assert strip(rows1) == strip(rows2)        # identical apart from wall_ns
+
+
+def test_bench_json_records(capsys):
+    # one record per case, with p, and the CSV's counts
+    base = ["bench", "--sizes", "8,12", "--algorithms", "minpoly-naive",
+            "--beta", 1, "--p", 101]
+    code, out, _ = run(capsys, *base, "--json")
+    assert code == 0
+    records = json.loads(out)
+    assert [list(r) for r in records] == [
+        ["n", "alphaT", "alphaH", "beta", "algorithm", "p", "seed",
+         "field_mults", "wall_ns"]] * 2
+    assert [(r["n"], r["p"], r["beta"]) for r in records] == [(8, 101, 1),
+                                                              (12, 101, 1)]
+    csv = run(capsys, *base)[1].splitlines()[1:]
+    assert [int(row.split(",")[5]) for row in csv] == [
+        r["field_mults"] for r in records]
 
 
 def test_bench_empty_grid(tmp_path, capsys):
