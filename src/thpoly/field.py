@@ -9,23 +9,28 @@ iterative radix-2 NTT when the modulus supports one, and otherwise through
 of polynomials, and every batched product of polynomial matrices, runs on
 the exact floating-point FFT kernel of `kernel.py`, with a transform step
 and a product step that a caller applying one operand many times keeps
-(`kernel.PassPlan`, for the structured passes).  `fft_spectra` and
-`conv_matmul` build their steps for one call, which never grows the
-passes' buffer; `conv_matmul`, a transform step per operand and a
-product step, returns the field's dtype.  All paths return identical
-residues.
+(`kernel.PassPlan`, for the structured passes, which return int64
+residues for every p).  `fft_spectra` and `conv_matmul` build their
+steps for one call, which never grows the passes' buffer; `conv_matmul`,
+a transform step per operand and a product step, returns the field's
+dtype.  `matmul_int64` is the exact matrix product of int64 residue
+arrays, batched over leading axes and in int64 for every p, on the same
+limbs and `kernel.recombine`, so that int64 blocks (a Krylov chain's)
+need no Python ints above 2**31.  All paths return identical residues.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 from .counting import MultCounter, pow_cost
 from .errors import DivisionByZeroError, NotPrimeError, TooLargeError
-from .kernel import (ProductStep, TransformStep, _limb_plan, _nbytes,
-                     _spare_buffer, _view, recombine)
+from .kernel import (ProductStep, TransformStep, _chunking, _limb_plan,
+                     _nbytes, _pass_buffer_bytes, _spare_buffer, _view,
+                     recombine)
 
 MAX_MODULUS = 1 << 62
 
@@ -258,40 +263,56 @@ class PrimeField:
         return (((A @ hi % p) << 16) + (A @ lo % p)) % p
 
     def matmul_int64(self, A, B, counter: MultCounter | None = None) -> np.ndarray:
-        """Exact (a x k)(k x b) product of int64 residue arrays, in int64
-        for every p, charged as `matmul`.
+        """Exact products of int64 residue arrays, (..., a, k) times (...,
+        k, b) over one leading batch shape, in int64 for every p, charged
+        as `matmul` of each batch entry.
 
-        Both factors split into L <= 3 limbs of 21 bits, and one float
-        matmul per limb of B, over at most 2**11 terms at a time, gives
-        every limb product sum A_i B_j exactly (below 2**11 * 2**42 =
-        2**53); summed into diagonals i + j in int64 and reduced mod p
-        after each 2**11 terms (a residue plus L such sums is below 2**63,
-        so no k overflows), they are recombined as a product step's are.  No
-        residue becomes a Python int, which an object-dtype `matmul` of a
-        long k needs (k x b of them)."""
-        a, k = A.shape
-        b = B.shape[1]
+        Both factors split into L <= 3 limbs of 21 bits, and one batched
+        float matmul per limb of B, over at most 2**11 terms at a time,
+        gives every limb product sum A_i B_j exactly (below 2**11 * 2**42
+        = 2**53); summed into diagonals i + j in int64 and reduced mod p
+        after each run of terms (a residue plus L such sums is below
+        2**63, so no k overflows), they are recombined as a product step's
+        are.  Both factors' limbs are split into the thread's pass buffer,
+        a run of terms short enough to fit when it has one, so a product
+        allocates only its digits.  No residue becomes a Python int, which
+        an object-dtype `matmul` of a long k needs (k x b of them)."""
+        *batch, a, k = A.shape
+        b = B.shape[-1]
         if counter is not None:
-            counter.add(a * k * b)
+            counter.add(math.prod(batch) * a * k * b)
+        if k == 0:
+            return np.zeros((*batch, a, b), dtype=np.int64)
         count = -(-(self.p - 1).bit_length() // _LIMB_BITS)
-        shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS)
+        shifts = range(0, count * _LIMB_BITS, _LIMB_BITS)
         mask = (1 << _LIMB_BITS) - 1
-        digits = np.zeros((2 * count - 1, 1, a, b), dtype=np.int64)
-        shape = min(k, _LIMB_TERMS), b
-        half = _nbytes(shape, np.int64)
-        buf = _spare_buffer(2 * half)       # B's limbs
-        ints, limb = _view(buf, 0, shape, np.int64), _view(buf, half, shape, float)
-        for s in range(0, k, _LIMB_TERMS):
-            As = ((A[None, :, s:s + _LIMB_TERMS] >> shifts[:, None, None]) & mask
-                  ).astype(float)
-            Bs = B[s:s + _LIMB_TERMS]
-            x, y = ints[:len(Bs)], limb[:len(Bs)]
-            for j, shift in enumerate(shifts):
-                y[...] = np.bitwise_and(np.right_shift(Bs, shift, out=x), mask,
-                                        out=x)
-                digits[j:j + count, 0] += (As @ y).astype(np.int64)
+        digits = np.zeros((2 * count - 1, 1, *batch, a, b), dtype=np.int64)
+        # both sides' limbs of a run of terms, as floats, and one limb of
+        # each as integers, in the pass buffer if they fit (4 cache-line
+        # roundings); a run is shortened to fit
+        per_term = 8 * math.prod(batch) * (count + 1) * (a + b)
+        room = (_pass_buffer_bytes() - 4 * 64) // per_term
+        span = _chunking(k, min(_LIMB_TERMS, max(room, 0) or _LIMB_TERMS))[1]
+        parts, offset = [], 0
+        for shape in ((*batch, a, span), (*batch, span, b)):
+            for dims, dtype in (((count, *shape), float), (shape, np.int64)):
+                parts.append((offset, dims, dtype))
+                offset += _nbytes(dims, dtype)
+        buf = _spare_buffer(offset)
+        limbs_a, int_a, limbs_b, int_b = (_view(buf, *part) for part in parts)
+        for s in range(0, k, span):
+            t = min(span, k - s)
+            x, y = limbs_a[..., :t], limbs_b[..., :t, :]
+            for side, ints, limbs in ((A[..., s:s + t], int_a[..., :t], x),
+                                      (B[..., s:s + t, :], int_b[..., :t, :], y)):
+                for j, shift in enumerate(shifts):
+                    np.bitwise_and(np.right_shift(side, shift, out=ints), mask,
+                                   out=ints)
+                    limbs[j] = ints
+            for j in range(count):
+                digits[j:j + count, 0] += (x @ y[j]).astype(np.int64)
             np.remainder(digits, self.p, out=digits)
-        return recombine(digits, _LIMB_BITS, self.p)
+        return recombine(digits, _LIMB_BITS, self.p, self.p - 1)
 
     def matvec_dense(self, A, v, counter: MultCounter | None = None) -> np.ndarray:
         return self.matmul(A, v.reshape(-1, 1), counter).reshape(-1)

@@ -77,6 +77,12 @@ def _spare_buffer(nbytes: int) -> np.ndarray:
     return buf
 
 
+def _pass_buffer_bytes() -> int:
+    """Bytes of this thread's pass buffer, 0 if it has none."""
+    buf = getattr(_scratch, "buffer", None)
+    return 0 if buf is None else buf.nbytes
+
+
 def _view(buf: np.ndarray, offset: int, shape: tuple, dtype) -> np.ndarray:
     """An array of `shape` at byte `offset` of `buf`; contents undefined."""
     return np.ndarray(shape, dtype, buffer=buf, offset=offset)
@@ -111,7 +117,8 @@ def _limb_plan(bits: int, la: int, lb: int) -> tuple[int, int, int]:
 @functools.lru_cache(maxsize=256)
 def _product_plan(bits: int, la: int, lb: int, B: int, I: int, T: int, J: int):
     """Constants of a `ProductStep` of one shape: (b, L, FFT size, chunk
-    count C and size t, rows, chunks and terms per slab, weights).
+    count C and size t, rows, chunks and terms per slab, weights, and the
+    bound t L (2**b - 1)**2 min(la, lb) on a chunk diagonal).
 
     A slab is some rows of a, some chunks of each and some terms of each
     chunk, whose limb pairs, L**2 per term, take at most _SLAB_BYTES
@@ -139,7 +146,8 @@ def _product_plan(bits: int, la: int, lb: int, B: int, I: int, T: int, J: int):
     l, m = np.divmod(np.arange(count * count), count)
     weights = np.tile(np.arange(2 * count - 1)[:, None] == l + m, t).astype(float)
     weights.flags.writeable = False
-    return b, count, size, C, t, *split, weights
+    bound = t * count * ((1 << b) - 1) ** 2 * min(la, lb)
+    return b, count, size, C, t, *split, weights, bound
 
 
 class TransformStep:
@@ -251,7 +259,7 @@ class ProductStep:
     """
 
     __slots__ = ("p", "B", "I", "T", "J", "out_len", "bits", "count",
-                 "size", "C", "t", "rows", "chunks", "group", "weights",
+                 "size", "C", "t", "bound", "rows", "chunks", "group", "weights",
                  "pairs", "operand", "digits", "footprint")
 
     def __init__(self, p: int, la: int, lb: int, B: int, I: int, T: int,
@@ -259,7 +267,7 @@ class ProductStep:
         self.p = p
         self.B, self.I, self.T, self.J, self.out_len = B, I, T, J, out_len
         (self.bits, self.count, self.size, self.C, self.t, self.rows,
-         self.chunks, self.group, self.weights) = _product_plan(
+         self.chunks, self.group, self.weights, self.bound) = _product_plan(
             (p - 1).bit_length(), la, lb, B, I, T, J)
         F = self.size // 2 + 1
         D, L, C, rows = len(self.weights), self.count, self.C, self.rows
@@ -337,45 +345,73 @@ class ProductStep:
             np.fft.irfft(spec, n=self.size, axis=-1, out=raw)
             np.rint(raw, out=raw)
             rows[...] = head
-        return recombine(digits, self.bits, self.p, out)
+        return recombine(digits, self.bits, self.p, self.bound, out)
 
 
-def recombine(digits: np.ndarray, bits: int, p: int,
-          out: np.ndarray | None = None) -> np.ndarray:
+def recombine(digits: np.ndarray, bits: int, p: int, bound: int,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Int64 residues mod p, into `out` if given, of sum_c sum_d
-    digits[d, c] * 2**(b d), the chunk diagonals of a product step (each
-    below 2**47.4, or below p): chunks summed raw, 2**14 at a time (so a
-    residue plus such a sum is below 2**63), and reduced mod p (a lone
-    chunk stays raw), then Horner steps acc * 2**b + diagonal mod p from
-    the top, acc < p.  While (acc << b) + diagonal fits int64, as for
-    every p < 2**31, a step is a shift, an add and a reduction (whole
-    solves run ~7% faster than with the quotient step).  Above that, q =
-    floor(acc * (2**b / p)) in float64 is off by at most one (relative
-    error below 2**-51, quotient below 2**b), so (acc << b) - q p lies in
-    [-p, 2p), exact in wrapping int64, and subtracting p, then adding the
-    diagonal, keeps it in int64 for the reduction.  A reduction is x - (x
-    // p) p: numpy divides by a scalar with precomputed multipliers, where
-    its remainder divides.  The top diagonal, once read, holds the
-    quotients."""
-    diag = digits[:, 0]
-    for c in range(1, digits.shape[1], 1 << 14):
-        diag = (diag + digits[:, c:c + (1 << 14)].sum(axis=1)) % p
-    acc = np.remainder(diag[-1], p, out=out)
-    q = diag[-1]
-    if ((p - 1) << bits) + max(p, 1 << 48) <= 1 << 63:
+    digits[d, c] * 2**(b d), the chunk diagonals of a product step, each
+    in [0, bound].  The chunks are summed raw while C * bound < 2**62,
+    else as many at a time as keep a residue (or the first chunk) plus
+    their sum below 2**63, and reduced mod p, so the summed diagonals x_d
+    lie in [0, top], top = C * bound or p - 1.  Then Horner from the top.
+
+    While (acc << b) + x_d fits int64 for acc < p, as for every p < 2**31,
+    a step is acc * 2**b + x_d, a shift and an add, and a reduction (whole
+    solves run ~7% faster than with the quotient step).  Above that the
+    steps take g = 2 diagonals at once when top * (2**b + 1) < 2**63, so
+    that e_k = x_2k + x_(2k+1) 2**b fits int64 (16- and 13-bit limbs of
+    a product step's raw diagonals), else g = 1 (e_k = x_k); a constant
+    of the plan, never of the data.  Each e_k is reduced once, to r_k in
+    [-p, 0), and a step with B = 2**(g b) is acc B - q p + r_k, q the
+    float64 quotient floor(acc * (B / p)) floored before the int64 cast.
+    With acc in [-2p, 2p), |acc B / p| < 2B <= 2**43 and its float64
+    value is off by less than 2B * 3 * 2**-53 < 1, so q is within one of
+    floor(acc B / p) and acc B - q p lies in [-p, 2p): exact in wrapping
+    int64, and adding r_k keeps acc in [-2p, 2p), inside int64 for every
+    p < 2**62.  One reduction, x - (x // p) p, ends it: numpy divides by
+    a scalar with precomputed multipliers, where its remainder divides.
+    The top diagonal, once read, holds the quotients."""
+    C = digits.shape[1]
+    if C == 1:
+        diag, top = digits[:, 0], bound
+    elif C * bound < 1 << 62:
+        diag, top = digits.sum(axis=1), C * bound
+    else:
+        diag, top = digits[:, 0], p - 1
+        step = ((1 << 63) - max(p, bound)) // bound
+        for c in range(1, C, step):
+            diag = (diag + digits[:, c:c + step].sum(axis=1)) % p
+    if ((p - 1) << bits) + top < 1 << 63:
+        acc = np.remainder(diag[-1], p, out=out)
+        q = diag[-1]
         for d in range(len(diag) - 2, -1, -1):
             acc <<= bits
             acc += diag[d]
             acc -= np.multiply(np.floor_divide(acc, p, out=q), p, out=q)
         return acc
-    scale = (1 << bits) / p
-    for d in range(len(diag) - 2, -1, -1):
-        q[...] = acc * scale
-        acc <<= bits
+    g = 2 if top * ((1 << bits) + 1) < 1 << 63 else 1
+    if g == 2:
+        e = diag[0::2].copy()
+        e[:len(diag) // 2] += diag[1::2] << bits
+    else:
+        e = diag
+    e -= np.multiply(np.floor_divide(e, p) + 1, p)
+    if out is None:
+        acc = e[-1].copy()
+    else:
+        acc = out
+        acc[...] = e[-1]
+    q = e[-1]
+    quotient = np.empty(acc.shape)
+    scale = (1 << (g * bits)) / p
+    for k in range(len(e) - 2, -1, -1):
+        np.floor(np.multiply(acc, scale, out=quotient), out=q, casting="unsafe")
+        acc <<= g * bits
         acc -= np.multiply(q, p, out=q)
-        acc -= p
-        acc += diag[d]
-        acc -= np.multiply(np.floor_divide(acc, p, out=q), p, out=q)
+        acc += e[k]
+    acc -= np.multiply(np.floor_divide(acc, p, out=q), p, out=q)
     return acc
 
 

@@ -370,7 +370,13 @@ class THMatrix:
         and then Q's, whose J `spectra` folds in.  `blocks` are n x k_i
         input blocks; group i reads blocks[i] and writes A blocks[i] if
         first + i is 0, A^T blocks[i] if it is 1 (first + len(blocks) <=
-        2).  Returns the list of n x k_i products, new arrays.
+        2); they may be int64 or in the field's dtype.  Returns the list of
+        n x k_i products as int64 residues for every p, new arrays: the
+        one entry point of every block product, which the Krylov chains of
+        `wiedemann` use directly, so that a chain's blocks stay int64 from
+        pass to pass, and the public block products wrap in the field's
+        dtype.  An int64 block of residues above 2**31 must not meet a
+        Python-int scalar (`vmul`, `submul`, `rref`): their product wraps.
 
         A product reads S_H in stage 1 and S_G in stage 2, a transposed one
         the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
@@ -394,10 +400,9 @@ class THMatrix:
         reads the first alpha columns and stage 2 all of them, whatever
         the direction, group count or block width.  Both product steps
         return int64 residues for every p, so u enters stage 2 as it stands
-        and only the returned products take the field's dtype.  A narrower
-        group is zero-padded to the widest inside the pass, and the charge
-        is two convolutions per generator and real block column of each
-        group.
+        and the products leave as they are.  A narrower group is
+        zero-padded to the widest inside the pass, and the charge is two
+        convolutions per generator and real block column of each group.
         """
         field, n, width = self.field, self.n, self.alpha
         for X in blocks:
@@ -406,7 +411,7 @@ class THMatrix:
         widths = [X.shape[1] for X in blocks]
         k = max(widths)
         if width == 0 or k == 0:
-            return [field.zeros((n, w)) for w in widths]
+            return [np.zeros((n, w), dtype=np.int64) for w in widths]
         if counter is not None:
             counter.add(sum(widths) * width * 2 * field.conv_charge(n, n))
         S = self.spectra()
@@ -420,24 +425,25 @@ class THMatrix:
         one, two = self._layout
         end = first + len(blocks)
         out = plan(blocks, (one[first:end], two[first:end]))
-        return [field.from_int64(o[:w].T) for o, w in zip(out, widths)]
+        return [o[:w].T for o, w in zip(out, widths)]
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """A V = P V + J (Q V), both cores' columns in one `_pass`."""
-        return self._pass([V], 0, counter)[0]
+        """A V = P V + J (Q V), both cores' columns in one `_pass`, in the
+        field's dtype."""
+        return self.field.from_int64(self._pass([V], 0, counter)[0])
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
-        """A^T V = P^T V + Q^T (J V) in one `_pass`."""
-        return self._pass([V], 1, counter)[0]
+        """A^T V = P^T V + Q^T (J V) in one `_pass`, in the field's dtype."""
+        return self.field.from_int64(self._pass([V], 1, counter)[0])
 
     def matvec_pair(self, V: np.ndarray, U: np.ndarray,
                     counter: MultCounter | None = None):
         """(A V, A^T U) in one `_pass`, for blocks of any widths
-        (the narrower is zero-padded inside the pass); charged as
-        `matvec_block(V)` plus `matvec_t_block(U)`."""
-        return tuple(self._pass([V, U], 0, counter))
+        (the narrower is zero-padded inside the pass), in the field's
+        dtype; charged as `matvec_block(V)` plus `matvec_t_block(U)`."""
+        return tuple(map(self.field.from_int64, self._pass([V, U], 0, counter)))
 
     # -- algebra ---------------------------------------------------------------
 

@@ -18,7 +18,13 @@ passes as extra block columns, some on the A^T chain, so verification
 only finishes the powers the sequence did not reach: sequence and
 certificate together take n + 1 structured passes for a naive minpoly
 or a block charpoly, and for BSGS s - 1 fewer than with a separate
-Horner chain.
+Horner chain.  The Krylov chains hold the int64 residues that
+`THMatrix._pass` returns for every p, so no pass converts to Python ints
+and back above 2**31; a naive sequence takes the terms of many passes in
+one batched int64 product (`PrimeField.matmul_int64`), and only the
+sequence terms and the BSGS giant rows take the field's dtype.
+Verification's Horner chain stays in the field's dtype, where a 61-bit
+coefficient times a residue needs Python ints.
 """
 
 from __future__ import annotations
@@ -159,6 +165,13 @@ def _check_blocks(A: THMatrix, U: np.ndarray, V: np.ndarray) -> int:
     return U.shape[1]
 
 
+# Projection operands of the steps a naive sequence holds before it takes
+# their terms in one product: a fixed budget, so the sequence keeps O(n beta)
+# of them, not O(L n beta).  At 64 KB a block charpoly at n = 64, beta = 2
+# peaked 63 KB above its per-term products (traced heap); at 32 KB, 6 KB.
+_PROJECTION_BYTES = 1 << 15
+
+
 def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
                           counter: MultCounter | None = None,
                           carry: np.ndarray | None = None) -> BlockSequence:
@@ -166,9 +179,13 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
 
     With V_i = A^i V and U_i = (A^T)^i U, S_{2i} = U_i^T V_i and
     S_{2i+1} = U_i^T V_{i+1}.  The chains are independent, so each step
-    advances both with one `THMatrix.matvec_pair` (the last odd term only
-    needs V_{i+1}, a plain `matvec_block`): L-1 block products in
-    ceil((L-1)/2) kernel passes, and only the current blocks are held.
+    advances both with one pair pass (the last odd term only needs
+    V_{i+1}, a pass of V alone): L-1 block products in ceil((L-1)/2)
+    kernel passes.  The chains stay in the int64 residues that
+    `THMatrix._pass` returns, and each step only stacks its projection
+    operands [U_i | V_i | V_{i+1}]; once _PROJECTION_BYTES of them are
+    held, one batched `PrimeField.matmul_int64` takes all their terms,
+    charged as the beta x n x beta product of each term.
 
     `carry`, an n x t block of verification vectors, rides the m =
     (L-1)//2 pair passes: its first ceil(t/2) columns beside V, the rest
@@ -178,28 +195,43 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
     passes, not d, for a degree-d candidate.
     """
     beta = _check_blocks(A, U, V)
-    field = A.field
-    terms = np.zeros((L, beta, beta), dtype=field.dtype)
+    field, n = A.field, A.n
+    V, U = np.asarray(V, dtype=np.int64), np.asarray(U, dtype=np.int64)
     prefix = None
     if carry is not None:
         forward = -(-carry.shape[1] // 2)
         prefix = _start_prefix(carry, (L - 1) // 2, forward)
-        V = np.concatenate([V, carry[:, :forward]], axis=1)
-        U = np.concatenate([U, carry[:, forward:]], axis=1)
-    for i in range(0, L, 2):
-        Ut = U[:, :beta].T.copy()
-        terms[i] = field.matmul(Ut, V[:, :beta], counter)
-        if i + 1 == L:
-            break
-        if i + 2 < L:
-            V, U = A.matvec_pair(V, U, counter)
+        V = np.concatenate([V, prefix.powers[0, :, :forward]], axis=1)
+        U = np.concatenate([U, prefix.powers[0, :, forward:]], axis=1)
+    terms = np.zeros((L, beta, beta), dtype=np.int64)
+    steps = -(-L // 2)
+    per_step = 3 * n * beta * 8
+    held = np.zeros((min(steps, max(1, _PROJECTION_BYTES // per_step)), n,
+                     3 * beta), dtype=np.int64)       # [U_i | V_i | V_i+1]
+    for i in range(steps):
+        j = i % len(held)
+        held[j, :, :beta] = U[:, :beta]
+        held[j, :, beta:2 * beta] = V[:, :beta]
+        if 2 * i + 2 < L:
+            V, U = A._pass([V, U], 0, counter)
             if prefix is not None:
-                prefix.powers[i // 2 + 1] = np.concatenate(
-                    [V[:, beta:], U[:, beta:]], axis=1)
-        else:
-            V = A.matvec_block(V[:, :beta], counter)
-        terms[i + 1] = field.matmul(Ut, V[:, :beta], counter)
-    return BlockSequence(field, beta, terms, prefix)
+                prefix.powers[i + 1, :, :forward] = V[:, beta:]
+                prefix.powers[i + 1, :, forward:] = U[:, beta:]
+        elif 2 * i + 1 < L:
+            V = A._pass([V[:, :beta]], 0, counter)[0]
+        # for an odd L the last step's V_i+1 is V_i, its term unused
+        held[j, :, 2 * beta:] = V[:, :beta]
+        if j + 1 == len(held) or i + 1 == steps:
+            # the terms 2 (i + 1 - g) .. 2 i + 1 of the g held steps
+            g = j + 1
+            first = 2 * (i + 1 - g)
+            if counter is not None:
+                counter.add((min(L, 2 * (i + 1)) - first) * beta * n * beta)
+            S = field.matmul_int64(held[:g, :, :beta].swapaxes(1, 2),
+                                   held[:g, :, beta:])
+            terms[first:first + 2 * g] = S.reshape(g, beta, 2, beta).swapaxes(
+                1, 2).reshape(2 * g, beta, beta)[:L - first]
+    return BlockSequence(field, beta, field.from_int64(terms), prefix)
 
 
 def _start_prefix(carry: np.ndarray, m: int, forward: int) -> KrylovPrefix:
@@ -214,7 +246,8 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     """Same output as the naive path, scheduled as baby steps A^i V for
     i < s, one structured power B = A^s, and giant rows U^T B^j, each
     one matrix product with the baby steps side by side (charged as the
-    s products of its terms).
+    s products of its terms).  Both chains stay in the int64 residues of
+    `THMatrix._pass`; a giant row takes the field's dtype.
 
     `carry`, an n x t block of verification vectors, rides all m =
     min(s, L) - 1 baby steps beside V; its powers come back as the
@@ -224,28 +257,30 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
         raise ShapeMismatchError("plan block size differs from projector width")
     field = A.field
     s, L = plan.s, plan.L
-    chain, prefix = V, None
+    chain, prefix = np.asarray(V, dtype=np.int64), None
     if carry is not None:
-        chain = np.concatenate([V, carry], axis=1)
         prefix = _start_prefix(carry, min(s, L) - 1, carry.shape[1])
+        chain = np.concatenate([chain, prefix.powers[0]], axis=1)
     # babies[:, i beta:(i + 1) beta] = A^i V, so a giant row is one product
-    babies = field.zeros((A.n, min(s, L) * beta))
+    babies = np.zeros((A.n, min(s, L) * beta), dtype=np.int64)
     babies[:, :beta] = V
     for i in range(1, min(s, L)):
-        chain = A.matvec_block(chain, counter)
+        chain = A._pass([chain], 0, counter)[0]
         babies[:, i * beta:(i + 1) * beta] = chain[:, :beta]
         if prefix is not None:
             prefix.powers[i] = chain[:, beta:]
+    babies = field.from_int64(babies)
     giants = math.ceil(L / s)
     B = A.power(s, counter) if giants > 1 else None
     terms = np.zeros((L, beta, beta), dtype=field.dtype)
-    W = U
+    W = np.asarray(U, dtype=np.int64)
     for j in range(giants):
         k = min(s, L - j * s)
-        row = field.matmul(W.T.copy(), babies[:, :k * beta], counter)
+        row = field.matmul(field.from_int64(W.T.copy()), babies[:, :k * beta],
+                           counter)
         terms[j * s:j * s + k] = row.reshape(beta, k, beta).swapaxes(0, 1)
         if (j + 1) * s < L:
-            W = B.matvec_t_block(W, counter)
+            W = B._pass([W], 1, counter)[0]
     return BlockSequence(field, beta, terms, prefix)
 
 

@@ -231,25 +231,58 @@ def test_conv_matmul_big_primes(p, la, lb, out_len, chunks):
     assert np.array_equal(out, _exact_conv_matmul(f, a, b, out_len))
 
 
+# The largest diagonal bound at which recombine's quotient steps still
+# take two 16-bit diagonals at once: x_0 + x_1 2**16 < 2**63.
+PAIR_BOUND = ((1 << 63) - 1) // ((1 << 16) + 1)
+
+
 @pytest.mark.parametrize("p", BIG_PRIMES + ((1 << 61) - 1,))
 def test_recombine_near_quotient_boundaries(p):
-    # the last Horner step starts from acc = X with X * 2**16 just below,
-    # at or just above a multiple of p, where the float64 quotient
-    # estimate can be off by one; the last diagonal is 0 or a raw 2**47 - 1
+    # the last Horner step starts from acc = Y (mod p) with Y * 2**(16 g)
+    # just below, at or just above a multiple of p, where the float64
+    # quotient estimate can be off by one, for both groupings: a raw bound
+    # of 2**47 - 1 steps one 16-bit diagonal at a time (g = 1), PAIR_BOUND
+    # two (g = 2); the lowest diagonal is 0 or at the bound
     ks = (1, 2, 3, 129, 257, 3419, 40000, (1 << 16) - 1)
-    X = [min(p - 1, -(-k * p >> 16) + e) for k in ks for e in (-1, 0, 1)]
-    last = [0] * len(X) + [(1 << 47) - 1] * len(X)
-    X = np.array(X * 2, dtype=np.int64)
-    digits = np.stack([np.array(last, dtype=np.int64), X & 0xFFFF, X >> 16])
-    got = recombine(digits.reshape(3, 1, -1), 16, p)
-    assert got.tolist() == [((int(x) << 16) + y) % p for x, y in zip(X, last)]
+    for g, bound in ((1, (1 << 47) - 1), (2, PAIR_BOUND)):
+        assert (bound * ((1 << 16) + 1) < 1 << 63) == (g == 2)
+        Y = [min(p - 1, -(-k * p >> 16 * g) + e) for k in ks for e in (-1, 0, 1)]
+        low = [0] * len(Y) + [bound] * len(Y)
+        Y = np.array(Y * 2, dtype=np.int64)
+        if g == 1:          # Y 2**16 + x_0
+            digits = np.stack([np.array(low), Y & 0xFFFF, Y >> 16])
+        else:               # Y 2**32 + (2**16 - 1) 2**16 + x_0
+            digits = np.stack([np.array(low), np.full_like(Y, 0xFFFF), Y])
+        want = [sum(int(x) << 16 * d for d, x in enumerate(col)) % p
+                for col in digits.T.tolist()]
+        got = recombine(digits.reshape(3, 1, -1), 16, p, bound)
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", (BIG_PRIMES[0], (1 << 61) - 1, BIG_PRIMES[-1]))
+@pytest.mark.parametrize("n", (4, 5, 937, 938))
+@pytest.mark.parametrize("chunks", (1, 3))
+def test_products_at_limb_plan_boundaries(p, n, chunks):
+    # all-(p-1) operands put every diagonal near its bound, at each limb
+    # plan boundary of 2**61 - 1 (21-bit limbs up to n = 4, 16-bit up to
+    # 937, 13-bit beyond), in one chunk and summed raw over three; above
+    # 2**31 the 16- and 13-bit plans recombine two diagonals per step.
+    # (p - 1)**2 = 1 mod p, so coefficient m is T times the number of its
+    # terms, min(m + 1, 2n - 1 - m, n).
+    f = PrimeField(p)
+    T = (chunks - 1) * f.fft_limbs(n, n)[2] + 1
+    a = np.full((1, T, n), p - 1, dtype=np.int64)
+    b = np.full((T, 1, n), p - 1, dtype=np.int64)
+    m = np.arange(2 * n - 1)
+    want = T * np.minimum(np.minimum(m + 1, 2 * n - 1 - m), n) % p
+    assert f.conv_matmul(a, b, 2 * n - 1)[0, 0].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1, BIG_PRIMES[-1]))
 def test_kernel_dtype_contract(p):
-    # the product step returns int64 residues for every p; the kernel and
-    # the structured matvecs return the field's dtype, Python ints above
-    # 2**31
+    # the product step and a structured pass return int64 residues for
+    # every p; the kernel and the public block products return the field's
+    # dtype, Python ints above 2**31
     f = PrimeField(p)
     rng = f.rng(5)
     a = f.rand_mat(rng, (6, 9)).reshape(2, 3, 9)
@@ -261,8 +294,11 @@ def test_kernel_dtype_contract(p):
     assert raw.dtype == np.int64 and raw.min() >= 0 and raw.max() < p
     A = random_structured(f, 9, 2, 1, 5)
     V = f.rand_mat(rng, (9, 2))
-    outs = (f.conv_matmul(a, b, 17), A.matvec_block(V), *A.matvec_pair(V, V))
+    outs = (f.conv_matmul(a, b, 17), A.matvec_block(V), A.matvec_t_block(V),
+            *A.matvec_pair(V, V))
     assert np.array_equal(outs[0], raw)
+    for got, want in zip(A._pass([V, V], 0, None), outs[3:]):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
     for out in outs:
         assert out.dtype == f.dtype
         assert f.dtype is np.int64 or all(type(x) is int for x in out.flat)

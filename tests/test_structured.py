@@ -586,7 +586,7 @@ def test_pair_pass_transient_memory():
 def test_pass_plans_vs_dense(p):
     # every pass shape against the dense product: both directions, pairs of
     # unequal widths either way round, a repeated shape and seven shapes in
-    # all
+    # all; a pass returns int64 residues for every p
     f = PrimeField(p)
     rng = f.rng(p % 97)
     for n, alpha_t, alpha_h in ((1, 1, 1), (9, 2, 1), (17, 0, 2), (33, 3, 0)):
@@ -599,7 +599,7 @@ def test_pass_plans_vs_dense(p):
                 out = A._pass(blocks, first, None)
                 for i, (X, Y) in enumerate(zip(blocks, out)):
                     want = f.matmul(M if first + i == 0 else Mt, X)
-                    assert Y.dtype == f.dtype, (n, widths)
+                    assert Y.dtype == np.int64, (n, widths)
                     assert np.array_equal(Y, want), (n, widths)
         # the laid-out spectra are views of the matrix's kept spectra:
         # stage 1 of (S_H, S_G), stage 2 of (S_G, S_H)

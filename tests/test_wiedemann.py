@@ -85,23 +85,31 @@ def test_naive_sequence_vs_dense_powers():
 @pytest.mark.parametrize("p", (101, (1 << 61) - 1))
 @pytest.mark.parametrize("alpha_t,alpha_h", ((2, 0), (0, 2), (2, 1)))
 @pytest.mark.parametrize("beta", (1, 2, 3))
-def test_two_sided_sequence_vs_dense(p, alpha_t, alpha_h, beta):
-    # S_{2i} = U_i^T V_i and S_{2i+1} = U_i^T V_{i+1} read the two chains;
-    # every term must still be U^T A^i V, at the per-step charge
+def test_two_sided_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
+    # S_{2i} = U_i^T V_i and S_{2i+1} = U_i^T V_{i+1} read the two chains,
+    # which stay int64, and their projections are taken in batches; every
+    # term must still be U^T A^i V in the field's dtype, at the per-step
+    # charge, with all steps in one batch or two steps per batch
     f = PrimeField(p)
-    n = 7
-    A = random_structured(f, n, alpha_t, alpha_h, 40 + beta)
-    U, V = structured_projectors(f, n, beta, 41)
-    dense = A.reconstruct()
-    step = 2 * A.alpha * beta * f.conv_charge(n, n)
-    for L in (1, 2, 3, 8, 9):
-        counter = MultCounter()
-        seq = krylov_sequence_naive(A, U, V, L, counter)
-        assert counter.mults == (L - 1) * step + L * beta * n * beta
-        power = V
-        for i in range(L):
-            assert np.array_equal(seq.terms[i], f.matmul(U.T.copy(), power))
-            power = f.matmul(dense, power)
+    for n in (1, 2, 5, 7, 17):
+        if beta > n:
+            continue
+        A = random_structured(f, n, alpha_t, alpha_h, 40 + beta)
+        U, V = structured_projectors(f, n, beta, 41)
+        dense = A.reconstruct()
+        step = 2 * A.alpha * beta * f.conv_charge(n, n)
+        for budget in (1 << 16, 2 * 3 * n * beta * 8):
+            monkeypatch.setattr("thpoly.wiedemann._PROJECTION_BYTES", budget)
+            for L in (1, 2, 3, 8, 9):
+                counter = MultCounter()
+                seq = krylov_sequence_naive(A, U, V, L, counter)
+                assert counter.mults == (L - 1) * step + L * beta * n * beta
+                assert seq.terms.dtype == f.dtype
+                power = V
+                for i in range(L):
+                    assert np.array_equal(seq.terms[i],
+                                          f.matmul(U.T.copy(), power))
+                    power = f.matmul(dense, power)
 
 
 def test_bsgs_identity_and_stride_one():
@@ -545,11 +553,13 @@ def test_two_stage_unequal_group_widths(p):
 
 @pytest.mark.parametrize("p", [101, (1 << 61) - 1])
 @pytest.mark.parametrize("trials", [1, 2, 3])
-def test_carried_powers_vs_dense(p, trials):
+def test_carried_powers_vs_dense(monkeypatch, p, trials):
     # the naive route splits the trials, ceil(t/2) on A and the rest on
     # A^T, over its (L-1)//2 pair passes; BSGS carries all on A over its
     # s-1 baby steps.  Terms are unchanged, and each carried column is
-    # charged as one more block column.
+    # charged as one more block column.  The naive projections are taken
+    # one step per batch.
+    monkeypatch.setattr("thpoly.wiedemann._PROJECTION_BYTES", 1)
     field = PrimeField(p)
     n = 9
     A = random_structured(field, n, 2, 1, 98)
@@ -623,3 +633,37 @@ def test_minpoly_low_degree_count_excess(diagonal, degree, mode, mults):
     assert verify_annihilates(A, f, 2, derive_seed(5, "verify"), counter)
     excess = max(0, m - degree) * 2 * column_charge(A)
     assert report.field_mult_count == counter.mults + excess
+
+
+# -- scratch memory ---------------------------------------------------------------
+
+
+def test_bigp_solve_borrows_the_pass_buffer(monkeypatch):
+    # after a first solve has grown a thread's pass buffer, a naive minpoly
+    # above 2**31 maps no buffer of its own: its batched projections and
+    # its verification product split their terms to fit the pass buffer
+    import threading
+    from thpoly import field as field_mod, kernel
+    spare, fresh, done = kernel._spare_buffer, [], []
+
+    def logged(nbytes):
+        buf = spare(nbytes)
+        if buf is not getattr(kernel._scratch, "buffer", None):
+            fresh.append(nbytes)
+        return buf
+
+    def solve():
+        field = PrimeField((1 << 61) - 1)
+        assert minpoly(random_structured(field, 128, 2, 1, 1), 1,
+                       mode="naive").verified
+        fresh.clear()
+        assert minpoly(random_structured(field, 128, 2, 1, 2), 2,
+                       mode="naive").verified
+        done.append(True)
+
+    monkeypatch.setattr(kernel, "_spare_buffer", logged)
+    monkeypatch.setattr(field_mod, "_spare_buffer", logged)
+    worker = threading.Thread(target=solve)     # a thread's own pass buffer
+    worker.start()
+    worker.join()
+    assert done and fresh == []
