@@ -4,14 +4,20 @@ Counts follow fixed per-operation formulas so that identical inputs always
 give identical totals, independent of caching or vectorization details:
 
 * scalar product: 1
-* elementwise / schoolbook convolution products: the schoolbook count
-* NTT-based product with transform size N: 3 * (N/2) * log2(N) twiddle
-  products plus N pointwise products plus N inverse-scaling products
+* elementwise products: one per entry
+* product of polynomials of lengths la and lb: where p < 2**31 and both
+  2**20 and the padded size N divide p - 1, the NTT formula 3*(N/2)*lg N
+  twiddle plus N pointwise plus N inverse-scaling products, a charge rule
+  only (no product runs an NTT); elsewhere the schoolbook la*lb
 * ``a**e mod p``: one product per squaring or multiply step of binary
   exponentiation; an inversion is charged as a power by p-2, whatever
   computes it
 * dense (a x k)(k x b) product: a*k*b
-* row-reduction style updates: one product per touched entry
+* row-reduction style updates: one product per touched entry.  An
+  ``rref`` pivot charges the entries, from its column on, of the rows it
+  actually updates, so the charge depends on the input's row order when
+  entries vanish: at p = 3, n = 4, alpha (0, 2), ``minpoly --mode bsgs
+  --seed 7`` reads 3,086 for one order and 3,094 for another
 
 Additions and precomputed tables (twiddles, bit-reversal permutations) are
 never charged.

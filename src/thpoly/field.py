@@ -3,20 +3,20 @@
 Residues are plain integers in [0, p).  Bulk data lives in numpy arrays:
 int64 when p < 2**31 (so a product of two residues fits 62 bits), dtype
 object with Python ints otherwise.  Every residue is below 2**62, so it
-also fits int64 wherever a kernel needs it to.  `conv` goes through an
-iterative radix-2 NTT when the modulus supports one, and otherwise through
-`np.convolve` when its int64 sums cannot overflow; every other product
-of polynomials, and every batched product of polynomial matrices, runs on
-the exact floating-point FFT kernel of `kernel.py`, with a transform step
-and a product step that a caller applying one operand many times keeps
-(`kernel.PassPlan`, for the structured passes, which return int64
-residues for every p).  `fft_spectra` and `conv_matmul` build their
-steps for one call, which never grows the passes' buffer; `conv_matmul`,
-a transform step per operand and a product step, returns the field's
-dtype.  `matmul_int64` is the exact matrix product of int64 residue
-arrays, batched over leading axes and in int64 for every p, on the same
-limbs and `kernel.recombine`, so that int64 blocks (a Krylov chain's)
-need no Python ints above 2**31.  All paths return identical residues.
+also fits int64 wherever a kernel needs it to.  `conv` goes through
+`np.convolve` when its int64 sums cannot overflow, whatever the modulus;
+every other product of polynomials, and every batched product of
+polynomial matrices, runs on the exact floating-point FFT kernel of
+`kernel.py`, with a transform step and a product step that a caller
+applying one operand many times keeps (`kernel.PassPlan`, for the
+structured passes, which return int64 residues for every p).
+`fft_spectra` and `conv_matmul` build their steps for one call, which
+never grows the passes' buffer; `conv_matmul`, a transform step per
+operand and a product step, returns the field's dtype.  `matmul_int64`
+is the exact matrix product of int64 residue arrays, batched over leading
+axes and in int64 for every p, on the same limbs and `kernel.recombine`,
+so that int64 blocks (a Krylov chain's) need no Python ints above 2**31.
+All paths return identical residues.
 """
 
 from __future__ import annotations
@@ -116,6 +116,8 @@ class PrimeField:
         self._inv_cost = pow_cost(p - 2)
         self._ntt_tables = {}
 
+    # Kept only because perfbench/tracer.py wraps `ntt_many` by name; only
+    # `ntt_many` reads the root.
     def _find_root(self) -> int:
         # w = g**((p-1)/2**t) has order exactly 2**t iff w**(2**(t-1)) == -1,
         # i.e. iff g is a quadratic nonresidue; one exists below any prime.
@@ -257,6 +259,8 @@ class PrimeField:
             return A.dot(B) % p
         if k * (p - 1) * (p - 1) < (1 << 63):
             return A @ B % p
+        if k * (p - 1) * 0xFFFF >= (1 << 63):     # 16-bit halves overflow
+            return self.matmul_int64(A, B)
         # split one operand in 16-bit halves: sums stay below 2**63
         hi = B >> 16
         lo = B & 0xFFFF
@@ -326,7 +330,8 @@ class PrimeField:
         return size <= (1 << self.two_adicity)
 
     def conv_charge(self, la: int, lb: int) -> int:
-        """Canonical multiplication count of one convolution (both paths)."""
+        """Canonical multiplication count of one convolution on either
+        route; the NTT formula is a charge rule only (`counting.py`)."""
         if la == 0 or lb == 0:
             return 0
         out_len = la + lb - 1
@@ -336,37 +341,19 @@ class PrimeField:
             return 3 * (size // 2) * lg + 2 * size
         return la * lb
 
-    def conv(self, a, b, counter: MultCounter | None = None,
-             method: str = "auto") -> np.ndarray:
-        """Full product of coefficient vectors, length len(a)+len(b)-1."""
+    def conv(self, a, b, counter: MultCounter | None = None) -> np.ndarray:
+        """Full product of coefficient vectors, length len(a)+len(b)-1:
+        `np.convolve` while its int64 sums cannot overflow, the FFT kernel
+        (`conv_matmul`) otherwise.  Charged `conv_charge` on either."""
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return self.zeros(0)
-        out_len = la + lb - 1
-        if method == "auto":
-            method = "ntt" if self._ntt_ok(out_len) else "basic"
-        if method == "ntt":
-            if not self._ntt_ok(out_len):
-                raise ValueError("NTT path unavailable for this modulus/size")
-            return self._conv_ntt(a, b, out_len, counter)
-        if method != "basic":
-            raise ValueError(f"unknown convolution method {method!r}")
         if counter is not None:
-            counter.add(la * lb)
+            counter.add(self.conv_charge(la, lb))
         if self.dtype is not object and min(la, lb) * (self.p - 1) ** 2 < (1 << 63):
             return np.convolve(a, b) % self.p
         return self.conv_matmul(np.reshape(a, (1, 1, la)),
-                                np.reshape(b, (1, 1, lb)), out_len)[0, 0]
-
-    def _conv_ntt(self, a, b, out_len, counter) -> np.ndarray:
-        size = 1 << max(0, out_len - 1).bit_length()
-        if counter is not None:
-            lg = size.bit_length() - 1
-            counter.add(3 * (size // 2) * lg + 2 * size)
-        fa = self._ntt(self._pad(a, size), inverse=False)
-        fb = self._ntt(self._pad(b, size), inverse=False)
-        prod = fa * fb % self.p
-        return self._ntt(prod, inverse=True)[:out_len]
+                                np.reshape(b, (1, 1, lb)), la + lb - 1)[0, 0]
 
     # -- exact floating-point FFT products -------------------------------------
 
@@ -415,12 +402,9 @@ class PrimeField:
         step = ProductStep(self.p, la, lb, 1, I, fa.shape[2], J, out_len)
         return self.from_int64(step.run(step.bind(fb), step.layout([fa]))[0])
 
-    def _pad(self, a, size) -> np.ndarray:
-        out = np.zeros(size, dtype=np.int64)
-        out[:len(a)] = a
-        return out
-
     # -- number-theoretic transform -----------------------------------------
+    # Kept only because perfbench/tracer.py wraps `ntt_many` by name; no
+    # library code calls it or `_tables_for`.
 
     def _tables_for(self, size: int):
         cached = self._ntt_tables.get(size)
@@ -449,9 +433,6 @@ class PrimeField:
         tables = (rev, fwd, bwd, n_inv)
         self._ntt_tables[size] = tables
         return tables
-
-    def _ntt(self, a: np.ndarray, inverse: bool) -> np.ndarray:
-        return self.ntt_many(a.reshape(1, -1), inverse)[0]
 
     def ntt_many(self, a: np.ndarray, inverse: bool) -> np.ndarray:
         """Transform each row of a (batch, size) int64 array in one pass."""

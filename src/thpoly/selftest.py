@@ -58,16 +58,20 @@ def check_field_arithmetic():
 
 
 def check_poly_paths():
-    field = PrimeField(_P_NTT)
+    field = PrimeField(_P_NTT)      # np.convolve up to 2 terms, FFT beyond
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        da, db = int(rng.integers(0, 130)), int(rng.integers(0, 130))
-        a = field.rand_vec(rng, da + 1)
-        b = field.rand_vec(rng, db + 1)
-        via_ntt = field.conv(a, b, method="ntt")
-        via_basic = field.conv(a, b, method="basic")
-        _expect(np.array_equal(via_ntt, via_basic))
-    return "poly_mul NTT path == fallback path"
+    lengths = [(1, 513), (2, 513)]
+    lengths += [tuple(int(x) for x in rng.integers(1, 514, size=2))
+                for _ in range(18)]
+    for la, lb in lengths:
+        a = field.rand_vec(rng, la).tolist()
+        b = field.rand_vec(rng, lb).tolist()
+        want = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] = (want[i + j] + x * y) % field.p
+        _expect(field.conv(field.asvec(a), field.asvec(b)).tolist() == want)
+    return "poly_mul == Python-int schoolbook product"
 
 
 def check_poly_division():

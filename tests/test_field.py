@@ -333,6 +333,23 @@ def test_matmul_int64_long_sums():
     assert PrimeField(p).matmul_int64(A, B).tolist() == [[k, k]]
 
 
+# On each side of the longest k whose 16-bit split in `matmul` keeps
+# k (p-1) (2**16-1) below 2**63 (65,537 and 69,906): A is all p - 1 and B
+# the largest residue whose low 16 bits are all set, so the low half's sums
+# reach that bound; past it the product goes to `matmul_int64`
+@pytest.mark.parametrize("p,k,b", [
+    ((1 << 31) - 1, 65_537, 0x7FFEFFFF), ((1 << 31) - 1, 65_538, 0x7FFEFFFF),
+    (P_NTT, 69_906, 0x77FFFFFF), (P_NTT, 69_907, 0x77FFFFFF),
+    ((1 << 31) - 1, 70_000, (1 << 31) - 2)])    # all p - 1: k mod p
+def test_matmul_long_sums_below_2_31(p, k, b):
+    A = np.full((1, k), p - 1, dtype=np.int64)
+    B = np.full((k, 2), b, dtype=np.int64)
+    counter = MultCounter()
+    got = PrimeField(p).matmul(A, B, counter).tolist()
+    assert got == [[k * (p - 1) * b % p] * 2]
+    assert counter.mults == 2 * k
+
+
 def test_one_off_products_leave_the_pass_buffer():
     # only structured passes work in the thread's buffer; a one-off product
     # works in memory of its own, so a large one leaves the buffer as it was

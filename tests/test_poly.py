@@ -30,16 +30,32 @@ def test_mul_random_vs_schoolbook(p):
     assert got == _ref.schoolbook_mul(a, b, f.p)
 
 
-def test_mul_paths_bit_identical():
+def test_conv_vs_python_int_schoolbook():
+    # both routes of `conv` at p = 2013265921: np.convolve while one
+    # operand has at most 2 terms, the FFT kernel beyond
     f = PrimeField(P_NTT)
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        da = int(rng.integers(0, 513))
-        db = int(rng.integers(0, 513))
-        a = f.rand_vec(rng, da + 1)
-        b = f.rand_vec(rng, db + 1)
-        assert np.array_equal(f.conv(a, b, method="ntt"),
-                              f.conv(a, b, method="basic"))
+    lengths = [(1, 1), (1, 513), (513, 1), (2, 513), (513, 513)]
+    lengths += [tuple(int(x) for x in rng.integers(1, 514, size=2))
+                for _ in range(40)]
+    for la, lb in lengths:
+        a = f.rand_vec(rng, la).tolist()
+        b = f.rand_vec(rng, lb).tolist()
+        want = _ref.schoolbook_mul(a, b, f.p)
+        want += [0] * (la + lb - 1 - len(want))
+        assert f.conv(f.asvec(a), f.asvec(b)).tolist() == want
+
+
+@pytest.mark.parametrize("p", [3, 101, 7340033, P_NTT, (1 << 31) - 1,
+                               (1 << 61) - 1])
+def test_conv_charges_conv_charge(p):
+    f = PrimeField(p)
+    rng = f.rng(8)
+    for la, lb in [(1, 1), (1, 9), (9, 1), (2, 2), (3, 17), (64, 64),
+                   (257, 200)]:
+        counter = MultCounter()
+        f.conv(f.rand_vec(rng, la), f.rand_vec(rng, lb), counter)
+        assert counter.mults == f.conv_charge(la, lb)
 
 
 def test_mul_field_mismatch():
