@@ -86,8 +86,7 @@ class ToeplitzCore:
         self.H = field.asmat(H) if H.size else field.zeros((n, H.shape[1]))
         self.G.flags.writeable = False
         self.H.flags.writeable = False
-        # cells for the limb spectra of H and G, filled by `spectra`
-        self._spectra = ([None], [None])
+        self._spectra = None
 
     @classmethod
     def zero(cls, field: PrimeField, n: int) -> "ToeplitzCore":
@@ -108,21 +107,19 @@ class ToeplitzCore:
     def spectra(self):
         """(S_H, S_G): limb spectra of the H and G columns for n x n kernel
         products (`PrimeField.fft_spectra`, columns padded to whole
-        chunks); each is transformed on first use, kept, and shared with
-        `swapped()`.  Two arrays, not one stacked: a kept allocation twice
-        the size raises glibc's dynamic mmap threshold when it is freed,
-        and peak RSS with it (+0.5 MB on a Toeplitz-like minpoly at
-        n = 256)."""
-        for cell, X in zip(self._spectra, (self.H, self.G)):
-            if cell[0] is None:
-                cell[0] = self.field.fft_spectra(X.T, self.n, self.n, axis=0)
-        return self._spectra[0][0], self._spectra[1][0]
+        chunks), transformed on first use and kept.  Two arrays, not one
+        stacked: a kept allocation twice the size raises glibc's dynamic
+        mmap threshold when it is freed, and peak RSS with it (+0.5 MB on
+        a Toeplitz-like minpoly at n = 256)."""
+        if self._spectra is None:
+            self._spectra = tuple(self.field.fft_spectra(X.T, self.n, self.n,
+                                                         axis=0)
+                                  for X in (self.H, self.G))
+        return self._spectra
 
     def swapped(self) -> "ToeplitzCore":
         """Transpose: displacement of C^T is (G H^T)^T = H G^T."""
-        core = ToeplitzCore(self.field, self.n, self.H, self.G)
-        core._spectra = self._spectra[::-1]
-        return core
+        return ToeplitzCore(self.field, self.n, self.H, self.G)
 
     def compressed(self, counter: MultCounter | None = None) -> "ToeplitzCore":
         G, H = compress_pair(self.field, self.G, self.H, counter)

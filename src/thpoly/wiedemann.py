@@ -21,8 +21,8 @@ or a block charpoly, and for BSGS s - 1 fewer than with a separate
 Horner chain.  The Krylov chains hold the int64 residues that
 `THMatrix._pass` returns for every p, so no pass converts to Python ints
 and back above 2**31; a naive sequence takes the terms of many passes in
-one batched int64 product (`PrimeField.matmul_int64`), and only the
-sequence terms and the BSGS giant rows take the field's dtype.
+one batched int64 product (`PrimeField.matmul_int64`), BSGS all its giant
+rows in one, and only the sequence terms take the field's dtype.
 Verification's Horner chain stays in the field's dtype, where a 61-bit
 coefficient times a residue needs Python ints.
 """
@@ -244,44 +244,45 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
                   counter: MultCounter | None = None,
                   carry: np.ndarray | None = None) -> BlockSequence:
     """Same output as the naive path, scheduled as baby steps A^i V for
-    i < s, one structured power B = A^s, and giant rows U^T B^j, each
-    one matrix product with the baby steps side by side (charged as the
-    s products of its terms).  Both chains stay in the int64 residues of
-    `THMatrix._pass`; a giant row takes the field's dtype.
+    i < s, one structured power B = A^s, and giant rows U^T B^j, all in
+    one int64 product (`PrimeField.matmul_int64`) with the baby steps side
+    by side, charged as the beta x n x beta product of each of the L terms
+    kept.  Both chains stay in the int64 residues of `THMatrix._pass`; only
+    the terms take the field's dtype.
 
-    `carry`, an n x t block of verification vectors, rides all m =
-    min(s, L) - 1 baby steps beside V; its powers come back as the
-    sequence's `prefix` (see `krylov_sequence_naive`)."""
+    `carry`, an n x t block of verification vectors, rides all m = s - 1
+    baby steps beside V; its powers come back as the sequence's `prefix`
+    (see `krylov_sequence_naive`)."""
     beta = _check_blocks(A, U, V)
     if beta != plan.beta:
         raise ShapeMismatchError("plan block size differs from projector width")
-    field = A.field
+    field, n = A.field, A.n
     s, L = plan.s, plan.L
     chain, prefix = np.asarray(V, dtype=np.int64), None
     if carry is not None:
-        prefix = _start_prefix(carry, min(s, L) - 1, carry.shape[1])
+        prefix = _start_prefix(carry, s - 1, carry.shape[1])
         chain = np.concatenate([chain, prefix.powers[0]], axis=1)
-    # babies[:, i beta:(i + 1) beta] = A^i V, so a giant row is one product
-    babies = np.zeros((A.n, min(s, L) * beta), dtype=np.int64)
+    # babies[:, i beta:(i + 1) beta] = A^i V
+    babies = np.zeros((n, s * beta), dtype=np.int64)
     babies[:, :beta] = V
-    for i in range(1, min(s, L)):
+    for i in range(1, s):
         chain = A._pass([chain], 0, counter)[0]
         babies[:, i * beta:(i + 1) * beta] = chain[:, :beta]
         if prefix is not None:
             prefix.powers[i] = chain[:, beta:]
-    babies = field.from_int64(babies)
-    giants = math.ceil(L / s)
-    B = A.power(s, counter) if giants > 1 else None
-    terms = np.zeros((L, beta, beta), dtype=field.dtype)
-    W = np.asarray(U, dtype=np.int64)
-    for j in range(giants):
-        k = min(s, L - j * s)
-        row = field.matmul(field.from_int64(W.T.copy()), babies[:, :k * beta],
-                           counter)
-        terms[j * s:j * s + k] = row.reshape(beta, k, beta).swapaxes(0, 1)
-        if (j + 1) * s < L:
-            W = B._pass([W], 1, counter)[0]
-    return BlockSequence(field, beta, terms, prefix)
+    giants = -(-L // s)
+    W = np.zeros((giants, beta, n), dtype=np.int64)     # W[j] = U^T B^j
+    W[0] = U.T
+    if giants > 1:
+        B = A.power(s, counter)
+        for j in range(1, giants):
+            W[j] = B._pass([W[j - 1].T], 1, counter)[0].T
+    if counter is not None:
+        counter.add(L * beta * n * beta)
+    rows = field.matmul_int64(W.reshape(giants * beta, n), babies)
+    terms = rows.reshape(giants, beta, s, beta).swapaxes(1, 2).reshape(
+        giants * s, beta, beta)[:L]
+    return BlockSequence(field, beta, field.from_int64(terms), prefix)
 
 
 def minimal_matrix_generator(seq: BlockSequence, dbound: int,
@@ -426,10 +427,10 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
     With d = deg f and k = min(m, d), f(A) b is sum_{i<k} f_i A^i b, one
     int64 product (`PrimeField.matmul_int64`) of the row (f_0 .. f_{k-1})
     with the carried powers flattened to k x (n trials), plus a Horner
-    chain over f_k .. f_d started from A^k b: d - k block passes, each
-    advancing the A-side trials by A and the A^T-side ones by A^T.
-    Without a prefix (k = 0) every trial is A-side and this is the plain
-    Horner chain of d passes.
+    chain over f_k .. f_d started from A^k b: d - k passes, each advancing
+    the A-side trials by A and the A^T-side ones by A^T, over only the
+    sides that hold trials.  Without a prefix (k = 0) every trial is
+    A-side and this is the plain Horner chain of d passes.
 
     Each coefficient costs one product per trial entry, (d+1) n trials in
     all, and a pass is charged as `trials` single-vector matvecs.  With the
@@ -455,12 +456,11 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
     w = field.from_int64(prefix.powers[k])
     W = field.vmul(w, coeffs[d], counter)
     fwd = prefix.forward
+    first = 0 if fwd else 1
     for c in reversed(coeffs[k:d]):
-        if fwd == trials:
-            W = A.matvec_block(W, counter)
-        else:
-            W = np.concatenate(A.matvec_pair(W[:, :fwd], W[:, fwd:], counter),
-                               axis=1)
+        groups = [W[:, :fwd], W[:, fwd:]] if 0 < fwd < trials else [W]
+        W = field.from_int64(np.concatenate(A._pass(groups, first, counter),
+                                            axis=1))
         W = (W + field.vmul(w, c, counter)) % field.p
     return not np.any((S + W) % field.p != 0)
 

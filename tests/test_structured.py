@@ -517,14 +517,14 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
         assert run(product) == (2, first)
         assert (calls["plan"], calls["layout"]) == (plans, layouts)
         first, layouts = 2, 0
-    # a Toeplitz-like matrix reads its core's spectra, shared with the
-    # swapped core; a matrix with J-flipped columns keeps its own
+    # a Toeplitz-like matrix reads its core's spectra, and the swapped
+    # core transforms its own; a matrix with J-flipped columns keeps its own
     first = 2 if A.Q.width == 0 else 4
     zero = ToeplitzCore.zero(f, n)
     for product in (lambda: THMatrix(f, core, zero).matvec_block(V),
                     lambda: THMatrix(f, core.swapped(), zero).matvec_block(V)):
         assert run(product) == (2, first) and calls["layout"] == 2
-        first = 2
+        first = 4
     # wide generators: several chunks of columns, still one pass each
     # (p = 101 sums millions of terms per transform, so it never chunks)
     n = 256

@@ -112,6 +112,64 @@ def test_two_sided_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
                     power = f.matmul(dense, power)
 
 
+@pytest.mark.parametrize("p", (101, (1 << 61) - 1, (1 << 62) - 57))
+@pytest.mark.parametrize("alpha_t,alpha_h", ((2, 0), (0, 2), (2, 1)))
+@pytest.mark.parametrize("beta", (1, 2, 3))
+def test_bsgs_sequence_vs_dense(p, alpha_t, alpha_h, beta):
+    # every giant row is taken in one int64 product with the baby steps;
+    # every term must be U^T A^i V in the field's dtype, charged as the
+    # s - 1 baby steps, the power and its giants - 1 passes, and the
+    # beta x n x beta product of each of the L terms
+    f = PrimeField(p)
+    for n in (1, 2, 5, 17):
+        if beta > n:
+            continue
+        A = random_structured(f, n, alpha_t, alpha_h, 50 + beta)
+        U, V = structured_projectors(f, n, beta, 51)
+        dense = A.reconstruct()
+        step = 2 * beta * f.conv_charge(n, n)
+        for L in (2, 3, 8, 9):
+            for s in sorted({1, 2, 3, L} & set(range(1, L + 1))):
+                giants = -(-L // s)
+                want = (s - 1) * A.alpha * step + L * beta * beta * n
+                if giants > 1:
+                    power = MultCounter()
+                    B = A.power(s, power)
+                    want += power.mults + (giants - 1) * B.alpha * step
+                counter = MultCounter()
+                seq = bsgs_sequence(A, U, V, BsgsPlan(beta, s, L), counter)
+                assert seq.terms.dtype == f.dtype and seq.L == L
+                assert counter.mults == want
+                power = V
+                for i in range(L):
+                    assert np.array_equal(seq.terms[i],
+                                          f.matmul(U.T.copy(), power))
+                    power = f.matmul(dense, power)
+
+
+def test_bsgs_sequence_takes_one_product(monkeypatch):
+    # with the power precomputed, the sequence's only products of blocks
+    # are one `matmul_int64` of all giant rows, and no `matmul`
+    A = random_structured(F, 64, 2, 0, 3)
+    u, v = structured_projectors(F, 64, 1, 4)
+    plan = BsgsPlan.default(64, 1)
+    assert -(-plan.L // plan.s) == 11
+    B = A.power(plan.s)
+    monkeypatch.setattr(THMatrix, "power", lambda self, k, counter=None: B)
+    calls = []
+    for name in ("matmul", "matmul_int64"):
+        def logged(self, *args, _name=name, _method=getattr(PrimeField, name),
+                   **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrimeField, name, logged)
+    seq = bsgs_sequence(A, u, v, plan)
+    assert calls == ["matmul_int64"]
+    monkeypatch.undo()
+    assert np.array_equal(seq.terms, krylov_sequence_naive(A, u, v, plan.L).terms)
+
+
 def test_bsgs_identity_and_stride_one():
     eye = THMatrix.identity(F, 6)
     U, V = structured_projectors(F, 6, 2, 14)
@@ -514,18 +572,38 @@ def test_verify_prefix_matches_horner(p, n):
 
 
 @pytest.mark.parametrize("forward", [0, 1, 2])
-def test_verify_prefix_rejects_every_bumped_coefficient(forward):
-    # forward 0 and 2 put both trials on one chain, A^T or A
+def test_verify_prefix_rejects_every_bumped_coefficient(monkeypatch, forward):
+    # forward 0 and 2 put both trials on one chain, A^T or A.  Each Horner
+    # step is one pass over the chains that carry trials, with no empty
+    # group, and a run costs what it costs without a prefix
     A = random_structured(F, 10, 2, 1, 91)
     mp = dense_minpoly(DenseMatrix(F, A.reconstruct()))
     d = int(mp.degree)
+    carried = MultCounter()
     prefix = carried_prefix(A, verification_vectors(F, 10, 2, 2), d // 2,
-                            forward)
-    assert verify_annihilates(A, mp, 2, 2, prefix=prefix)
+                            forward, carried)
+    passes = []
+    one_pass = THMatrix._pass
+
+    def logged(self, blocks, first, counter):
+        passes.append((first, tuple(X.shape[1] for X in blocks)))
+        return one_pass(self, blocks, first, counter)
+
+    monkeypatch.setattr(THMatrix, "_pass", logged)
+    groups = {0: (1, (2,)), 1: (0, (1, 1)), 2: (0, (2,))}[forward]
+    candidates = [(mp, True)]
     for i in range(d + 1):
         bumped = mp.to_list()
         bumped[i] = (bumped[i] + i + 1) % F.p
-        assert not verify_annihilates(A, Poly(F, bumped), 2, 2, prefix=prefix)
+        candidates.append((Poly(F, bumped), False))
+    for f, want in candidates:
+        plain, counter = MultCounter(), MultCounter()
+        assert verify_annihilates(A, f, 2, 2, plain) is want
+        passes.clear()
+        counter.add(carried.mults)
+        assert verify_annihilates(A, f, 2, 2, counter, prefix) is want
+        assert counter.mults == plain.mults
+        assert passes == [groups] * (d - d // 2)
 
 
 def test_verify_prefix_of_other_vectors_refused():
