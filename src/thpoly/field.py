@@ -248,9 +248,7 @@ class PrimeField:
         return int(((a * b) % self.p).sum() % self.p)
 
     def matmul(self, A, B, counter: MultCounter | None = None) -> np.ndarray:
-        """Exact (a x k)(k x b) product in the field's dtype: Python ints
-        above 2**31, an int64 matmul while k (p-1)**2 < 2**63, and
-        `matmul_int64` beyond."""
+        """Exact (a x k)(k x b) product."""
         k = A.shape[1]
         if counter is not None:
             counter.add(A.shape[0] * k * B.shape[1])
@@ -261,7 +259,12 @@ class PrimeField:
             return A.dot(B) % p
         if k * (p - 1) * (p - 1) < (1 << 63):
             return A @ B % p
-        return self.matmul_int64(A, B)
+        if k * (p - 1) * 0xFFFF >= (1 << 63):     # 16-bit halves overflow
+            return self.matmul_int64(A, B)
+        # split one operand in 16-bit halves: sums stay below 2**63
+        hi = B >> 16
+        lo = B & 0xFFFF
+        return (((A @ hi % p) << 16) + (A @ lo % p)) % p
 
     def matmul_int64(self, A, B, counter: MultCounter | None = None) -> np.ndarray:
         """Exact products of int64 residue arrays, (..., a, k) times (...,

@@ -333,10 +333,10 @@ def test_matmul_int64_long_sums():
     assert PrimeField(p).matmul_int64(A, B).tolist() == [[k, k]]
 
 
-# Long int64 sums: once k (p-1)**2 reaches 2**63, `matmul` goes to
-# `matmul_int64`.  k straddles 65,537 and 69,906, the bounds of
-# k (p-1) (2**16-1) < 2**63, with A all p - 1 and B the largest residue
-# whose low 16 bits are all set, the worst case of a 16-bit split of B
+# On each side of the longest k whose 16-bit split in `matmul` keeps
+# k (p-1) (2**16-1) below 2**63 (65,537 and 69,906): A is all p - 1 and B
+# the largest residue whose low 16 bits are all set, so the low half's sums
+# reach that bound; past it the product goes to `matmul_int64`
 @pytest.mark.parametrize("p,k,b", [
     ((1 << 31) - 1, 65_537, 0x7FFEFFFF), ((1 << 31) - 1, 65_538, 0x7FFEFFFF),
     (P_NTT, 69_906, 0x77FFFFFF), (P_NTT, 69_907, 0x77FFFFFF),
