@@ -293,10 +293,9 @@ def minimal_matrix_generator(seq: BlockSequence, dbound: int,
     (0..0, 1..1): one order per step, one column pivot per residue column,
     pivot rows chosen by minimal shifted degree.  Each basis row is held
     beside its residue in one (2 beta, 3 beta, L + 2) coefficient array,
-    so a pivot eliminates every other row of its column in one update and
-    then multiplies its own row by x in place.  Each order's residues are
-    read once into Python ints, which carry the pivot choices, degrees and
-    charges; only the row updates and shifts touch the array.  The
+    so each pivot column is read from the array, one update touches only
+    the rows the pivot cancels, and the pivot row is then multiplied by x
+    in place.  The array is the only copy of the residues.  The
     top-block rows of smallest degree, reversed at their degree, form the
     generator.  For beta = 1 and a sequence long enough to certify
     minimality this equals the Berlekamp-Massey output exactly.
@@ -318,27 +317,22 @@ def minimal_matrix_generator(seq: BlockSequence, dbound: int,
     degm = [0] * m                                  # support bound of the basis
     charge = 0
     for k in range(L):
-        block = E[:, m:, k].tolist()                # residues of this order
         for c in range(beta):
-            nz = [r for r in range(m) if block[r][c]]
+            col = E[:, m + c, k].tolist()
+            nz = [r for r in range(m) if col[r]]
             if not nz:
                 continue
             piv = min(nz, key=d.__getitem__)
-            inv = field.inv(block[piv][c], counter)
+            inv = field.inv(col[piv], counter)
             rest = [r for r in nz if r != piv]
             if rest:
                 charge += len(rest) * (1 + m * (degm[piv] + 1) + beta * (L - k))
-                f = [0] * m                 # the other rows are left as they are
+                f = np.array([col[r] * inv % p for r in rest], dtype=E.dtype)
+                E[rest] = (E[rest] - f[:, None, None] * E[piv]) % p
                 for r in rest:
-                    f[r] = fr = block[r][c] * inv % p
-                    block[r] = [(x - fr * y) % p
-                                for x, y in zip(block[r], block[piv])]
                     degm[r] = max(degm[r], degm[piv])
-                E -= np.array(f, dtype=E.dtype)[:, None, None] * E[piv]
-                E %= p
             E[piv, :, 1:] = E[piv, :, :-1]
             E[piv, :, 0] = 0
-            block[piv] = [0] * beta         # orders below k are cleared
             d[piv] += 1
             degm[piv] += 1
     if counter is not None:
@@ -520,8 +514,6 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     n = A.n
     if field.p <= n + 1:
         raise FieldTooSmallError(f"need p > n + 1 = {n + 1}, got {field.p}")
-    if not 1 <= beta <= n:
-        raise BadBlockSizeError(f"block size {beta} outside 1..{n}")
     counter = MultCounter()
     U, V = structured_projectors(field, n, beta,
                                  derive_seed(seed, "projectors"))

@@ -22,6 +22,8 @@ from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
 import _ref
 
 P_NTT = 2013265921
+# tiny, non-NTT, 31-bit NTT and object-dtype primes
+EDGE_PRIMES = (3, 101, (1 << 31) - 1, P_NTT, (1 << 61) - 1)
 
 
 def dense_displacement_down(field, M):
@@ -735,13 +737,21 @@ def test_core_multiply_identity_cases():
 
 
 def test_core_multiply_random_vs_dense():
-    f = PrimeField(101)
-    for seed in range(5):
-        A = random_structured(f, 8, 2, 0, seed).P
-        B = random_structured(f, 8, 2, 0, seed + 50).P
-        got = core_multiply(A, B)
-        assert np.array_equal(got.dense(), f.matmul(A.dense(), B.dense()))
-        assert got.width <= A.width + B.width + 1
+    # down to n = 1 and zero-width (zero) cores on either side
+    for p in EDGE_PRIMES:
+        f = PrimeField(p)
+        for n in (1, 2, 5, 17):
+            for a in range(4):
+                for b in range(4):
+                    seed = 100 * n + 10 * a + b
+                    A = random_structured(f, n, a, 0, seed).P
+                    B = random_structured(f, n, b, 0, seed + 50).P
+                    got = core_multiply(A, B)
+                    case = (p, n, a, b)
+                    assert np.array_equal(
+                        got.dense(), f.matmul(A.dense(), B.dense())), case
+                    assert got.width <= a + b + 1, case
+                    assert got.G.dtype == got.H.dtype == f.dtype, case
 
 
 def test_flip_conjugate_cases():
@@ -836,6 +846,22 @@ def test_power_examples():
     assert Zn.alpha == 0
     fifth = A.power(5).reconstruct()
     assert np.array_equal(fifth, _ref.mat_pow(f, A.reconstruct(), 5))
+    # Hankel-like (widths 0-3, zero-width included) and T+H-like inputs
+    shapes = [(0, h) for h in range(4)] + [(1, 1), (2, 1)]
+    for p in EDGE_PRIMES:
+        f = PrimeField(p)
+        for n in (1, 2, 5, 17):
+            for alpha_t, alpha_h in shapes:
+                A = random_structured(f, n, alpha_t, alpha_h,
+                                      100 * n + 10 * alpha_t + alpha_h)
+                dense = A.reconstruct()
+                for s in (1, 2, 3, 5):
+                    B = A.power(s)
+                    case = (p, n, alpha_t, alpha_h, s)
+                    assert np.array_equal(B.reconstruct(),
+                                          _ref.mat_pow(f, dense, s)), case
+                    for core in (B.P, B.Q):
+                        assert core.G.dtype == core.H.dtype == f.dtype, case
 
 
 @pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1])

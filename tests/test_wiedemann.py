@@ -43,6 +43,11 @@ def test_projectors_full_block_shape():
     assert len(cols) == 4
     with pytest.raises(BadBlockSizeError):
         structured_projectors(F, 4, 5, 3)
+    A = random_structured(F, 4, 2, 1, 3)
+    for beta in (0, 5):
+        with pytest.raises(BadBlockSizeError,
+                           match=f"block size {beta} outside 1..4"):
+            charpoly_generic(A, beta, 3)
 
 
 def test_projector_quality():
@@ -266,14 +271,19 @@ def test_generator_insufficient_length():
 
 
 def test_generator_annihilates_random_block_sequences():
-    for seed in range(5):
-        A = random_structured(F, 10, 2, 1, seed + 30)
-        beta = 1 + seed % 3
-        U, V = structured_projectors(F, 10, beta, seed)
-        L = 2 * (10 // beta) + 4
-        seq = krylov_sequence_naive(A, U, V, L)
-        Fgen = minimal_matrix_generator(seq, 10)
-        assert annihilates_sequence(Fgen, seq)
+    # at beta = 8 a pivot cancels up to 15 of the 16 basis rows, and
+    # above 2^31 the row updates run in object dtype
+    for p in (P_NTT, (1 << 61) - 1):
+        f = PrimeField(p)
+        for beta in (1, 2, 3, 5, 8):
+            for seed in range(3):
+                A = random_structured(f, 10, 2, 1, seed + 30)
+                U, V = structured_projectors(f, 10, beta, seed)
+                L = 2 * (10 // beta) + 4
+                seq = krylov_sequence_naive(A, U, V, L)
+                Fgen = minimal_matrix_generator(seq, 10)
+                assert Fgen.coeffs.dtype == f.dtype, (p, beta, seed)
+                assert annihilates_sequence(Fgen, seq), (p, beta, seed)
 
 
 # -- polynomial-matrix determinant ---------------------------------------------------
@@ -425,11 +435,12 @@ def test_charpoly_shift():
     assert report.polynomial.to_list() == [0] * 5 + [1]
 
 
-@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("beta", [1, 2, 4, 8])
 def test_charpoly_vs_oracle(beta):
-    for seed in range(3):
-        A = random_structured(F, 16, 2, 2, 10 * seed + beta)
-        oracle = dense_charpoly(DenseMatrix(F, A.reconstruct()))
+    cases = [(F, seed) for seed in range(3)] + [(PrimeField((1 << 61) - 1), 3)]
+    for f, seed in cases:
+        A = random_structured(f, 16, 2, 2, 10 * seed + beta)
+        oracle = dense_charpoly(DenseMatrix(f, A.reconstruct()))
         report = charpoly_generic(A, beta, seed)
         assert report.polynomial == oracle
 
@@ -458,9 +469,17 @@ def test_charpoly_deterministic():
     assert charpoly_generic(A, 2, 9) == charpoly_generic(A, 2, 9)
 
 
-@pytest.mark.parametrize("n, mults", [(64, 3_196_221), (128, 14_175_197)])
-def test_charpoly_block_count_pin(n, mults):
-    assert run_case(F, n, 2, 1, 2, "charpoly-block", 1).field_mults == mults
+CHARPOLY_PINS = [
+    (P_NTT, 64, 2, 3_196_221), (P_NTT, 128, 2, 14_175_197),
+    (P_NTT, 64, 8, 3_506_696), (P_NTT, 128, 8, 15_152_360),
+    (P_NTT, 64, 32, 5_934_796), ((1 << 61) - 1, 64, 8, 8_465_540)]
+
+
+@pytest.mark.parametrize("p, n, beta, mults", CHARPOLY_PINS,
+                         ids=[f"{n}-{mults}" for _, n, _, mults in CHARPOLY_PINS])
+def test_charpoly_block_count_pin(p, n, beta, mults):
+    record = run_case(PrimeField(p), n, 2, 1, beta, "charpoly-block", 1)
+    assert record.field_mults == mults
 
 
 @pytest.mark.parametrize("n, mults", [(128, 10_841_181), (256, 45_835_947)])
