@@ -17,14 +17,13 @@ Monte Carlo with cheap independent verification, f(A) b = 0 on random b
 passes as extra block columns, some on the A^T chain, so verification
 only finishes the powers the sequence did not reach: sequence and
 certificate together take n + 1 structured passes for a naive minpoly
-or a block charpoly, and for BSGS s - 1 fewer than with a separate
-Horner chain.  The Krylov chains hold the int64 residues that
-`THMatrix._pass` returns for every p, so no pass converts to Python ints
-and back above 2**31; a naive sequence takes the terms of many passes in
-one batched int64 product (`PrimeField.matmul_int64`), BSGS all its giant
-rows in one, and only the sequence terms take the field's dtype.
-Verification's Horner chain stays in the field's dtype, where a 61-bit
-coefficient times a residue needs Python ints.
+or a block charpoly, and for BSGS s - 1 fewer than with uncarried
+trials.  The Krylov chains hold the int64 residues that `THMatrix._pass`
+returns for every p, so no pass converts to Python ints and back above
+2**31; a naive sequence takes the terms of many passes in one batched
+int64 product (`PrimeField.matmul_int64`), BSGS all its giant rows in
+one, verification its coefficients times each held batch of trial
+powers, and only the sequence terms take the field's dtype.
 """
 
 from __future__ import annotations
@@ -165,8 +164,8 @@ def _check_blocks(A: THMatrix, U: np.ndarray, V: np.ndarray) -> int:
     return U.shape[1]
 
 
-# Projection operands of the steps a naive sequence holds before it takes
-# their terms in one product: a fixed budget, so the sequence keeps O(n beta)
+# Operands held for one batched product: a naive sequence's projection
+# operands, or verification's trial powers.  A fixed budget keeps O(n beta)
 # of them, not O(L n beta).  At 64 KB a block charpoly at n = 64, beta = 2
 # peaked 63 KB above its per-term products (traced heap); at 32 KB, 6 KB.
 _PROJECTION_BYTES = 1 << 15
@@ -362,8 +361,8 @@ def annihilates_sequence(F: PolyMatrix, seq: BlockSequence) -> bool:
 
 
 def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
-    """Exact determinant by evaluation at D + 1 = beta*deg+1 points and
-    interpolation, normalized monic.
+    """Exact determinant, normalized monic, by interpolation from D + 1
+    points, D the sum of the rows' largest entry degrees (>= deg det F).
 
     One Horner pass over the coefficient array evaluates all beta^2
     entries at every point; as for `Poly.eval_many`, a nonzero entry is
@@ -376,12 +375,12 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
     field = F.field
     p = field.p
     top = F.degree
-    D = F.beta * top
+    C = F.coeffs[:, :, :top + 1]
+    degrees = np.where(C != 0, np.arange(top + 1), 0).max(axis=2)
+    D = int(degrees.max(axis=1).sum())
     if p <= D + 1:
         raise FieldTooSmallError(
             f"determinant needs {D + 1} evaluation points but p = {p}")
-    C = F.coeffs[:, :, :top + 1]
-    degrees = np.where(C != 0, np.arange(top + 1), 0).max(axis=2)
     if counter is not None:
         counter.add(int(degrees.sum()) * (D + 1))
     pts = list(range(D + 1))
@@ -399,11 +398,11 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
 def verification_vectors(field: PrimeField, n: int, trials: int,
                          seed: int) -> np.ndarray:
     """The n x trials block of uniform, independent trial vectors b that
-    `verify_annihilates` draws for `seed`."""
+    `verify_annihilates` draws for `seed`, int64 residues for every p."""
     if trials < 1:
         raise ValueError("at least one trial required")
     rng = field.rng(seed)
-    return np.stack([field.rand_vec(rng, n) for _ in range(trials)], axis=1)
+    return rng.integers(0, field.p, size=(trials, n), dtype=np.int64).T
 
 
 def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
@@ -418,45 +417,46 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
 
     `prefix` holds powers 0 .. m of these trials' vectors, carried on the
     sequence's Krylov passes (`krylov_sequence_naive`, `bsgs_sequence`).
-    With d = deg f and k = min(m, d), f(A) b is sum_{i<k} f_i A^i b, one
-    int64 product (`PrimeField.matmul_int64`) of the row (f_0 .. f_{k-1})
-    with the carried powers flattened to k x (n trials), plus a Horner
-    chain over f_k .. f_d started from A^k b: d - k passes, each advancing
-    the A-side trials by A and the A^T-side ones by A^T, over only the
-    sides that hold trials.  Without a prefix (k = 0) every trial is
-    A-side and this is the plain Horner chain of d passes.
+    With d = deg f and k = min(m, d), f(A) b = sum_i f_i A^i b is one int64
+    product (`PrimeField.matmul_int64`) of (f_0 .. f_{k-1}) with the
+    carried powers flattened to k x (n trials), plus one per held batch of
+    the powers k .. d, which d - k passes continue from A^k b over only
+    the sides that hold trials, A-side ones by A, A^T-side ones by A^T.
+    A batch holds _PROJECTION_BYTES of powers, at least one.  Without a
+    prefix (k = 0) every trial is A-side and the chain makes d passes.
 
     Each coefficient costs one product per trial entry, (d+1) n trials in
     all, and a pass is charged as `trials` single-vector matvecs.  With the
-    k passes the sequence charged, an accepting run costs what a per-trial
-    Horner loop would (a rejecting one pays for every trial, not only up to
-    the first failure); a candidate of degree d < m leaves (m - d) trials
-    carried columns unread.
+    k passes the sequence charged, an accepting run costs what checking
+    each trial alone would (a rejecting one pays for every trial, not only
+    up to the first failure); a candidate of degree d < m leaves (m - d)
+    trials carried columns unread.
     """
     B = verification_vectors(A.field, A.n, trials, seed)
     if f.is_zero():
         return True
     if prefix is None:
-        prefix = KrylovPrefix(B[None].astype(np.int64), trials)
+        prefix = KrylovPrefix(B[None], trials)
     elif not np.array_equal(prefix.powers[0], B):
         raise ValueError("the prefix carries other vectors than these trials")
-    field = A.field
-    d = int(f.degree)
+    field, d = A.field, int(f.degree)
     k = min(prefix.m, d)
-    S = field.matmul_int64(np.asarray(f.coeffs[None, :k], dtype=np.int64),
-                           prefix.powers[:k].reshape(k, B.size),
-                           counter).reshape(B.shape)
-    coeffs = [int(c) for c in f.coeffs]
-    w = field.from_int64(prefix.powers[k])
-    W = field.vmul(w, coeffs[d], counter)
-    fwd = prefix.forward
-    first = 0 if fwd else 1
-    for c in reversed(coeffs[k:d]):
-        groups = [W[:, :fwd], W[:, fwd:]] if 0 < fwd < trials else [W]
-        W = field.from_int64(np.concatenate(A._pass(groups, first, counter),
-                                            axis=1))
-        W = (W + field.vmul(w, c, counter)) % field.p
-    return not np.any((S + W) % field.p != 0)
+    coeffs = np.asarray(f.coeffs, dtype=np.int64)[None]
+    S = field.matmul_int64(coeffs[:, :k], prefix.powers[:k].reshape(k, B.size),
+                           counter)[0]
+    held = np.zeros((min(d + 1 - k, max(1, _PROJECTION_BYTES // (8 * B.size))),
+                     B.size), dtype=np.int64)
+    W, fwd = prefix.powers[k], prefix.forward
+    for i in range(k, d + 1):
+        if i > k:
+            groups = [W[:, :fwd], W[:, fwd:]] if 0 < fwd < trials else [W]
+            W = np.concatenate(A._pass(groups, 0 if fwd else 1, counter), axis=1)
+        j = (i - k) % len(held)
+        held[j] = W.reshape(-1)
+        if j + 1 == len(held) or i == d:
+            S = (S + field.matmul_int64(coeffs[:, i - j:i + 1], held[:j + 1],
+                                        counter)[0]) % field.p
+    return not np.any(S)
 
 
 def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
@@ -467,10 +467,10 @@ def minpoly(A: THMatrix, seed: int, mode: str = "bsgs",
     minimal polynomial (standard analysis for random projections).  The
     verification vectors ride the sequence's passes (`verify_annihilates`):
     the naive route carries them on all n pair passes, so a solve makes
-    n + 1 passes and no Horner step; BSGS carries them on its s - 1 baby
-    steps.  A candidate of degree d below the carried m (n, or s - 1)
-    costs (m - d) * verify_trials more column products than a Horner
-    chain of d passes would.
+    n + 1 passes and verification none; BSGS carries them on its s - 1
+    baby steps.  A candidate of degree d below the carried m (n, or s - 1)
+    costs (m - d) * verify_trials more column products than a chain of d
+    passes would.
     """
     if mode not in ("naive", "bsgs"):
         raise ValueError(f"unknown mode {mode!r}")

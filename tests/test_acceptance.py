@@ -262,7 +262,7 @@ def test_c09_complexity_smoke(tmp_path):
     A^s about 2s alpha^2 M(n) for its two Krylov blocks plus (s alpha)^3
     for one compression of its full-rank pair (n (s alpha)^2 were it to
     shrink), giant rows (L/s)*s*alpha*M(n), and the 2-trial
-    Horner verification 2n matvecs, with M(n) = O(n log n).  So
+    verification chain 2n matvecs, with M(n) = O(n log n).  So
     one doubling from n1 to n2 may grow the count by at most
     (n2/n1)^2 * log2(n2)/log2(n1), which is 4 * 9/8 = 4.5 for 256 -> 512.
     That still rejects lost structure in A^s (n^2.5 is 5.66x, cubic 8x)

@@ -324,15 +324,16 @@ def test_polymat_det_vs_cofactor():
 
 
 def test_polymat_det_charges_each_entry_its_own_degree():
-    # D + 1 = 7 points; each nonzero entry pays its own degree times 7, a
-    # zero entry nothing, and no entry the padded length of its row
+    # D + 1 = 6 points, D the sum 2 + 2 + 1 of the rows' largest entry
+    # degrees; each nonzero entry pays its own degree times 6, a zero entry
+    # nothing, and no entry the padded length of its row
     f101 = PrimeField(101)
     rows = [[[3, 2, 1], [], [7]], [[5], [1, 1], [0, 0, 4]], [[2, 9], [], [1]]]
     F = _pm(f101, [[Poly(f101, e) for e in row] for row in rows])
     assert F.row_degrees == (2, 2, 1) and F.degree == 2
     counter = MultCounter()
     assert polymat_det(F, counter).to_list() == [90, 29, 41, 1]
-    assert counter.mults == 449
+    assert counter.mults == 369
 
 
 def test_polymat_det_object_dtype_vs_cofactor():
@@ -366,6 +367,17 @@ def test_polymat_det_field_too_small():
     f = Poly(f5, [1, 1, 1, 1, 1, 1, 1])       # degree 6 needs 7 points
     with pytest.raises(FieldTooSmallError):
         polymat_det(_pm(f5, [[f]]))
+
+
+@pytest.mark.parametrize("alpha", [(2, 0), (0, 2), (2, 1)])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_charpoly_block_size_n_at_small_p(alpha, seed):
+    # with beta = n = 64 the generator has degree 2 but row degrees summing
+    # to 64: its determinant needs 65 points, not beta * 2 + 1 = 129 > p
+    f101 = PrimeField(101)
+    A = random_structured(f101, 64, *alpha, seed)
+    report = charpoly_generic(A, 64, seed)
+    assert report.polynomial == dense_charpoly(DenseMatrix(f101, A.reconstruct()))
 
 
 def test_polymat_det_singular():
@@ -519,7 +531,7 @@ def test_verify_oracle_and_perturbed():
 
 
 def per_trial_verify_cost(A, f):
-    """Mults of one single-vector Horner check of f(A) b = 0."""
+    """Mults of checking f(A) b = 0 on one vector: d passes, d + 1 scalings."""
     matvec = 2 * A.alpha * A.field.conv_charge(A.n, A.n)
     return A.n + int(f.degree) * (matvec + A.n)
 
@@ -569,9 +581,9 @@ def column_charge(A):
 @pytest.mark.parametrize("p", [101, (1 << 61) - 1])
 @pytest.mark.parametrize("n", [1, 9])
 def test_verify_prefix_matches_horner(p, n):
-    # m carried powers, then Horner from A^m b: the verdict and the count,
-    # carried passes included, of the Horner chain from scratch, with all
-    # trials on A or one of three on A^T
+    # m carried powers, then the chain continued from A^m b: the verdict
+    # and the count, carried passes included, of the check from scratch,
+    # with all trials on A or one of three on A^T
     field = PrimeField(p)
     A = random_structured(field, n, 2, 1, 95 + n)
     mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
@@ -592,9 +604,9 @@ def test_verify_prefix_matches_horner(p, n):
 
 @pytest.mark.parametrize("forward", [0, 1, 2])
 def test_verify_prefix_rejects_every_bumped_coefficient(monkeypatch, forward):
-    # forward 0 and 2 put both trials on one chain, A^T or A.  Each Horner
-    # step is one pass over the chains that carry trials, with no empty
-    # group, and a run costs what it costs without a prefix
+    # forward 0 and 2 put both trials on one chain, A^T or A.  Each power
+    # past the carried ones is one pass over the chains that carry trials,
+    # with no empty group, and a run costs what it costs without a prefix
     A = random_structured(F, 10, 2, 1, 91)
     mp = dense_minpoly(DenseMatrix(F, A.reconstruct()))
     d = int(mp.degree)
@@ -623,6 +635,67 @@ def test_verify_prefix_rejects_every_bumped_coefficient(monkeypatch, forward):
         assert verify_annihilates(A, f, 2, 2, counter, prefix) is want
         assert counter.mults == plain.mults
         assert passes == [groups] * (d - d // 2)
+
+
+@pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1, (1 << 62) - 57])
+def test_verify_batch_edges(monkeypatch, p):
+    # batches of 1, 2 or 3 powers give every candidate the verdict, count
+    # and passes of one batch, with the trials on A^T, split or on A, and
+    # m = 0, 1, d // 2 or d powers carried
+    field = PrimeField(p)
+    A = random_structured(field, 7, 2, 1, 101)
+    mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
+    d, trials = int(mp.degree), 3
+    B = verification_vectors(field, 7, trials, 9)
+    candidates = [mp]
+    for i in range(d + 1):
+        bumped = mp.to_list()
+        bumped[i] = (bumped[i] + i + 1) % p
+        candidates.append(Poly(field, bumped))
+    prefixes = [carried_prefix(A, B, m, forward)
+                for m in sorted({0, 1, d // 2, d}) for forward in (0, 1, trials)]
+    passes = []
+    one_pass = THMatrix._pass
+
+    def logged(self, blocks, first, counter):
+        passes.append((first, tuple(X.shape[1] for X in blocks)))
+        return one_pass(self, blocks, first, counter)
+
+    def run(f, prefix):
+        counter = MultCounter()
+        passes.clear()
+        verdict = verify_annihilates(A, f, trials, 9, counter, prefix)
+        return verdict, counter.mults, list(passes)
+
+    monkeypatch.setattr(THMatrix, "_pass", logged)
+    want = [[run(f, prefix) for f in candidates] for prefix in prefixes]
+    for runs, prefix in zip(want, prefixes):
+        assert [verdict for verdict, _, _ in runs] == [True] + [False] * (d + 1)
+        assert all(len(logs) == d - prefix.m for _, _, logs in runs)
+    for batch in (1, 2, 3):
+        monkeypatch.setattr("thpoly.wiedemann._PROJECTION_BYTES",
+                            batch * 8 * B.size)
+        assert [[run(f, prefix) for f in candidates]
+                for prefix in prefixes] == want
+
+
+def test_verify_without_field_dtype_arithmetic(monkeypatch):
+    # at p = 2**61 - 1 the field's dtype holds Python ints; verification
+    # takes every coefficient in int64 products, with or without a prefix
+    field = PrimeField((1 << 61) - 1)
+    A = random_structured(field, 9, 2, 1, 102)
+    mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
+    wrong = Poly(field, [(int(mp.coeffs[0]) + 1) % field.p] + mp.to_list()[1:])
+    prefix = carried_prefix(A, verification_vectors(field, 9, 2, 10), 4, 1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("field-dtype arithmetic in verification")
+
+    monkeypatch.setattr(PrimeField, "vmul", refused)
+    monkeypatch.setattr(PrimeField, "from_int64", refused)
+    for carried in (None, prefix):
+        assert verify_annihilates(A, mp, 2, 10, prefix=carried)
+        assert not verify_annihilates(A, wrong, 2, 10, prefix=carried)
 
 
 def test_verify_prefix_of_other_vectors_refused():
@@ -683,8 +756,8 @@ def test_carried_powers_vs_dense(monkeypatch, p, trials):
 
 
 def test_verification_rides_the_sequence_passes(monkeypatch):
-    # naive minpoly: n + 1 passes, none left for Horner; charpoly:
-    # ceil(n/beta) + 1 sequence passes and n - ceil(n/beta) Horner passes
+    # naive minpoly: n + 1 passes, none left for verification; charpoly:
+    # ceil(n/beta) + 1 sequence passes and n - ceil(n/beta) verification ones
     passes = []
 
     one_pass = THMatrix._pass
@@ -711,7 +784,7 @@ def test_verification_rides_the_sequence_passes(monkeypatch):
 def test_minpoly_low_degree_count_excess(diagonal, degree, mode, mults):
     # a candidate of degree d below the m carried powers (naive m = n,
     # BSGS m = s - 1) costs exactly (m - d) * trials more column products
-    # than the sequence, BM and a Horner chain from scratch
+    # than the sequence, BM and a verification from scratch
     n = len(diagonal)
     A = dense_to_structured(DenseMatrix(F, F.asmat(np.diag(diagonal))))
     report = minpoly(A, 5, mode=mode)
