@@ -27,7 +27,7 @@ class DenseMatrix:
     __slots__ = ("field", "rows")
 
     def __init__(self, field: PrimeField, rows):
-        mat = field.asmat(rows)
+        mat = field.asvec(rows)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError("dense matrix must be square")
         self.field = field
@@ -85,10 +85,10 @@ def dense_charpoly(A: DenseMatrix, counter: MultCounter | None = None) -> Poly:
         inv = field.inv(int(H[k + 1, k]), counter)
         below = k + 2 + np.nonzero(H[k + 2:, k])[0]
         if len(below):
-            f = H[below, k] * inv % p
+            f = field.vmul(H[below, k], inv)
             if counter is not None:
                 counter.add(len(below) * (1 + (n - k)))
-            H[below, k:] = (H[below, k:] - f[:, None] * H[k + 1, k:][None, :]) % p
+            H[below, k:] = field.submul(H[below, k:], f[:, None], H[k + 1, k:])
             # inverse similarity: column k+1 absorbs the f-weighted columns
             H[:, k + 1] = (H[:, k + 1] + field.matvec_dense(H[:, below], f, counter)) % p
     # p_k = (x - H[k-1,k-1]) p_{k-1}

@@ -1,22 +1,19 @@
 """Prime fields with canonical residues and vectorized exact arithmetic.
 
-Residues are plain integers in [0, p).  Bulk data lives in numpy arrays:
-int64 when p < 2**31 (so a product of two residues fits 62 bits), dtype
-object with Python ints otherwise.  Every residue is below 2**62, so it
-also fits int64 wherever a kernel needs it to.  `conv` goes through
-`np.convolve` when its int64 sums cannot overflow, whatever the modulus;
+Residues are integers in [0, p), p < 2**62, held in int64 numpy arrays
+for every p.  How two of them multiply exactly is decided here alone
+(`_product`, behind `vmul` and `submul`): below 2**31 as a * b, above it
+by float64 quotient steps on 31-bit halves (Dumas-Giorgi-Pernet 2008);
+`dot` and `matmul_int64` (batched over leading axes, recombined by
+`kernel.recombine`) sum products on 21-bit limbs in float matmuls.
+`conv` goes through `np.convolve` when its int64 sums cannot overflow;
 every other product of polynomials, and every batched product of
 polynomial matrices, runs on the exact floating-point FFT kernel of
 `kernel.py`, with a transform step and a product step that a caller
 applying one operand many times keeps (`kernel.PassPlan`, for the
-structured passes, which return int64 residues for every p).
-`fft_spectra` and `conv_matmul` build their steps for one call, which
-never grows the passes' buffer; `conv_matmul`, a transform step per
-operand and a product step, returns the field's dtype.  `matmul_int64`
-is the exact matrix product of int64 residue arrays, batched over leading
-axes and in int64 for every p, on the same limbs and `kernel.recombine`,
-so that int64 blocks (a Krylov chain's) need no Python ints above 2**31.
-All paths return identical residues.
+structured passes).  `fft_spectra` and `conv_matmul` build their steps
+for one call, which never grows the passes' buffer.  All paths return
+identical residues.
 """
 
 from __future__ import annotations
@@ -34,13 +31,14 @@ from .kernel import (ProductStep, TransformStep, _chunking, _limb_plan,
 
 MAX_MODULUS = 1 << 62
 
-# Residue products must stay below 2**62 for the int64 fast paths.
+# Below this modulus int64 holds a product of two residues (`_product`).
 _INT64_LIMIT = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Limbs of `PrimeField.matmul_int64`: 21-bit limbs of residues below 2**62
-# and up to 2**11 terms per float matmul keep every sum below 2**53.
+# Limbs of `PrimeField.matmul_int64` and `dot`: 21-bit limbs of residues
+# below 2**62 and up to 2**11 terms per float matmul keep every sum below
+# 2**53.
 _LIMB_BITS = 21
 _LIMB_TERMS = 1 << 11
 
@@ -83,10 +81,7 @@ def derive_seed(*parts) -> int:
             h.update(int(part).to_bytes(16, "little", signed=True))
         elif isinstance(part, np.ndarray):
             h.update(str(part.shape).encode())
-            if part.dtype == object:
-                h.update(repr(part.tolist()).encode())
-            else:
-                h.update(np.ascontiguousarray(part).tobytes())
+            h.update(np.ascontiguousarray(part, dtype=np.int64).tobytes())
         else:
             raise TypeError(f"cannot hash {type(part)!r} into a seed")
     return int.from_bytes(h.digest(), "little")
@@ -99,8 +94,8 @@ class PrimeField:
     tables (write-once, derived data only, so concurrent use is safe).
     """
 
-    __slots__ = ("p", "two_adicity", "ntt_capable", "ntt_root", "dtype",
-                 "_inv_cost", "_ntt_tables")
+    __slots__ = ("p", "two_adicity", "ntt_capable", "ntt_root", "_inv_cost",
+                 "_ntt_tables")
 
     def __init__(self, p: int):
         p = int(p)
@@ -112,7 +107,6 @@ class PrimeField:
         self.two_adicity = _v2(p - 1)
         self.ntt_capable = self.two_adicity >= 20
         self.ntt_root = self._find_root() if self.ntt_capable else None
-        self.dtype = np.int64 if p < _INT64_LIMIT else object
         self._inv_cost = pow_cost(p - 2)
         self._ntt_tables = {}
 
@@ -144,9 +138,6 @@ class PrimeField:
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def mul(self, a: int, b: int, counter: MultCounter | None = None) -> int:
         if counter is not None:
@@ -187,25 +178,20 @@ class PrimeField:
             return self.zeros(n) + pow(int(values[0]), -1, self.p)
         vals = values.tolist()
         table = {v: pow(v, -1, self.p) for v in set(vals)}
-        return np.array([table[v] for v in vals], dtype=self.dtype)
+        return np.array([table[v] for v in vals], dtype=np.int64)
 
     # -- array plumbing ---------------------------------------------------
 
     def asvec(self, data) -> np.ndarray:
-        if self.dtype is object:
-            return np.array([int(x) % self.p for x in data], dtype=object)
-        a = np.asarray(data, dtype=np.int64)
-        return np.mod(a, self.p)
-
-    def asmat(self, data) -> np.ndarray:
-        if self.dtype is object:
-            return np.array([[int(x) % self.p for x in row] for row in data],
-                            dtype=object)
-        a = np.asarray(data, dtype=np.int64)
-        return np.mod(a, self.p)
+        """New int64 residues of integers of any size, reduced before the cast."""
+        a = np.asarray(data)
+        if a.dtype.kind in "bi" or a.dtype.kind == "u" and a.itemsize < 8:
+            return np.mod(a, self.p, dtype=np.int64)
+        return np.array([int(x) % self.p for x in a.flat],
+                        dtype=np.int64).reshape(a.shape)
 
     def zeros(self, shape) -> np.ndarray:
-        return np.zeros(shape, dtype=self.dtype)
+        return np.zeros(shape, dtype=np.int64)
 
     def unit_vector(self, n: int, i: int) -> np.ndarray:
         e = self.zeros(n)
@@ -215,37 +201,67 @@ class PrimeField:
     def rng(self, seed: int) -> np.random.Generator:
         return np.random.default_rng(seed)
 
-    def from_int64(self, a: np.ndarray) -> np.ndarray:
-        """Int64 residues in the field's dtype."""
-        return a if self.dtype is np.int64 else a.astype(object)
-
-    def rand_vec(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.from_int64(rng.integers(0, self.p, size=n, dtype=np.int64))
-
-    def rand_mat(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return self.from_int64(rng.integers(0, self.p, size=shape, dtype=np.int64))
+    def rand_vec(self, rng: np.random.Generator, shape) -> np.ndarray:
+        return rng.integers(0, self.p, size=shape, dtype=np.int64)
 
     # -- vectorized arithmetic ---------------------------------------------
 
+    def _product(self, a, b) -> np.ndarray:
+        """Int64 values congruent to a * b mod p, for a and b in (-p, p)
+        broadcast (one may be a Python int): a * b below 2**31, a value in
+        [-p, 2p) above it.  There the factor with more entries splits in
+        31-bit halves, x = h 2**31 + l, and the other, f, with f' = f 2**31
+        mod p (Python ints for a scalar f, else one quotient step, in (-2p,
+        2p)), gives f x = f l + f' h (mod p) by a second step.  A quotient
+        step takes V - q p, q the floor of a float64 V / p that errs by
+        under 2**-18 (|V / p| < 3 * 2**31): exact in wrapping int64."""
+        p = self.p
+        if p < _INT64_LIMIT:
+            return np.multiply(a, b)
+        if np.ndim(a) > 0 and (np.ndim(b) == 0 or np.size(a) >= np.size(b)):
+            a, b = b, a
+        lo, hi = np.bitwise_and(b, (1 << 31) - 1), np.right_shift(b, 31)
+        if np.ndim(a) == 0:
+            a, g = int(a) % p, (int(a) << 31) % p
+            q = np.floor(lo * (a / p) + hi * (g / p)).astype(np.int64)
+        else:
+            x = a.astype(float)
+            g = a * (1 << 31) - (x * (2.0 ** 31 / p)).astype(np.int64) * p
+            q = np.floor((lo * x + hi * g.astype(float)) / p).astype(np.int64)
+        return np.multiply(lo, a) + np.multiply(hi, g) - q * p
+
     def vmul(self, a, b, counter: MultCounter | None = None) -> np.ndarray:
-        out = a * b % self.p
+        """Exact a * b mod p, broadcast; one product per entry of the result."""
+        out = self._product(a, b) % self.p
         if counter is not None:
             counter.add(out.size)
         return out
 
     def submul(self, y, f, x, counter: MultCounter | None = None) -> np.ndarray:
-        """y - f*x elementwise (one product per entry of x)."""
+        """y - f*x for residues y, broadcast (one product per entry of x)."""
         if counter is not None:
             counter.add(np.size(x))
-        return (y - f * x) % self.p
+        return (y - self._product(f, x)) % self.p
 
     def dot(self, a, b, counter: MultCounter | None = None) -> int:
+        """Exact sum of a[i] b[i] mod p; above 2**31 on 21-bit limbs, one
+        exact float matmul per 2**11 terms, combined in Python ints: the
+        limbs of `matmul_int64` without its buffer views and recombination,
+        whose setup made Berlekamp-Massey's short dots 2.5x slower."""
         if counter is not None:
             counter.add(len(a))
-        if len(a) == 0:
-            return 0
-        # reduce each product before summing so int64 sums cannot overflow
-        return int(((a * b) % self.p).sum() % self.p)
+        p = self.p
+        if p < _INT64_LIMIT:
+            # reduce each product before summing so int64 sums cannot overflow
+            return int((np.multiply(a, b) % p).sum() % p)
+        shifts = np.arange(0, (p - 1).bit_length(), _LIMB_BITS)[:, None]
+        weights = [1 << int(i + j) for i in shifts.flat for j in shifts.flat]
+        total = 0
+        for s in range(0, len(a), _LIMB_TERMS):
+            x, y = ((np.right_shift(v[s:s + _LIMB_TERMS], shifts)
+                     & (1 << _LIMB_BITS) - 1).astype(float) for v in (a, b))
+            total += sum(w * int(v) for w, v in zip(weights, (x @ y.T).flat))
+        return total % p
 
     def matmul(self, A, B, counter: MultCounter | None = None) -> np.ndarray:
         """Exact (a x k)(k x b) product."""
@@ -255,13 +271,12 @@ class PrimeField:
         if k == 0:
             return self.zeros((A.shape[0], B.shape[1]))
         p = self.p
-        if self.dtype is object:
-            return A.dot(B) % p
         if k * (p - 1) * (p - 1) < (1 << 63):
             return A @ B % p
-        if k * (p - 1) * 0xFFFF >= (1 << 63):     # 16-bit halves overflow
+        if k * (p - 1) * max(0xFFFF, (p - 1) >> 16) >= (1 << 63):
             return self.matmul_int64(A, B)
-        # split one operand in 16-bit halves: sums stay below 2**63
+        # split one operand in 16-bit halves, the high one below
+        # max(2**16, p / 2**16): sums stay below 2**63
         hi = B >> 16
         lo = B & 0xFFFF
         return (((A @ hi % p) << 16) + (A @ lo % p)) % p
@@ -279,8 +294,7 @@ class PrimeField:
         2**63, so no k overflows), they are recombined as a product step's
         are.  Both factors' limbs are split into the thread's pass buffer,
         a run of terms short enough to fit when it has one, so a product
-        allocates only its digits.  No residue becomes a Python int, which
-        an object-dtype `matmul` of a long k needs (k x b of them)."""
+        allocates only its digits."""
         *batch, a, k = A.shape
         b = B.shape[-1]
         if counter is not None:
@@ -350,7 +364,7 @@ class PrimeField:
             return self.zeros(0)
         if counter is not None:
             counter.add(self.conv_charge(la, lb))
-        if self.dtype is not object and min(la, lb) * (self.p - 1) ** 2 < (1 << 63):
+        if min(la, lb) * (self.p - 1) ** 2 < (1 << 63):
             return np.convolve(a, b) % self.p
         return self.conv_matmul(np.reshape(a, (1, 1, la)),
                                 np.reshape(b, (1, 1, lb)), la + lb - 1)[0, 0]
@@ -380,7 +394,6 @@ class PrimeField:
         """Transform step of the FFT product kernel (`TransformStep`): the
         limb spectra, new arrays, of residues x for la x lb products, term
         axis `axis`."""
-        x = np.asarray(x, dtype=np.int64)
         step = TransformStep(self.p, la, lb, x.shape, axis)
         return step.run(step.bind(x))
 
@@ -388,7 +401,7 @@ class PrimeField:
                     out_len: int) -> np.ndarray:
         """Exact polynomial matrix product: a is (I, T, la) and b is
         (T, J, lb), coefficients on the last axis; returns the (I, J,
-        out_len) residues, in the field's dtype, of the first out_len
+        out_len) int64 residues of the first out_len
         coefficients of sum_t a[i, t] * b[t, j].  One transform step per
         operand (`fft_spectra`) and one `ProductStep`, built for this one
         product; callers that apply one operand many times keep its
@@ -400,7 +413,7 @@ class PrimeField:
         fa = self.fft_spectra(a, la, lb, axis=1)
         fb = self.fft_spectra(b[None], la, lb, axis=1)
         step = ProductStep(self.p, la, lb, 1, I, fa.shape[2], J, out_len)
-        return self.from_int64(step.run(step.bind(fb), step.layout([fa]))[0])
+        return step.run(step.bind(fb), step.layout([fa]))[0]
 
     # -- number-theoretic transform -----------------------------------------
     # Kept only because perfbench/tracer.py wraps `ntt_many` by name; no
@@ -447,9 +460,9 @@ class PrimeField:
             half = len(tw)
             x = x.reshape(batch, -1, 2 * half)
             lo = x[:, :, :half]
-            hi = x[:, :, half:] * tw % p
+            hi = self.vmul(x[:, :, half:], tw)
             x = np.concatenate(((lo + hi) % p, (lo - hi) % p), axis=2)
         x = x.reshape(batch, size)
         if inverse:
-            x = x * n_inv % p
+            x = self.vmul(x, n_inv)
         return x

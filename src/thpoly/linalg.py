@@ -43,7 +43,7 @@ def rref(field: PrimeField, M: np.ndarray,
         if touched:
             if counter is not None:
                 counter.add(touched * (cols - c))
-            R[:, c:] = (R[:, c:] - np.outer(col, R[r, c:])) % field.p
+            R[:, c:] = field.submul(R[:, c:], col[:, None], R[r, c:])
         pivots.append(c)
         r += 1
     return R[:r], pivots
@@ -68,7 +68,7 @@ def rank_factor(field: PrimeField, M: np.ndarray,
     """
     rows, cols = M.shape
     if cols < rows and len(rref(field, M[rows - cols:], counter)[1]) == cols:
-        return M.copy(), np.eye(cols, dtype=field.dtype)
+        return M.copy(), np.eye(cols, dtype=np.int64)
     R, pivots = rref(field, M, counter)
     C = M[:, pivots].copy()
     return C, R
@@ -115,14 +115,14 @@ def det(field: PrimeField, M: np.ndarray,
             A[k, c], A[k, i] = A[k, i], A[k, c]
             d[swap] = -d[swap] % p
         piv = A[:, c, c]
-        d = d * piv % p
+        d = field.vmul(d, piv)
         charge += (len(live) * (1 + inv_cost)
                    + (int(nz.sum()) - len(live)) * (1 + b - c))
         # column c below the pivot is never read again, so only the
         # columns after it are updated
-        f = A[:, c + 1:, c] * field.inverses(piv)[:, None] % p
-        A[:, c + 1:, c + 1:] = (A[:, c + 1:, c + 1:]
-                                - f[:, :, None] * A[:, None, c, c + 1:]) % p
+        f = field.vmul(A[:, c + 1:, c], field.inverses(piv)[:, None])
+        A[:, c + 1:, c + 1:] = field.submul(A[:, c + 1:, c + 1:], f[:, :, None],
+                                            A[:, None, c, c + 1:])
     if counter is not None:
         counter.add(charge)
     out = field.zeros(M.shape[0])

@@ -156,14 +156,7 @@ class Poly:
     # -- evaluation / interpolation ------------------------------------------
 
     def eval_at(self, x: int, counter: MultCounter | None = None) -> int:
-        p = self.field.p
-        x = int(x) % p
-        acc = 0
-        for c in self.coeffs[::-1]:
-            acc = (acc * x + int(c)) % p
-        if counter is not None and len(self.coeffs) > 1:
-            counter.add(len(self.coeffs) - 1)
-        return acc
+        return int(self.eval_many([x], counter)[0])
 
     def eval_many(self, points, counter: MultCounter | None = None) -> np.ndarray:
         """Horner evaluation at each point."""
@@ -206,27 +199,24 @@ def interpolate(field: PrimeField, points, values,
     product per difference, each expansion step one product per
     coefficient it updates.
     """
-    xs = [int(x) % field.p for x in points]
-    ys = [int(y) % field.p for y in values]
-    if len(xs) != len(ys):
-        raise LengthMismatchError(f"{len(xs)} points but {len(ys)} values")
-    if len(set(xs)) != len(xs):
+    x, dd = field.asvec(points), field.asvec(values)
+    if len(x) != len(dd):
+        raise LengthMismatchError(f"{len(x)} points but {len(dd)} values")
+    if len(set(x.tolist())) != len(x):
         raise DuplicatePointError("interpolation points must be distinct")
-    k = len(xs)
+    k = len(x)
     if k == 0:
         return Poly.zero(field)
     p = field.p
-    x = field.asvec(xs)
-    dd = field.asvec(ys)
     for level in range(1, k):
         inv = field.inverses((x[level:] - x[:-level]) % p, counter)
-        dd[level:] = (dd[level:] - dd[level - 1:-1]) * inv % p
+        dd[level:] = field.vmul(dd[level:] - dd[level - 1:-1], inv)
         if counter is not None:
             counter.add(k - level)
     # Horner expansion of the Newton form, P <- P * (x - x_i) + dd[i] for
     # i = k-2 .. 0, with P held low-to-high in dd[i:]
     for i in range(k - 2, -1, -1):
-        dd[i:k - 1] = field.submul(dd[i:k - 1], xs[i], dd[i + 1:], counter)
+        dd[i:k - 1] = field.submul(dd[i:k - 1], x[i], dd[i + 1:], counter)
     return Poly(field, dd)
 
 

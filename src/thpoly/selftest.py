@@ -27,7 +27,7 @@ from .wiedemann import (BsgsPlan, KrylovPrefix, bsgs_sequence,
 
 _P_SMALL = 101
 _P_NTT = 2013265921
-_P_BIG = (1 << 61) - 1      # object dtype, no NTT
+_P_BIG = (1 << 61) - 1      # above 2**31: split products, no NTT
 _P_TOP = (1 << 62) - 57     # the largest supported prime
 
 
@@ -54,6 +54,18 @@ def check_field_arithmetic():
     f7 = PrimeField(7)
     _expect(f7.inv(3) == 5)
     _expect(f7.inverses(f7.asvec([1, 2, 4])).tolist() == [1, 4, 2])
+    # vectorized products above 2**31 against Python ints, on edge operands
+    for p in (_P_BIG, _P_TOP):
+        field = PrimeField(p)
+        edges = [0, 1, p - 1, p - 2, (p - 1) // 2, (1 << 31) - 1, 1 << 31,
+                 (1 << 31) + 1, p - (1 << 31)]
+        x = field.asvec(edges)
+        for f in edges:
+            _expect(field.submul(x, f, x[::-1]).tolist()
+                    == [(a - f * b) % p for a, b in zip(edges, edges[::-1])])
+        _expect(field.vmul(x[:, None], x).tolist()
+                == [[a * b % p for b in edges] for a in edges])
+        _expect(field.dot(x, x) == sum(e * e for e in edges) % p)
     return "field arithmetic"
 
 
@@ -149,19 +161,19 @@ def check_compress_widths():
     from .structured import compress_pair
     for _ in range(10):
         n = int(rng.integers(4, 10))
-        G0 = field.rand_mat(rng, (n, 3))
-        Mix = field.rand_mat(rng, (3, 6))
+        G0 = field.rand_vec(rng, (n, 3))
+        Mix = field.rand_vec(rng, (3, 6))
         G = field.matmul(G0, Mix)
-        H = field.rand_mat(rng, (n, 6))
+        H = field.rand_vec(rng, (n, 6))
         G2, H2 = compress_pair(field, G, H)
         prod = field.matmul(G, H.T)
         _expect(np.array_equal(field.matmul(G2, H2.T), prod))
         _expect(G2.shape[1] == rank(field, prod))
         # a tall pair of full rank (I_3 on top) is minimal already and
         # comes back as it is
-        G = field.rand_mat(rng, (n, 3))
-        H = field.rand_mat(rng, (n, 3))
-        G[:3] = H[:3] = np.eye(3, dtype=field.dtype)
+        G = field.rand_vec(rng, (n, 3))
+        H = field.rand_vec(rng, (n, 3))
+        G[:3] = H[:3] = np.eye(3, dtype=np.int64)
         G2, H2 = compress_pair(field, G, H)
         _expect(np.array_equal(G2, G) and np.array_equal(H2, H))
     return "compression reaches the dense displacement rank"
@@ -185,11 +197,11 @@ def check_homomorphism():
             v = field.rand_vec(rng, n)
             _expect(np.array_equal(A.matvec(v), field.matvec_dense(da, v)))
             _expect(np.array_equal(A.matvec_t(v), field.matvec_dense(da.T, v)))
-            V, U = field.rand_mat(rng, (n, 2)), field.rand_mat(rng, (n, 2))
+            V, U = field.rand_vec(rng, (n, 2)), field.rand_vec(rng, (n, 2))
             AV, AtU = A.matvec_pair(V, U)
             _expect(np.array_equal(AV, field.matmul(da, V)))
             _expect(np.array_equal(AtU, field.matmul(da.T, U)))
-            _expect(A.trace() == int(np.trace(da) % field.p))
+            _expect(A.trace() == sum(np.diag(da).tolist()) % field.p)
     return "reconstruct commutes with the structured algebra at three primes"
 
 
@@ -212,8 +224,8 @@ def check_fft_kernel():
                             (256, 9 * field.fft_limbs(256, 256)[2], 1)):
             G = np.full((n, width), p - 1, dtype=np.int64)
             core = ToeplitzCore(field, n, G, G)
-            V = np.full((n, k), p - 1, dtype=field.dtype)
-            W = np.full((n, k + 1), p - 1, dtype=field.dtype)
+            V = np.full((n, k), p - 1, dtype=np.int64)
+            W = np.full((n, k + 1), p - 1, dtype=np.int64)
             C = core.dense()
             T = THMatrix(field, core, ToeplitzCore.zero(field, n))
             _expect(np.array_equal(T.matvec_block(V), field.matmul(C, V)))

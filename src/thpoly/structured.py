@@ -72,8 +72,7 @@ class ToeplitzCore:
     def __init__(self, field: PrimeField, n: int, G, H):
         if n < 1:
             raise DimensionMismatchError("dimension must be at least 1")
-        G = np.asarray(G)
-        H = np.asarray(H)
+        G, H = field.asvec(G), field.asvec(H)
         if G.ndim != 2 or H.ndim != 2:
             raise DimensionMismatchError("generators must be n x alpha arrays")
         if G.shape[0] != n or H.shape[0] != n:
@@ -82,8 +81,7 @@ class ToeplitzCore:
             raise DimensionMismatchError("G and H must have equal width")
         self.field = field
         self.n = n
-        self.G = field.asmat(G) if G.size else field.zeros((n, G.shape[1]))
-        self.H = field.asmat(H) if H.size else field.zeros((n, H.shape[1]))
+        self.G, self.H = G, H
         self.G.flags.writeable = False
         self.H.flags.writeable = False
         self._spectra = None
@@ -367,13 +365,9 @@ class THMatrix:
         and then Q's, whose J `spectra` folds in.  `blocks` are n x k_i
         input blocks; group i reads blocks[i] and writes A blocks[i] if
         first + i is 0, A^T blocks[i] if it is 1 (first + len(blocks) <=
-        2); they may be int64 or in the field's dtype.  Returns the list of
-        n x k_i products as int64 residues for every p, new arrays: the
-        one entry point of every block product, which the Krylov chains of
-        `wiedemann` use directly, so that a chain's blocks stay int64 from
-        pass to pass, and the public block products wrap in the field's
-        dtype.  An int64 block of residues above 2**31 must not meet a
-        Python-int scalar (`vmul`, `submul`, `rref`): their product wraps.
+        2).  Returns the n x k_i products, new int64 arrays: the one entry
+        point of every block product, which the Krylov chains of
+        `wiedemann` call directly.
 
         A product reads S_H in stage 1 and S_G in stage 2, a transposed one
         the other way round: C^T = sum_j L(h_j) U(g_j).  Stage 1 takes, for
@@ -383,10 +377,8 @@ class THMatrix:
         Stage 2 reverses the results of P's columns, multiplies each column
         by its second-stage generator and sums the group's columns: L(g) u
         for a plain column, and for a conjugated one the correlation of g
-        with the stage-1 result, which is J L(g) u.  conj(rfft(g)) is the
-        spectrum of g's cyclic reversal, and both correlations are
-        alias-free because the FFT size N is at least 2n - 1, with the
-        norms and so the kernel's error bound unchanged.
+        with the stage-1 result, which is J L(g) u.  Both correlations are
+        alias-free (see the module docstring).
 
         The pass runs the `kernel.PassPlan` of its direction, group count
         and widest block, which all matrices of the shape share, from
@@ -395,9 +387,7 @@ class THMatrix:
         plan reads the matrix's `spectra` laid out for its product steps,
         views the first pass makes and every later one reuses: stage 1
         reads the first alpha columns and stage 2 all of them, whatever
-        the direction, group count or block width.  Both product steps
-        return int64 residues for every p, so u enters stage 2 as it stands
-        and the products leave as they are.  A narrower group is
+        the direction, group count or block width.  A narrower group is
         zero-padded to the widest inside the pass, and the charge is two
         convolutions per generator and real block column of each group.
         """
@@ -426,21 +416,20 @@ class THMatrix:
 
     def matvec_block(self, V: np.ndarray,
                      counter: MultCounter | None = None) -> np.ndarray:
-        """A V = P V + J (Q V), both cores' columns in one `_pass`, in the
-        field's dtype."""
-        return self.field.from_int64(self._pass([V], 0, counter)[0])
+        """A V = P V + J (Q V), both cores' columns in one `_pass`."""
+        return self._pass([V], 0, counter)[0]
 
     def matvec_t_block(self, V: np.ndarray,
                        counter: MultCounter | None = None) -> np.ndarray:
-        """A^T V = P^T V + Q^T (J V) in one `_pass`, in the field's dtype."""
-        return self.field.from_int64(self._pass([V], 1, counter)[0])
+        """A^T V = P^T V + Q^T (J V) in one `_pass`."""
+        return self._pass([V], 1, counter)[0]
 
     def matvec_pair(self, V: np.ndarray, U: np.ndarray,
                     counter: MultCounter | None = None):
         """(A V, A^T U) in one `_pass`, for blocks of any widths
-        (the narrower is zero-padded inside the pass), in the field's
-        dtype; charged as `matvec_block(V)` plus `matvec_t_block(U)`."""
-        return tuple(map(self.field.from_int64, self._pass([V, U], 0, counter)))
+        (the narrower is zero-padded inside the pass); charged as
+        `matvec_block(V)` plus `matvec_t_block(U)`."""
+        return tuple(self._pass([V, U], 0, counter))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -454,8 +443,8 @@ class THMatrix:
         f = self.field
         m = f.p - 1
         return THMatrix(f,
-                        ToeplitzCore(f, self.n, self.P.G, self.P.H * m % f.p),
-                        ToeplitzCore(f, self.n, self.Q.G, self.Q.H * m % f.p))
+                        ToeplitzCore(f, self.n, self.P.G, f.vmul(self.P.H, m)),
+                        ToeplitzCore(f, self.n, self.Q.G, f.vmul(self.Q.H, m)))
 
     def multiply(self, other: "THMatrix",
                  counter: MultCounter | None = None) -> "THMatrix":
@@ -515,20 +504,17 @@ class THMatrix:
         tr L(g)U(h) = sum_d (n-d) g_d h_d; for the J part the diagonal of
         J L(g)U(h) picks the coefficients n-1-2i of g(x) h(x).
         """
-        field = self.field
-        n = self.n
-        p = field.p
+        field, n = self.field, self.n
         total = 0
         if self.P.width:
             weights = field.asvec(np.arange(n, 0, -1))
             for j in range(self.P.width):
                 gh = field.vmul(self.P.G[:, j], self.P.H[:, j], counter)
-                total = (total + field.dot(weights, gh, counter)) % p
+                total += field.dot(weights, gh, counter)
         for j in range(self.Q.width):
             c = field.conv(self.Q.G[:, j], self.Q.H[:, j], counter)
-            picks = c[n - 1::-2]
-            total = (total + int(np.sum(picks) % p)) % p
-        return total
+            total += sum(c[n - 1::-2].tolist())
+        return total % field.p
 
     def reconstruct(self, counter: MultCounter | None = None) -> np.ndarray:
         """Dense P + J Q; the O(n^2 alpha) testing backbone."""
@@ -605,9 +591,9 @@ def random_structured(field: PrimeField, n: int, alpha_t: int, alpha_h: int,
     if alpha_t < 0 or alpha_h < 0:
         raise ValueError("generator widths must be nonnegative")
     rng = field.rng(seed)
-    gp = field.rand_mat(rng, (n, alpha_t))
-    hp = field.rand_mat(rng, (n, alpha_t))
-    gq = field.rand_mat(rng, (n, alpha_h))
-    hq = field.rand_mat(rng, (n, alpha_h))
+    gp = field.rand_vec(rng, (n, alpha_t))
+    hp = field.rand_vec(rng, (n, alpha_t))
+    gq = field.rand_vec(rng, (n, alpha_h))
+    hq = field.rand_vec(rng, (n, alpha_h))
     return THMatrix(field, ToeplitzCore(field, n, gp, hp),
                     ToeplitzCore(field, n, gq, hq))

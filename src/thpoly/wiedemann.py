@@ -18,12 +18,13 @@ passes as extra block columns, some on the A^T chain, so verification
 only finishes the powers the sequence did not reach: sequence and
 certificate together take n + 1 structured passes for a naive minpoly
 or a block charpoly, and for BSGS s - 1 fewer than with uncarried
-trials.  The Krylov chains hold the int64 residues that `THMatrix._pass`
-returns for every p, so no pass converts to Python ints and back above
-2**31; a naive sequence takes the terms of many passes in one batched
-int64 product (`PrimeField.matmul_int64`), BSGS all its giant rows in
-one, verification its coefficients times each held batch of trial
-powers, and only the sequence terms take the field's dtype.
+trials.  Every residue, from the Krylov chains that `THMatrix._pass`
+advances to the generator, its determinant and the certificates, is
+int64 for every p: a naive sequence takes the terms of many passes in
+one batched int64 product (`PrimeField.matmul_int64`), BSGS all its
+giant rows in one, verification its coefficients times each held batch
+of trial powers, and the order basis and the determinant update rows
+with the field's exact elementwise products (`PrimeField.submul`).
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class BlockSequence:
 class PolyMatrix:
     """Square matrix with polynomial entries (rows of a generator).
 
-    coeffs[i, j, t] is the coefficient of x**t in entry (i, j), in the
-    field's dtype; the last axis has length max(row_degrees) + 1, and an
+    coeffs[i, j, t] is the coefficient of x**t in entry (i, j), an int64
+    residue; the last axis has length max(row_degrees) + 1, and an
     entry of lower degree is padded with zeros.
     """
 
@@ -180,11 +181,10 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
     S_{2i+1} = U_i^T V_{i+1}.  The chains are independent, so each step
     advances both with one pair pass (the last odd term only needs
     V_{i+1}, a pass of V alone): L-1 block products in ceil((L-1)/2)
-    kernel passes.  The chains stay in the int64 residues that
-    `THMatrix._pass` returns, and each step only stacks its projection
-    operands [U_i | V_i | V_{i+1}]; once _PROJECTION_BYTES of them are
-    held, one batched `PrimeField.matmul_int64` takes all their terms,
-    charged as the beta x n x beta product of each term.
+    kernel passes.  Each step only stacks its projection operands
+    [U_i | V_i | V_{i+1}]; once _PROJECTION_BYTES of them are held, one
+    batched `PrimeField.matmul_int64` takes all their terms, charged as
+    the beta x n x beta product of each term.
 
     `carry`, an n x t block of verification vectors, rides the m =
     (L-1)//2 pair passes: its first ceil(t/2) columns beside V, the rest
@@ -195,7 +195,6 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
     """
     beta = _check_blocks(A, U, V)
     field, n = A.field, A.n
-    V, U = np.asarray(V, dtype=np.int64), np.asarray(U, dtype=np.int64)
     prefix = None
     if carry is not None:
         forward = -(-carry.shape[1] // 2)
@@ -230,7 +229,7 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
                                    held[:g, :, beta:])
             terms[first:first + 2 * g] = S.reshape(g, beta, 2, beta).swapaxes(
                 1, 2).reshape(2 * g, beta, beta)[:L - first]
-    return BlockSequence(field, beta, field.from_int64(terms), prefix)
+    return BlockSequence(field, beta, terms, prefix)
 
 
 def _start_prefix(carry: np.ndarray, m: int, forward: int) -> KrylovPrefix:
@@ -246,8 +245,7 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     i < s, one structured power B = A^s, and giant rows U^T B^j, all in
     one int64 product (`PrimeField.matmul_int64`) with the baby steps side
     by side, charged as the beta x n x beta product of each of the L terms
-    kept.  Both chains stay in the int64 residues of `THMatrix._pass`; only
-    the terms take the field's dtype.
+    kept.
 
     `carry`, an n x t block of verification vectors, rides all m = s - 1
     baby steps beside V; its powers come back as the sequence's `prefix`
@@ -257,7 +255,7 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
         raise ShapeMismatchError("plan block size differs from projector width")
     field, n = A.field, A.n
     s, L = plan.s, plan.L
-    chain, prefix = np.asarray(V, dtype=np.int64), None
+    chain, prefix = V, None
     if carry is not None:
         prefix = _start_prefix(carry, s - 1, carry.shape[1])
         chain = np.concatenate([chain, prefix.powers[0]], axis=1)
@@ -281,7 +279,7 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     rows = field.matmul_int64(W.reshape(giants * beta, n), babies)
     terms = rows.reshape(giants, beta, s, beta).swapaxes(1, 2).reshape(
         giants * s, beta, beta)[:L]
-    return BlockSequence(field, beta, field.from_int64(terms), prefix)
+    return BlockSequence(field, beta, terms, prefix)
 
 
 def minimal_matrix_generator(seq: BlockSequence, dbound: int,
@@ -327,7 +325,7 @@ def minimal_matrix_generator(seq: BlockSequence, dbound: int,
             if rest:
                 charge += len(rest) * (1 + m * (degm[piv] + 1) + beta * (L - k))
                 f = np.array([col[r] * inv % p for r in rest], dtype=E.dtype)
-                E[rest] = (E[rest] - f[:, None, None] * E[piv]) % p
+                E[rest] = field.submul(E[rest], f[:, None, None], E[piv])
                 for r in rest:
                     degm[r] = max(degm[r], degm[piv])
             E[piv, :, 1:] = E[piv, :, :-1]
@@ -364,13 +362,13 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
     """Exact determinant, normalized monic, by interpolation from D + 1
     points, D the sum of the rows' largest entry degrees (>= deg det F).
 
-    One Horner pass over the coefficient array evaluates all beta^2
-    entries at every point; as for `Poly.eval_many`, a nonzero entry is
-    charged its own degree times D + 1 products and a zero entry nothing.
-    One `linalg.det` call then eliminates the (D + 1, beta, beta) stack
-    of point matrices, and `interpolate` recovers the determinant from
-    its values at 0..D, whose divided-difference levels each have one
-    denominator.
+    One Horner pass over the coefficient array, acc x + C_t taken as
+    C_t - (-x) acc, evaluates all beta^2 entries at every point x; as for
+    `Poly.eval_many`, a nonzero entry is charged its own degree times
+    D + 1 products and a zero entry nothing.  One `linalg.det` call then
+    eliminates the (D + 1, beta, beta) stack of point matrices, and
+    `interpolate` recovers the determinant from its values at 0..D, whose
+    divided-difference levels each have one denominator.
     """
     field = F.field
     p = field.p
@@ -378,16 +376,15 @@ def polymat_det(F: PolyMatrix, counter: MultCounter | None = None) -> Poly:
     C = F.coeffs[:, :, :top + 1]
     degrees = np.where(C != 0, np.arange(top + 1), 0).max(axis=2)
     D = int(degrees.max(axis=1).sum())
-    if p <= D + 1:
+    if p < D + 1:
         raise FieldTooSmallError(
             f"determinant needs {D + 1} evaluation points but p = {p}")
     if counter is not None:
         counter.add(int(degrees.sum()) * (D + 1))
-    pts = list(range(D + 1))
-    x = field.asvec(pts)[:, None, None]
+    pts = np.arange(D + 1)
     acc = field.zeros((D + 1, F.beta, F.beta)) + C[:, :, top]
     for t in range(top - 1, -1, -1):
-        acc = (acc * x + C[:, :, t]) % p
+        acc = field.submul(C[:, :, t], -pts[:, None, None], acc)
     vals = dense_det(field, acc, counter)
     if not np.any(vals):
         raise SingularEverywhereError("determinant is identically zero")
@@ -441,7 +438,7 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
         raise ValueError("the prefix carries other vectors than these trials")
     field, d = A.field, int(f.degree)
     k = min(prefix.m, d)
-    coeffs = np.asarray(f.coeffs, dtype=np.int64)[None]
+    coeffs = f.coeffs[None]
     S = field.matmul_int64(coeffs[:, :k], prefix.powers[:k].reshape(k, B.size),
                            counter)[0]
     held = np.zeros((min(d + 1 - k, max(1, _PROJECTION_BYTES // (8 * B.size))),

@@ -2,12 +2,11 @@
 
 Deliberately separate from the library's own dense reference module so
 that dual-route checks (library implementation vs test oracle) never
-share code.
+share code: every oracle computes in Python ints, and library arrays are
+only read or filled with the results.
 """
 
 from itertools import permutations
-
-from thpoly import Poly
 
 
 def egcd_inv(a: int, p: int) -> int:
@@ -21,6 +20,12 @@ def egcd_inv(a: int, p: int) -> int:
     return old_s % p
 
 
+def _trimmed(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def schoolbook_mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
@@ -28,9 +33,18 @@ def schoolbook_mul(a: list[int], b: list[int], p: int) -> list[int]:
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trimmed(out)
+
+
+def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trimmed([(x + y) % p for x, y in zip(a, b)])
+
+
+def monic(coeffs: list[int], p: int) -> list[int]:
+    inv = egcd_inv(coeffs[-1], p)
+    return [c * inv % p for c in coeffs]
 
 
 def kronecker_matmul(a, b, out_len: int, p: int) -> list:
@@ -67,10 +81,6 @@ def powersum_eval(coeffs: list[int], x: int, p: int) -> int:
     return sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
 
 
-def dense_mat(field, rows):
-    return field.asmat(rows)
-
-
 def mat_mul(field, A, B):
     n = A.shape[0]
     p = field.p
@@ -105,47 +115,39 @@ def perm_det(rows, p: int) -> int:
     return total % p
 
 
-def poly_det(entries):
-    """Determinant of a square matrix of Poly entries by cofactor
+def poly_det(entries, p: int) -> list[int]:
+    """Determinant, as a trimmed coefficient list, of a square matrix whose
+    entries are coefficient lists (or Polys, read by `to_list`), by cofactor
     expansion along the first row (exponential; n <= 5)."""
-    n = len(entries)
-    field = entries[0][0].field
+    rows = [[e if isinstance(e, list) else e.to_list() for e in row]
+            for row in entries]
+    n = len(rows)
     if n == 1:
-        return entries[0][0]
-    acc = Poly.zero(field)
-    sign = 1
+        return _trimmed([c % p for c in rows[0][0]])
+    acc = []
     for j in range(n):
-        minor = [[entries[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = entries[0][j].mul(poly_det(minor))
-        acc = acc.add(term) if sign == 1 else acc.sub(term)
-        sign = -sign
+        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        term = schoolbook_mul(rows[0][j], poly_det(minor, p), p)
+        if j % 2:
+            term = [-c % p for c in term]
+        acc = poly_add(acc, term, p)
     return acc
 
 
-def cofactor_charpoly(field, rows) -> Poly:
-    """det(xI - A) via symbolic cofactor expansion."""
-    n = rows.shape[0]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            base = [(-int(rows[i, j])) % field.p]
-            if i == j:
-                base.append(1)
-            row.append(Poly(field, base))
-        entries.append(row)
-    return poly_det(entries)
+def cofactor_charpoly(p: int, rows) -> list[int]:
+    """det(xI - A) of a list-of-lists matrix via symbolic cofactor
+    expansion, as a coefficient list."""
+    n = len(rows)
+    return poly_det([[[-int(rows[i][j]) % p] + [1] * (i == j)
+                      for j in range(n)] for i in range(n)], p)
 
 
-def poly_eval_matrix(field, f: Poly, A):
-    """f(A) for a dense matrix, by Horner."""
-    n = A.shape[0]
-    out = field.zeros((n, n))
-    if f.is_zero():
-        return out
-    eye = field.zeros((n, n))
-    for i in range(n):
-        eye[i, i] = 1
-    for c in f.coeffs[::-1]:
-        out = (mat_mul(field, out, A) + int(c) * eye) % field.p
+def poly_eval_matrix(p: int, coeffs: list[int], rows) -> list:
+    """f(A) for a list-of-lists matrix and f's coefficient list, by
+    Horner, as a list of lists."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for c in coeffs[::-1]:
+        out = [[(sum(out[i][k] * int(rows[k][j]) for k in range(n))
+                 + c * (i == j)) % p for j in range(n)] for i in range(n)]
     return out

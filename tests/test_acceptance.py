@@ -92,8 +92,8 @@ def test_c03_width_bounds():
         n = 5 + i % 8
         rng = field.rng(5000 + i)
         r = 1 + i % 4
-        G = field.matmul(field.rand_mat(rng, (n, r)), field.rand_mat(rng, (r, 5)))
-        H = field.rand_mat(rng, (n, 5))
+        G = field.matmul(field.rand_vec(rng, (n, r)), field.rand_vec(rng, (r, 5)))
+        H = field.rand_vec(rng, (n, 5))
         G2, H2 = compress_pair(field, G, H)
         prod = field.matmul(G, H.T)
         if G2.shape[1] != rank(field, prod):
@@ -128,8 +128,8 @@ def test_c04_bsgs_equivalence():
         beta = 1 + i % min(4, n)
         A = random_structured(field, n, i % 3, (1 + i) % 3, 9000 + i)
         rng = field.rng(9500 + i)
-        U = field.rand_mat(rng, (n, beta))
-        V = field.rand_mat(rng, (n, beta))
+        U = field.rand_vec(rng, (n, beta))
+        V = field.rand_vec(rng, (n, beta))
         L = 2 * math.ceil(n / beta) + 2
         s = min(strides[i % 4], L)      # plan invariant requires s <= L
         plan = BsgsPlan(beta=beta, s=s, L=L)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_arith_examples():
 def test_ring_axioms_and_closure(p):
     f = PrimeField(p)
     rng = f.rng(1)
-    triples = f.rand_mat(rng, (1000, 3))
+    triples = f.rand_vec(rng, (1000, 3))
     for a, b, c in triples:
         a, b, c = int(a), int(b), int(c)
         ab = f.mul(a, b)
@@ -159,12 +161,12 @@ SLAB_CASES = (
 def test_conv_matmul_vs_exact_convolution(p, I, T, J, la, lb, out_len):
     f = PrimeField(p)
     rng = f.rng(I * 100 + T * 10 + la)
-    a = f.rand_mat(rng, (I * T, la)).reshape(I, T, la)
-    b = f.rand_mat(rng, (T * J, lb)).reshape(T, J, lb)
+    a = f.rand_vec(rng, (I * T, la)).reshape(I, T, la)
+    b = f.rand_vec(rng, (T * J, lb)).reshape(T, J, lb)
     a[0] = p - 1                       # all-(p-1) rows on both sides
     b[:, 0] = p - 1
     out = f.conv_matmul(a, b, out_len)
-    assert out.dtype == f.dtype
+    assert out.dtype == np.int64
     assert np.array_equal(out, _exact_conv_matmul(f, a, b, out_len))
 
 
@@ -222,12 +224,12 @@ def test_conv_matmul_big_primes(p, la, lb, out_len, chunks):
     f = PrimeField(p)
     T = chunks * f.fft_limbs(la, lb)[2] + 1
     rng = f.rng(p % 1000 + la)
-    a = f.rand_mat(rng, (2 * T, la)).reshape(2, T, la)
-    b = f.rand_mat(rng, (T * 2, lb)).reshape(T, 2, lb)
+    a = f.rand_vec(rng, (2 * T, la)).reshape(2, T, la)
+    b = f.rand_vec(rng, (T * 2, lb)).reshape(T, 2, lb)
     a[0] = p - 1
     b[:, 0] = p - 1
     out = f.conv_matmul(a, b, out_len)
-    assert out.dtype == object
+    assert out.dtype == np.int64
     assert np.array_equal(out, _exact_conv_matmul(f, a, b, out_len))
 
 
@@ -280,31 +282,83 @@ def test_products_at_limb_plan_boundaries(p, n, chunks):
 
 @pytest.mark.parametrize("p", (101, P_NTT, (1 << 61) - 1, BIG_PRIMES[-1]))
 def test_kernel_dtype_contract(p):
-    # the product step and a structured pass return int64 residues for
-    # every p; the kernel and the public block products return the field's
-    # dtype, Python ints above 2**31
+    # the product step, a structured pass, the kernel and the public block
+    # products return int64 residues for every p
     f = PrimeField(p)
     rng = f.rng(5)
-    a = f.rand_mat(rng, (6, 9)).reshape(2, 3, 9)
-    b = f.rand_mat(rng, (3, 9)).reshape(3, 1, 9)
+    a = f.rand_vec(rng, (6, 9)).reshape(2, 3, 9)
+    b = f.rand_vec(rng, (3, 9)).reshape(3, 1, 9)
     fa = f.fft_spectra(a, 9, 9, axis=1)
     step = ProductStep(p, 9, 9, 1, 2, fa.shape[2], 1, 17)
     raw = step.run(step.bind(f.fft_spectra(b[None], 9, 9, axis=1)),
                    step.layout([fa]))[0]
     assert raw.dtype == np.int64 and raw.min() >= 0 and raw.max() < p
     A = random_structured(f, 9, 2, 1, 5)
-    V = f.rand_mat(rng, (9, 2))
+    V = f.rand_vec(rng, (9, 2))
     outs = (f.conv_matmul(a, b, 17), A.matvec_block(V), A.matvec_t_block(V),
             *A.matvec_pair(V, V))
     assert np.array_equal(outs[0], raw)
     for got, want in zip(A._pass([V, V], 0, None), outs[3:]):
         assert got.dtype == np.int64 and np.array_equal(got, want)
     for out in outs:
-        assert out.dtype == f.dtype
-        assert f.dtype is np.int64 or all(type(x) is int for x in out.flat)
+        assert out.dtype == np.int64
 
 
-@pytest.mark.parametrize("p", ((1 << 61) - 1, (1 << 62) - 57, P_NTT, 101))
+def _edges(p):
+    """0, 1 and the residues at the edges of p and of 31-bit halves."""
+    return sorted({x for x in (0, 1, p - 1, p - 2, (p - 1) // 2, (1 << 31) - 1,
+                               1 << 31, (1 << 31) + 1, p - (1 << 31)) if 0 <= x < p})
+
+
+@pytest.mark.parametrize("p", (101, P_NTT, (1 << 31) + 11, (1 << 61) - 1,
+                               (1 << 62) - 57))
+def test_exact_product_vs_python_ints(p):
+    # vmul, submul and dot against Python ints, with every warning an
+    # error: factors are the edges and their negatives (a difference of
+    # residues lies in (-p, p)), every pair broadcast, each one as a Python
+    # int and as a 0-d array against the rest and against random residues,
+    # random pairs, empty operands, and a dot over more terms than one
+    # float matmul sums
+    f = PrimeField(p)
+    rng = f.rng(p % 997)
+    edges = _edges(p)
+    signed = edges + [-e for e in edges if e]
+    x, r = np.array(signed, dtype=np.int64), f.rand_vec(rng, 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.vmul(x[:, None], x).tolist() == [[a * b % p for b in signed]
+                                                  for a in signed]
+        assert f.submul(r[:len(x), None], x[::-1, None], x).tolist() == [
+            [(a - c * b) % p for b in signed]
+            for a, c in zip(r.tolist(), signed[::-1])]
+        for c in signed:
+            for scalar in (c, np.int64(c), np.array(c)):
+                for y in (x, r):
+                    ys = y.tolist()
+                    assert f.vmul(y, scalar).tolist() == [c * b % p for b in ys]
+                    assert f.vmul(scalar, y).tolist() == [c * b % p for b in ys]
+                    assert f.submul(r[:len(y)], scalar, y).tolist() == [
+                        (a - c * b) % p for a, b in zip(r.tolist(), ys)]
+        e = f.asvec(edges)
+        for c in edges:
+            assert f.dot(e, f.asvec([c] * len(edges))) == c * sum(edges) % p
+        s = f.rand_vec(rng, 500)
+        assert f.vmul(r, s).tolist() == [a * b % p for a, b in zip(r.tolist(),
+                                                                   s.tolist())]
+        assert f.dot(r, s) == sum(a * b for a, b in zip(r.tolist(),
+                                                        s.tolist())) % p
+        assert f.dot(e, e) == sum(a * a for a in edges) % p
+        empty = f.zeros(0)
+        assert f.vmul(empty, p - 1).shape == f.submul(empty, 3, empty).shape == (0,)
+        assert f.vmul(f.zeros((0, 3)), e[:3]).shape == (0, 3)
+        assert f.dot(empty, empty) == 0
+        k = (1 << 11) + 3
+        top = np.full(k, p - 1, dtype=np.int64)
+        assert f.dot(top, top) == k % p            # (p - 1)**2 = 1
+
+
+@pytest.mark.parametrize("p", ((1 << 61) - 1, (1 << 62) - 57, P_NTT, 101,
+                               (1 << 32) + 15, (1 << 40) - 87))
 @pytest.mark.parametrize("a,k,b", [(1, 128, 256), (2, 3, 5), (1, 0, 4),
                                    (3, 2049, 2)])    # two float matmuls of k
 def test_matmul_int64_vs_matmul(p, a, k, b):
@@ -316,8 +370,9 @@ def test_matmul_int64_vs_matmul(p, a, k, b):
     B[:, 0] = p - 1
     mine, theirs = MultCounter(), MultCounter()
     got = f.matmul_int64(A, B, mine)
-    want = f.matmul(f.from_int64(A), f.from_int64(B), theirs)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.dtype == np.int64
+    assert got.tolist() == _ref.mat_mul(f, A, B).tolist()
+    assert np.array_equal(f.matmul(A, B, theirs), got)
     assert mine.mults == theirs.mults == a * k * b
 
 
@@ -350,6 +405,20 @@ def test_matmul_long_sums_below_2_31(p, k, b):
     assert counter.mults == 2 * k
 
 
+# Above 2**32 the high half of the split reaches (p-1) >> 16 > 2**16 - 1:
+# all p - 1 puts the sums of `A @ hi` at k (p-1) ((p-1) >> 16), on each
+# side of 2**63 (k = 32,767 and 32,768 at 2**32 + 15, 1 and 2 at 2**39 +
+# 23); past it, and at 2**40 - 87 for every k, the product goes to
+# `matmul_int64`.  (p - 1)**2 = 1 mod p, so each entry is k mod p
+@pytest.mark.parametrize("p,k", [
+    ((1 << 32) + 15, 32_767), ((1 << 32) + 15, 32_768),
+    ((1 << 39) + 23, 1), ((1 << 39) + 23, 2), ((1 << 40) - 87, 2)])
+def test_matmul_split_above_2_31(p, k):
+    A = np.full((2, k), p - 1, dtype=np.int64)
+    B = np.full((k, 3), p - 1, dtype=np.int64)
+    assert PrimeField(p).matmul(A, B).tolist() == [[k % p] * 3] * 2
+
+
 def test_one_off_products_leave_the_pass_buffer():
     # only structured passes work in the thread's buffer; a one-off product
     # works in memory of its own, so a large one leaves the buffer as it was
@@ -361,6 +430,6 @@ def test_one_off_products_leave_the_pass_buffer():
     a, b = f.rand_vec(rng, 4096), f.rand_vec(rng, 4096)
     want = _ref.schoolbook_mul(a[:64].tolist(), b[:64].tolist(), f.p)[:64]
     assert f.conv(a, b)[:64].tolist() == want
-    f.matmul_int64(f.rand_mat(rng, (4, 3000)).astype(np.int64),
-                   f.rand_mat(rng, (3000, 4)).astype(np.int64))
+    f.matmul_int64(f.rand_vec(rng, (4, 3000)).astype(np.int64),
+                   f.rand_vec(rng, (3000, 4)).astype(np.int64))
     assert _scratch.buffer is before

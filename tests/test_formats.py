@@ -73,7 +73,7 @@ def test_smx_rejects_out_of_range_residue():
 
 def test_dmx_roundtrip():
     f = PrimeField(101)
-    M = DenseMatrix(f, f.rand_mat(f.rng(6), (5, 5)))
+    M = DenseMatrix(f, f.rand_vec(f.rng(6), (5, 5)))
     text = dump_dmx(M)
     again = parse_dmx(text)
     assert dump_dmx(again) == text

@@ -13,7 +13,7 @@ P_NTT = 2013265921
 
 
 def rand_dense(field, n, seed):
-    return DenseMatrix(field, field.rand_mat(field.rng(seed), (n, n)))
+    return DenseMatrix(field, field.rand_vec(field.rng(seed), (n, n)))
 
 
 def test_charpoly_identity():
@@ -28,11 +28,18 @@ def test_charpoly_diag():
     assert dense_charpoly(d).to_list() == [2, 98, 1]          # x^2 - 3x + 2
 
 
+# the dense oracles at a small prime and at two primes above 2^31, where
+# residue products split in 31-bit halves
+ORACLE_PRIMES = (101, (1 << 61) - 1, (1 << 62) - 57)
+
+
 def test_charpoly_vs_cofactor():
-    f = PrimeField(101)
-    for seed in range(8):
-        M = rand_dense(f, 5, seed)
-        assert dense_charpoly(M) == _ref.cofactor_charpoly(f, M.rows)
+    for p in ORACLE_PRIMES:
+        f = PrimeField(p)
+        for seed in range(8):
+            M = rand_dense(f, 5, seed)
+            assert (dense_charpoly(M).to_list()
+                    == _ref.cofactor_charpoly(p, M.rows.tolist()))
 
 
 def test_charpoly_block_diagonal_product():
@@ -41,8 +48,8 @@ def test_charpoly_block_diagonal_product():
     for _ in range(10):
         na = int(rng.integers(1, 5))
         nb = int(rng.integers(1, 5))
-        A = f.rand_mat(rng, (na, na))
-        B = f.rand_mat(rng, (nb, nb))
+        A = f.rand_vec(rng, (na, na))
+        B = f.rand_vec(rng, (nb, nb))
         M = f.zeros((na + nb, na + nb))
         M[:na, :na] = A
         M[na:, na:] = B
@@ -61,14 +68,16 @@ def test_minpoly_identity_and_exchange():
 
 
 def test_minpoly_divides_charpoly_and_annihilates():
-    f = PrimeField(101)
-    for seed in range(6):
-        M = rand_dense(f, 6, seed + 40)
-        mp = dense_minpoly(M)
-        cp = dense_charpoly(M)
-        _, r = cp.divrem(mp)
-        assert r.is_zero()
-        assert not _ref.poly_eval_matrix(f, mp, M.rows).any()
+    for p in ORACLE_PRIMES:
+        f = PrimeField(p)
+        for seed in range(6):
+            M = rand_dense(f, 6, seed + 40)
+            mp = dense_minpoly(M)
+            cp = dense_charpoly(M)
+            _, r = cp.divrem(mp)
+            assert r.is_zero()
+            value = _ref.poly_eval_matrix(p, mp.to_list(), M.rows.tolist())
+            assert not any(any(row) for row in value)
 
 
 def test_displacement_rank_facts():

@@ -149,13 +149,16 @@ def test_interpolate_roundtrip():
     assert back == poly
 
 
-def test_interpolate_roundtrip_object_dtype():
-    f = PrimeField((1 << 61) - 1)
-    rng = f.rng(11)
-    poly = Poly(f, [int(x) for x in f.rand_vec(rng, 9)] + [1])
-    pts = [int(x) for x in f.rand_vec(rng, 10)]
-    back = interpolate(f, pts, [int(v) for v in poly.eval_many(pts)])
-    assert back.coeffs.dtype == object and back == poly
+def test_interpolate_roundtrip_big_primes():
+    for p in ((1 << 61) - 1, (1 << 62) - 57):
+        f = PrimeField(p)
+        rng = f.rng(11)
+        poly = Poly(f, [int(x) for x in f.rand_vec(rng, 9)] + [1])
+        pts = [int(x) for x in f.rand_vec(rng, 10)]
+        values = [int(v) for v in poly.eval_many(pts)]
+        assert values == [_ref.powersum_eval(poly.to_list(), x, p) for x in pts]
+        back = interpolate(f, pts, values)
+        assert back.coeffs.dtype == np.int64 and back == poly
 
 
 def test_interpolate_unsorted_points_and_charge():

@@ -35,8 +35,8 @@ def test_block_matvecs_match_dense(p, n, alpha_t, alpha_h, k, seed):
     f = PrimeField(p)
     A = random_structured(f, n, alpha_t, alpha_h, seed)
     dense = A.reconstruct()
-    V = f.rand_mat(f.rng(seed), (n, k))
-    U = f.rand_mat(f.rng(seed + 1), (n, k))
+    V = f.rand_vec(f.rng(seed), (n, k))
+    U = f.rand_vec(f.rng(seed + 1), (n, k))
     AV = f.matmul(dense, V)
     AtU = f.matmul(dense.T.copy(), U)
     apart = MultCounter()
@@ -80,7 +80,7 @@ def test_power_matches_dense(p, n, alpha_t, alpha_h, k, seed):
     f = PrimeField(p)
     A = random_structured(f, n, alpha_t, alpha_h, seed)
     da = A.reconstruct()
-    want = f.asmat(np.eye(n, dtype=np.int64))
+    want = f.asvec(np.eye(n, dtype=np.int64))
     for _ in range(k):
         want = f.matmul(want, da)
     assert np.array_equal(A.power(k).reconstruct(), want)

@@ -22,7 +22,7 @@ from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
 import _ref
 
 P_NTT = 2013265921
-# tiny, non-NTT, 31-bit NTT and object-dtype primes
+# tiny, non-NTT, 31-bit NTT and split-product (above 2^31) primes
 EDGE_PRIMES = (3, 101, (1 << 31) - 1, P_NTT, (1 << 61) - 1)
 
 
@@ -137,7 +137,7 @@ def test_compress_duplicate_columns():
 def test_compress_drops_zero_column():
     f = PrimeField(101)
     rng = f.rng(3)
-    G = f.rand_mat(rng, (6, 2))
+    G = f.rand_vec(rng, (6, 2))
     H = np.stack([f.rand_vec(rng, 6), f.zeros(6)], axis=1)
     G2, H2 = compress_pair(f, G, H)
     assert G2.shape[1] == 1
@@ -147,9 +147,9 @@ def test_compress_drops_zero_column():
 def test_compress_planted_rank():
     f = PrimeField(101)
     rng = f.rng(4)
-    G0 = f.rand_mat(rng, (9, 3))
-    G = f.matmul(G0, f.rand_mat(rng, (3, 6)))
-    H = f.rand_mat(rng, (9, 6))
+    G0 = f.rand_vec(rng, (9, 3))
+    G = f.matmul(G0, f.rand_vec(rng, (3, 6)))
+    H = f.rand_vec(rng, (9, 6))
     G2, H2 = compress_pair(f, G, H)
     prod = f.matmul(G, H.T)
     assert G2.shape[1] == rank(f, prod) == 3
@@ -188,13 +188,13 @@ def test_rref_charges_the_entries_that_change(p):
     f = PrimeField(p)
     rng = f.rng(9)
     for shape, planted in (((5, 7), 3), ((7, 4), 4), ((6, 6), 2), ((3, 8), 3)):
-        M = f.matmul(f.rand_mat(rng, (shape[0], planted)),
-                     f.rand_mat(rng, (planted, shape[1])))
+        M = f.matmul(f.rand_vec(rng, (shape[0], planted)),
+                     f.rand_vec(rng, (planted, shape[1])))
         M[:, 1] = 0                         # a column without a pivot
         counter = MultCounter()
         R, pivots = rref(f, M, counter)
         want, want_pivots, charge = _rref_reference(p, M.tolist())
-        assert R.dtype == f.dtype and R.tolist() == want
+        assert R.dtype == np.int64 and R.tolist() == want
         assert pivots == want_pivots and len(pivots) == rank(f, M)
         assert counter.mults == charge
 
@@ -213,7 +213,7 @@ def test_rank_factor_certifies_full_rank_on_the_last_rows(p):
     f = PrimeField(p)
     rng = f.rng(10)
     for n, r in ((12, 4), (10, 9), (30, 7)):
-        G, H = f.rand_mat(rng, (n, r)), f.rand_mat(rng, (n, r))
+        G, H = f.rand_vec(rng, (n, r)), f.rand_vec(rng, (n, r))
         R_full, pivots = rref(f, G)
         counter = MultCounter()
         C, R = rank_factor(f, G, counter)
@@ -224,7 +224,7 @@ def test_rank_factor_certifies_full_rank_on_the_last_rows(p):
         counter = MultCounter()
         G2, H2 = compress_pair(f, G, H, counter)
         assert np.array_equal(G2, G) and np.array_equal(H2, H)
-        assert G2.dtype == H2.dtype == f.dtype
+        assert G2.dtype == H2.dtype == np.int64
         assert counter.mults == _subset_charge(f, G) + _subset_charge(f, H)
 
 
@@ -235,7 +235,7 @@ def test_rank_factor_falls_back_on_singular_last_rows(p):
     f = PrimeField(p)
     rng = f.rng(11)
     n, r = 12, 4
-    G, H = f.rand_mat(rng, (n, r)), f.rand_mat(rng, (n, r))
+    G, H = f.rand_vec(rng, (n, r)), f.rand_vec(rng, (n, r))
     G[n - r:] = 0
     full = MultCounter()
     R_full, pivots = rref(f, G, full)
@@ -255,8 +255,8 @@ def test_rank_factor_square_or_wide_input_takes_no_shortcut(n, r, planted):
     # only the full elimination runs, once, whatever the rank
     f = PrimeField(101)
     rng = f.rng(12)
-    G = f.matmul(f.rand_mat(rng, (n, planted)), f.rand_mat(rng, (planted, r)))
-    H = f.rand_mat(rng, (n, r))
+    G = f.matmul(f.rand_vec(rng, (n, planted)), f.rand_vec(rng, (planted, r)))
+    H = f.rand_vec(rng, (n, r))
     full = MultCounter()
     R_full, pivots = rref(f, G, full)
     counter = MultCounter()
@@ -273,7 +273,7 @@ def _det_stack(f, b):
     # scattered zeros; then a zero leading pivot (a row swap), a repeated
     # row and a zero column (singular) and a zero matrix among live ones
     rng = f.rng(40 + b)
-    A = f.rand_mat(rng, (7, b, b))
+    A = f.rand_vec(rng, (7, b, b))
     A[rng.random(A.shape) < 0.3] = 0
     A[1, 0, 0] = 0
     A[1, b - 1, 0] = 1
@@ -290,7 +290,7 @@ def test_det_stack_vs_permutation_expansion(p, charge):
         A = _det_stack(f, b)
         counter = MultCounter()
         got = det(f, A, counter)
-        assert got.dtype == f.dtype
+        assert got.dtype == np.int64
         assert got.tolist() == [_ref.perm_det(M.tolist(), p) for M in A]
         assert got[3] == got[4] == 0 and np.count_nonzero(got) >= 2
     # the b = 4 stack's charge is the sum of its matrices' charges when
@@ -303,7 +303,7 @@ def test_det_row_swaps_flip_the_sign_and_shapes_are_checked():
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]            # one swap: -1
     cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]           # two swaps: +1
     diag = [[2, 0, 0], [0, 3, 0], [0, 0, 4]]
-    stack = np.stack([f.asmat(M) for M in (swap, cycle, diag)])
+    stack = np.stack([f.asvec(M) for M in (swap, cycle, diag)])
     assert det(f, stack).tolist() == [100, 1, 24]
     assert det(f, f.zeros((0, 3, 3))).tolist() == []
     with pytest.raises(DimensionMismatchError):
@@ -366,7 +366,7 @@ def test_matvec_identity_and_shift():
 # 31-bit primes n = 256 sums 8 generators per inverse transform (widths 8
 # and 9 straddle a chunk), n = 1719 is the largest n with 16-bit limbs (one
 # generator per transform) and n = 1720 takes 11-bit limbs.  At 2^61 - 1
-# and 2^62 - 57 (object dtype) n = 4 takes 21-bit limbs, n = 5 .. 937
+# and 2^62 - 57 n = 4 takes 21-bit limbs, n = 5 .. 937
 # 16-bit limbs (n = 128 sums 10 generators per transform) and n = 938
 # 13-bit limbs; see tests/test_field.py::test_fft_limbs_pins.  (2^62 - 57
 # shares 2^61 - 1's plans, so its rows stop short of the slow dense
@@ -399,7 +399,7 @@ def test_matvec_vs_dense():
     v = f.rand_vec(f.rng(9), 16)
     assert np.array_equal(A.matvec(v), f.matvec_dense(dense, v))
     assert np.array_equal(A.matvec_t(v), f.matvec_dense(dense.T.copy(), v))
-    block = f.rand_mat(f.rng(10), (16, 3))
+    block = f.rand_vec(f.rng(10), (16, 3))
     assert np.array_equal(A.matvec_block(block), f.matmul(dense, block))
     assert np.array_equal(A.matvec_t_block(block),
                           f.matmul(dense.T.copy(), block))
@@ -420,12 +420,12 @@ def test_matvec_vs_dense():
                  for width in (width_p, width_q)))
         A = THMatrix(f, P, Q)
         dense = A.reconstruct()
-        block = np.full((n, k), p - 1, dtype=f.dtype)
+        block = np.full((n, k), p - 1, dtype=np.int64)
         want = f.matmul(dense, block), f.matmul(dense.T.copy(), block)
         pair = A.matvec_pair(block, block)
         for out, M in ((A.matvec_block(block), want[0]), (pair[0], want[0]),
                        (A.matvec_t_block(block), want[1]), (pair[1], want[1])):
-            assert out.shape == (n, k) and out.dtype == f.dtype
+            assert out.shape == (n, k) and out.dtype == np.int64
             assert np.array_equal(out, M), (p, n, width_p, width_q, k)
 
 
@@ -433,7 +433,7 @@ def test_matvec_block_matches_columns_small_field():
     # columns and block run the same kernel, so both face the dense product
     f = PrimeField(101)
     A = random_structured(f, 9, 2, 1, 11)
-    V = f.rand_mat(f.rng(12), (9, 4))
+    V = f.rand_vec(f.rng(12), (9, 4))
     want = f.matmul(A.reconstruct(), V)
     assert np.array_equal(A.matvec_block(V), want)
     cols = np.stack([A.matvec(V[:, c]) for c in range(4)], axis=1)
@@ -446,7 +446,7 @@ MATVEC_PINS = (
     (101, 1, 1, 1, 4),                  # n = 1, non-NTT prime
     (P_NTT, 1, 2, 0, 8),                # n = 1 at an NTT prime
     (101, 9, 2, 1, 486),                # non-NTT prime
-    ((1 << 61) - 1, 7, 2, 1, 294),      # object dtype
+    ((1 << 61) - 1, 7, 2, 1, 294),      # above 2^31
     (P_NTT, 16, 2, 2, 2432),            # NTT prime
     (P_NTT, 16, 3, 0, 1824),            # zero-width Q
     (101, 5, 0, 2, 100),                # zero-width P
@@ -466,7 +466,7 @@ def test_matvec_is_width_one_block(p, n, alpha_t, alpha_h, mults):
         counter = MultCounter()
         out = apply(v, counter)
         assert counter.mults == mults
-        assert out.shape == (n,) and out.dtype == f.dtype
+        assert out.shape == (n,) and out.dtype == np.int64
         assert np.array_equal(out, f.matvec_dense(M, v))
         assert np.array_equal(out, block(v.reshape(n, 1))[:, 0])
     with pytest.raises(LengthMismatchError):
@@ -508,7 +508,7 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     A = random_structured(f, n, alpha_t, alpha_h, 5)
     cores = [c for c in (A.P, A.Q) if c.width]
     core = cores[0]
-    V = f.rand_mat(f.rng(6), (n, 2))
+    V = f.rand_vec(f.rng(6), (n, 2))
     first, layouts = 4, 2                       # + S_H and S_G
     for product, plans in ((lambda: A.matvec_block(V), 1),
                            (lambda: A.matvec_block(V), 0),
@@ -533,7 +533,7 @@ def test_one_kernel_pass_per_product(monkeypatch, p, alpha_t, alpha_h):
     W = random_structured(f, n, 5 * alpha_t, 5 * alpha_h, 7)
     wide = f.fft_limbs(n, n)[2] < W.alpha
     assert wide == (p != 101)
-    V = f.rand_mat(f.rng(8), (n, 2))
+    V = f.rand_vec(f.rng(8), (n, 2))
     W.matvec_block(V)
     for product in (lambda: W.matvec_block(V), lambda: W.matvec_t_block(V),
                     lambda: W.matvec_pair(V, V)):
@@ -556,7 +556,7 @@ def test_giant_step_transient_memory():
     # pairs of the whole stage-2 product at once would add 1.18 MB
     f = PrimeField(P_NTT)
     B = random_structured(f, 256, 2, 0, 1).power(23)
-    W = f.rand_mat(f.rng(2), (256, 1))
+    W = f.rand_vec(f.rng(2), (256, 1))
     B.matvec_t_block(W)
     tracemalloc.start()
     try:
@@ -573,7 +573,7 @@ def test_pair_pass_transient_memory():
     # commit's 220,784 bytes at most (5,249 now: the products it returns)
     f = PrimeField(P_NTT)
     A = random_structured(f, 64, 2, 1, 3)
-    V, U = f.rand_mat(f.rng(1), (64, 4)), f.rand_mat(f.rng(2), (64, 3))
+    V, U = f.rand_vec(f.rng(1), (64, 4)), f.rand_vec(f.rng(2), (64, 3))
     A.matvec_pair(V, U)
     tracemalloc.start()
     try:
@@ -596,7 +596,7 @@ def test_pass_plans_vs_dense(p):
         M = A.reconstruct()
         Mt = M.T.copy()
         for widths in ((3, 1), (1, 3), (2, 2), (3, 1), (1,), (4,), (2, 5)):
-            blocks = [f.rand_mat(rng, (n, w)) for w in widths]
+            blocks = [f.rand_vec(rng, (n, w)) for w in widths]
             for first in range(3 - len(blocks)):
                 out = A._pass(blocks, first, None)
                 for i, (X, Y) in enumerate(zip(blocks, out)):
@@ -627,7 +627,7 @@ def test_one_layout_per_matrix(monkeypatch):
     rng = f.rng(5)
     shapes = set()
     for widths in ((3, 1), (1, 3), (2, 2), (3, 1), (1,), (4,), (2, 5)):
-        blocks = [f.rand_mat(rng, (17, w)) for w in widths]
+        blocks = [f.rand_vec(rng, (17, w)) for w in widths]
         for first in range(3 - len(blocks)):
             shapes.add((first, len(blocks), max(widths)))
             A._pass(blocks, first, None)
@@ -646,7 +646,7 @@ def test_pass_plans_belong_to_their_matrix(monkeypatch):
     monkeypatch.setattr(PassPlan, "__call__", recording)
     f = PrimeField(P_NTT)
     A, B = (random_structured(f, 32, 2, 1, seed) for seed in (1, 2))
-    V = f.rand_mat(f.rng(3), (32, 2))
+    V = f.rand_vec(f.rng(3), (32, 2))
     for M in (A, B, A, B):
         assert np.array_equal(M.matvec_block(V), f.matmul(M.reconstruct(), V))
     assert len(seen) == 4 and all(plan is seen[0][0] for plan, _ in seen)
@@ -669,14 +669,14 @@ def test_pass_buffer_grows_without_keeping_the_old():
     # the smaller one are unbound, so it is freed, and bind again when run
     f = PrimeField(P_NTT)
     A, B = (random_structured(f, n, 2, 1, 1) for n in (16, 128))
-    V = f.rand_mat(f.rng(4), (16, 2))
+    V = f.rand_vec(f.rng(4), (16, 2))
     want = f.matmul(A.reconstruct(), V)
     seen = {}
 
     def fresh_thread():
         A.matvec_block(V)
         small = weakref.ref(_scratch.buffer)
-        B.matvec_block(f.rand_mat(f.rng(5), (128, 2)))
+        B.matvec_block(f.rand_vec(f.rng(5), (128, 2)))
         gc.collect()
         seen["freed"] = small() is None
         seen["again"] = np.array_equal(A.matvec_block(V), want)
@@ -697,7 +697,7 @@ def test_shared_pass_plans_across_threads():
             ((24, 1), (24, 2), (96, 3))]
     cases = []
     for A in mats:
-        V = f.rand_mat(f.rng(A.n), (A.n, 3))
+        V = f.rand_vec(f.rng(A.n), (A.n, 3))
         M = A.reconstruct()
         cases.append((A, V, f.matmul(M, V), f.matmul(M.T.copy(), V[:, :2])))
     bad = []
@@ -751,7 +751,7 @@ def test_core_multiply_random_vs_dense():
                     assert np.array_equal(
                         got.dense(), f.matmul(A.dense(), B.dense())), case
                     assert got.width <= a + b + 1, case
-                    assert got.G.dtype == got.H.dtype == f.dtype, case
+                    assert got.G.dtype == got.H.dtype == np.int64, case
 
 
 def test_flip_conjugate_cases():
@@ -763,7 +763,7 @@ def test_flip_conjugate_cases():
     flipped = flip_conjugate(Z)
     assert np.array_equal(flipped.dense(), np.diag([1] * (n - 1), 1))
     # the closed form against J C J from the dense matrix, over tiny,
-    # non-NTT, NTT and object-dtype primes, down to n = 1 and width 0
+    # non-NTT, NTT and above-2^31 primes, down to n = 1 and width 0
     for p in (3, 101, P_NTT, (1 << 61) - 1):
         f = PrimeField(p)
         for n in (1, 2, 5, 17, 64):
@@ -861,7 +861,7 @@ def test_power_examples():
                     assert np.array_equal(B.reconstruct(),
                                           _ref.mat_pow(f, dense, s)), case
                     for core in (B.P, B.Q):
-                        assert core.G.dtype == core.H.dtype == f.dtype, case
+                        assert core.G.dtype == core.H.dtype == np.int64, case
 
 
 @pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1])
@@ -955,15 +955,15 @@ def test_toeplitz_displacement_rank_at_most_two():
         assert rank(f, dense_displacement_down(f, dense)) <= 2
 
 
-def test_big_modulus_object_path():
-    # p >= 2**31 forces the object-dtype arrays end to end
+def test_big_modulus_int64_path():
+    # p >= 2**31 keeps int64 residues end to end, with split products
     f = PrimeField((1 << 61) - 1)
-    assert f.dtype is object
     A = random_structured(f, 6, 2, 1, 25)
     dense = A.reconstruct()
+    assert dense.dtype == A.P.G.dtype == np.int64
     v = f.rand_vec(f.rng(26), 6)
     assert np.array_equal(A.matvec(v), f.matvec_dense(dense, v))
     B = random_structured(f, 6, 1, 1, 27)
     assert np.array_equal(A.multiply(B).reconstruct(),
                           _ref.mat_mul(f, dense, B.reconstruct()))
-    assert A.trace() == int(np.trace(dense) % f.p)
+    assert A.trace() == sum(np.diag(dense).tolist()) % f.p

@@ -93,7 +93,7 @@ def test_naive_sequence_vs_dense_powers():
 def test_two_sided_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
     # S_{2i} = U_i^T V_i and S_{2i+1} = U_i^T V_{i+1} read the two chains,
     # which stay int64, and their projections are taken in batches; every
-    # term must still be U^T A^i V in the field's dtype, at the per-step
+    # term must still be U^T A^i V in int64 residues, at the per-step
     # charge, with all steps in one batch or two steps per batch
     f = PrimeField(p)
     for n in (1, 2, 5, 7, 17):
@@ -109,7 +109,7 @@ def test_two_sided_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
                 counter = MultCounter()
                 seq = krylov_sequence_naive(A, U, V, L, counter)
                 assert counter.mults == (L - 1) * step + L * beta * n * beta
-                assert seq.terms.dtype == f.dtype
+                assert seq.terms.dtype == np.int64
                 power = V
                 for i in range(L):
                     assert np.array_equal(seq.terms[i],
@@ -122,7 +122,7 @@ def test_two_sided_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
 @pytest.mark.parametrize("beta", (1, 2, 3))
 def test_bsgs_sequence_vs_dense(p, alpha_t, alpha_h, beta):
     # every giant row is taken in one int64 product with the baby steps;
-    # every term must be U^T A^i V in the field's dtype, charged as the
+    # every term must be U^T A^i V in int64 residues, charged as the
     # s - 1 baby steps, the power and its giants - 1 passes, and the
     # beta x n x beta product of each of the L terms
     f = PrimeField(p)
@@ -143,7 +143,7 @@ def test_bsgs_sequence_vs_dense(p, alpha_t, alpha_h, beta):
                     want += power.mults + (giants - 1) * B.alpha * step
                 counter = MultCounter()
                 seq = bsgs_sequence(A, U, V, BsgsPlan(beta, s, L), counter)
-                assert seq.terms.dtype == f.dtype and seq.L == L
+                assert seq.terms.dtype == np.int64 and seq.L == L
                 assert counter.mults == want
                 power = V
                 for i in range(L):
@@ -272,7 +272,7 @@ def test_generator_insufficient_length():
 
 def test_generator_annihilates_random_block_sequences():
     # at beta = 8 a pivot cancels up to 15 of the 16 basis rows, and
-    # above 2^31 the row updates run in object dtype
+    # above 2^31 the row updates take split products
     for p in (P_NTT, (1 << 61) - 1):
         f = PrimeField(p)
         for beta in (1, 2, 3, 5, 8):
@@ -282,7 +282,7 @@ def test_generator_annihilates_random_block_sequences():
                 L = 2 * (10 // beta) + 4
                 seq = krylov_sequence_naive(A, U, V, L)
                 Fgen = minimal_matrix_generator(seq, 10)
-                assert Fgen.coeffs.dtype == f.dtype, (p, beta, seed)
+                assert Fgen.coeffs.dtype == np.int64, (p, beta, seed)
                 assert annihilates_sequence(Fgen, seq), (p, beta, seed)
 
 
@@ -317,10 +317,10 @@ def test_polymat_det_vs_cofactor():
     for _ in range(10):
         rows = [[Poly(f101, f101.rand_vec(rng, 3)) for _ in range(2)]
                 for _ in range(2)]
-        want = _ref.poly_det(rows)
-        if want.is_zero():
+        want = _ref.poly_det(rows, 101)
+        if not want:
             continue
-        assert polymat_det(_pm(f101, rows)) == want.monic()
+        assert polymat_det(_pm(f101, rows)).to_list() == _ref.monic(want, 101)
 
 
 def test_polymat_det_charges_each_entry_its_own_degree():
@@ -336,15 +336,16 @@ def test_polymat_det_charges_each_entry_its_own_degree():
     assert counter.mults == 369
 
 
-def test_polymat_det_object_dtype_vs_cofactor():
-    fbig = PrimeField((1 << 61) - 1)
-    rng = fbig.rng(23)
-    for beta in (2, 3):
-        rows = [[Poly(fbig, fbig.rand_vec(rng, 3)) for _ in range(beta)]
-                for _ in range(beta)]
-        got = polymat_det(_pm(fbig, rows))
-        assert got.coeffs.dtype == object
-        assert got == _ref.poly_det(rows).monic()
+def test_polymat_det_big_primes_vs_cofactor():
+    for p in ((1 << 61) - 1, (1 << 62) - 57):
+        fbig = PrimeField(p)
+        rng = fbig.rng(23)
+        for beta in (2, 3):
+            rows = [[Poly(fbig, fbig.rand_vec(rng, 3)) for _ in range(beta)]
+                    for _ in range(beta)]
+            got = polymat_det(_pm(fbig, rows))
+            assert got.coeffs.dtype == np.int64
+            assert got.to_list() == _ref.monic(_ref.poly_det(rows, p), p)
 
 
 def test_polymat_det_vanishing_at_some_points():
@@ -358,7 +359,7 @@ def test_polymat_det_vanishing_at_some_points():
     counter = MultCounter()
     got = polymat_det(_pm(f101, rows), counter)
     assert got.to_list() == [0, 2, 98, 1]
-    assert got == _ref.poly_det(rows).monic()
+    assert got.to_list() == _ref.monic(_ref.poly_det(rows, 101), 101)
     assert counter.mults == 133
 
 
@@ -367,6 +368,16 @@ def test_polymat_det_field_too_small():
     f = Poly(f5, [1, 1, 1, 1, 1, 1, 1])       # degree 6 needs 7 points
     with pytest.raises(FieldTooSmallError):
         polymat_det(_pm(f5, [[f]]))
+
+
+def test_polymat_det_points_fill_the_field():
+    # degree 4 at p = 5: the 5 points 0..4 are every residue, and each
+    # divided-difference denominator is nonzero; degree 5 needs 6
+    f5 = PrimeField(5)
+    f = Poly(f5, [1, 2, 3, 4, 1])
+    assert polymat_det(_pm(f5, [[f]])) == f
+    with pytest.raises(FieldTooSmallError):
+        polymat_det(_pm(f5, [[Poly(f5, [1, 2, 3, 4, 0, 1])]]))
 
 
 @pytest.mark.parametrize("alpha", [(2, 0), (0, 2), (2, 1)])
@@ -538,7 +549,7 @@ def per_trial_verify_cost(A, f):
 
 @pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1])
 def test_verify_batched_count_and_reject(p):
-    # the float-FFT kernel at a non-NTT, an NTT and an object-dtype prime
+    # the float-FFT kernel at a non-NTT, an NTT and an above-2^31 prime
     field = PrimeField(p)
     A = random_structured(field, 11, 2, 1, 92)
     mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
@@ -680,8 +691,9 @@ def test_verify_batch_edges(monkeypatch, p):
 
 
 def test_verify_without_field_dtype_arithmetic(monkeypatch):
-    # at p = 2**61 - 1 the field's dtype holds Python ints; verification
-    # takes every coefficient in int64 products, with or without a prefix
+    # at p = 2**61 - 1 verification takes every coefficient in batched
+    # int64 matrix products, with or without a prefix, never in an
+    # elementwise field product
     field = PrimeField((1 << 61) - 1)
     A = random_structured(field, 9, 2, 1, 102)
     mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
@@ -691,8 +703,8 @@ def test_verify_without_field_dtype_arithmetic(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("field-dtype arithmetic in verification")
 
-    monkeypatch.setattr(PrimeField, "vmul", refused)
-    monkeypatch.setattr(PrimeField, "from_int64", refused)
+    monkeypatch.setattr(PrimeField, "_product", refused)
+    monkeypatch.setattr(PrimeField, "dot", refused)
     for carried in (None, prefix):
         assert verify_annihilates(A, mp, 2, 10, prefix=carried)
         assert not verify_annihilates(A, wrong, 2, 10, prefix=carried)
@@ -711,8 +723,8 @@ def test_two_stage_unequal_group_widths(p):
     # separate passes' products, charged per real column, not per padded one
     field = PrimeField(p)
     A = random_structured(field, 12, 2, 1, 96)
-    V = field.rand_mat(field.rng(1), (12, 2))
-    U = field.rand_mat(field.rng(2), (12, 1))
+    V = field.rand_vec(field.rng(1), (12, 2))
+    U = field.rand_vec(field.rng(2), (12, 1))
     for X, Y in ((V, U), (U, V)):
         pair, apart = MultCounter(), MultCounter()
         got = A.matvec_pair(X, Y, pair)
@@ -786,7 +798,7 @@ def test_minpoly_low_degree_count_excess(diagonal, degree, mode, mults):
     # BSGS m = s - 1) costs exactly (m - d) * trials more column products
     # than the sequence, BM and a verification from scratch
     n = len(diagonal)
-    A = dense_to_structured(DenseMatrix(F, F.asmat(np.diag(diagonal))))
+    A = dense_to_structured(DenseMatrix(F, F.asvec(np.diag(diagonal))))
     report = minpoly(A, 5, mode=mode)
     assert report.verified and report.polynomial.degree == degree
     assert report.field_mult_count == mults
