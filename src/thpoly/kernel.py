@@ -353,9 +353,10 @@ def recombine(digits: np.ndarray, bits: int, p: int, bound: int,
     """Int64 residues mod p, into `out` if given, of sum_c sum_d
     digits[d, c] * 2**(b d), the chunk diagonals of a product step, each
     in [0, bound].  The chunks are summed raw while C * bound < 2**62,
-    else as many at a time as keep a residue (or the first chunk) plus
-    their sum below 2**63, and reduced mod p, so the summed diagonals x_d
-    lie in [0, top], top = C * bound or p - 1.  Then Horner from the top.
+    else in runs reduced mod p, each short enough that max(p - 1, bound)
+    (the first chunk's or a residue's bound) plus its sum is below 2**63,
+    so the summed diagonals x_d lie in [0, top], top = C * bound or p - 1.
+    Then Horner from the top.
 
     While (acc << b) + x_d fits int64 for acc < p, as for every p < 2**31,
     a step is acc * 2**b + x_d, a shift and an add, and a reduction (whole
@@ -380,7 +381,7 @@ def recombine(digits: np.ndarray, bits: int, p: int, bound: int,
         diag, top = digits.sum(axis=1), C * bound
     else:
         diag, top = digits[:, 0], p - 1
-        step = ((1 << 63) - max(p, bound)) // bound
+        step = ((1 << 63) - 1 - max(p, bound)) // bound
         for c in range(1, C, step):
             diag = (diag + digits[:, c:c + step].sum(axis=1)) % p
     if ((p - 1) << bits) + top < 1 << 63:

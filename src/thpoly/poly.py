@@ -101,14 +101,12 @@ class Poly:
 
     def scale(self, c: int, counter: MultCounter | None = None) -> "Poly":
         c = int(c) % self.field.p
-        if c == 0 or self.is_zero():
+        if c == 0:
             return Poly.zero(self.field)
         return Poly(self.field, self.field.vmul(self.coeffs, c, counter))
 
     def mul(self, other: "Poly", counter: MultCounter | None = None) -> "Poly":
         self._check_field(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
         return Poly(self.field, self.field.conv(self.coeffs, other.coeffs, counter))
 
     def divrem(self, other: "Poly", counter: MultCounter | None = None):
@@ -205,8 +203,6 @@ def interpolate(field: PrimeField, points, values,
     if len(set(x.tolist())) != len(x):
         raise DuplicatePointError("interpolation points must be distinct")
     k = len(x)
-    if k == 0:
-        return Poly.zero(field)
     p = field.p
     for level in range(1, k):
         inv = field.inverses((x[level:] - x[:-level]) % p, counter)

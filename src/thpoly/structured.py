@@ -146,14 +146,9 @@ def compress_pair(field: PrimeField, G: np.ndarray, H: np.ndarray,
     column rank has the coefficient matrix I, so its fold is skipped, and
     `rank_factor` certifies it from alpha rows: a pair that is minimal
     already usually costs two alpha x alpha eliminations and no product.
+    G and H must have equal width.  A rank-0 G gives n x 0 factors, uncharged.
     """
-    if G.shape[1] == 0 or H.shape[1] == 0:
-        n = G.shape[0]
-        return field.zeros((n, 0)), field.zeros((n, 0))
     CG, RG = rank_factor(field, G, counter)          # G = CG @ RG
-    if CG.shape[1] == 0:
-        n = G.shape[0]
-        return field.zeros((n, 0)), field.zeros((n, 0))
     H1 = H if CG.shape[1] == G.shape[1] else field.matmul(H, RG.T, counter)
     CH, RH = rank_factor(field, H1, counter)         # H1 = CH @ RH
     if CH.shape[1] == H1.shape[1]:
@@ -214,7 +209,7 @@ def core_power(A: ToeplitzCore, s: int,
     """
     if s < 1:
         raise ValueError("exponent must be positive")
-    if s == 1 or A.width == 0:
+    if s == 1:
         return A
     field = A.field
     n = A.n
@@ -269,11 +264,8 @@ def flip_conjugate(core: ToeplitzCore,
 
 def _core_concat(field: PrimeField, n: int, cores,
                  counter: MultCounter | None = None) -> ToeplitzCore:
-    live = [c for c in cores if c.width > 0]
-    if not live:
-        return ToeplitzCore.zero(field, n)
-    G = np.concatenate([c.G for c in live], axis=1)
-    H = np.concatenate([c.H for c in live], axis=1)
+    G = np.concatenate([c.G for c in cores], axis=1)
+    H = np.concatenate([c.H for c in cores], axis=1)
     return ToeplitzCore(field, n, *compress_pair(field, G, H, counter))
 
 
@@ -455,16 +447,12 @@ class THMatrix:
         self._check(other)
         field = self.field
         n = self.n
-        p_terms = []
-        q_terms = []
-        if self.P.width and other.P.width:
-            p_terms.append(core_multiply(self.P, other.P, counter))
-        if self.Q.width and other.Q.width:
+        p_terms = [core_multiply(self.P, other.P, counter)]
+        q_terms = [core_multiply(self.Q, other.P, counter)]
+        # a nonzero core's flip charges a pass even when Q_B = 0
+        if other.Q.width:
             p_terms.append(core_multiply(flip_conjugate(self.Q, counter),
                                          other.Q, counter))
-        if self.Q.width and other.P.width:
-            q_terms.append(core_multiply(self.Q, other.P, counter))
-        if self.P.width and other.Q.width:
             q_terms.append(core_multiply(flip_conjugate(self.P, counter),
                                          other.Q, counter))
         return THMatrix(field,
@@ -491,12 +479,8 @@ class THMatrix:
 
     def transpose(self, counter: MultCounter | None = None) -> "THMatrix":
         """(P + J Q)^T = P^T + J (J Q^T J)."""
-        Pt = self.P.swapped()
-        if self.Q.width:
-            Qt = flip_conjugate(self.Q.swapped(), counter)
-        else:
-            Qt = ToeplitzCore.zero(self.field, self.n)
-        return THMatrix(self.field, Pt, Qt)
+        return THMatrix(self.field, self.P.swapped(),
+                        flip_conjugate(self.Q.swapped(), counter))
 
     def trace(self, counter: MultCounter | None = None) -> int:
         """Exact trace in O(alpha M(n)).
@@ -506,11 +490,10 @@ class THMatrix:
         """
         field, n = self.field, self.n
         total = 0
-        if self.P.width:
-            weights = field.asvec(np.arange(n, 0, -1))
-            for j in range(self.P.width):
-                gh = field.vmul(self.P.G[:, j], self.P.H[:, j], counter)
-                total += field.dot(weights, gh, counter)
+        weights = field.asvec(np.arange(n, 0, -1))
+        for j in range(self.P.width):
+            gh = field.vmul(self.P.G[:, j], self.P.H[:, j], counter)
+            total += field.dot(weights, gh, counter)
         for j in range(self.Q.width):
             c = field.conv(self.Q.G[:, j], self.Q.H[:, j], counter)
             total += sum(c[n - 1::-2].tolist())
@@ -518,8 +501,6 @@ class THMatrix:
 
     def reconstruct(self, counter: MultCounter | None = None) -> np.ndarray:
         """Dense P + J Q; the O(n^2 alpha) testing backbone."""
-        if self.n > RECONSTRUCT_GUARD:
-            raise TooLargeError(f"refusing to materialize n={self.n}")
         dense = self.P.dense(counter)
         if self.Q.width:
             dense = (dense + self.Q.dense(counter)[::-1, :]) % self.field.p

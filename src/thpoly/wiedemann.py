@@ -133,11 +133,12 @@ class AnnihilatorReport:
 
 
 def structured_projectors(field: PrimeField, n: int, beta: int, seed: int):
-    """Random projector blocks drawn from the Toeplitz algebra.
+    """Random n x beta projector blocks (U, V).
 
-    Column j of each block is L(r) e_{j+1} for a fresh random vector r,
-    i.e. r shifted down j places; with beta = 1 these are plain dense
-    random vectors.
+    Column j of each block is L(r) e_{j+1}, r shifted down j places, for
+    its own uniform random r, so a block is not part of one Toeplitz
+    matrix (with beta = 1 it is a dense random vector).  The paper's
+    structured projections are ROADMAP item 6.
     """
     if not 1 <= beta <= n:
         raise BadBlockSizeError(f"block size {beta} outside 1..{n}")

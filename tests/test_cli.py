@@ -315,6 +315,15 @@ def test_bench_unknown_algorithm(tmp_path, capsys):
     assert code == 2 and "unknown algorithm" in err
 
 
+def test_bench_not_generic_exit(capsys):
+    # bench does not retry: the zero matrix's NotGenericError reaches
+    # main's handler
+    code, _, err = run(capsys, "bench", "--sizes", 4, "--algorithms",
+                       "charpoly-block", "--alpha-t", 0, "--alpha-h", 0)
+    assert code == 4
+    assert err.startswith("error: generating polynomial has low degree")
+
+
 # -- selftest ----------------------------------------------------------------------
 
 

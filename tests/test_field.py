@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from thpoly import (MultCounter, PrimeField, derive_seed, is_prime,
-                    random_structured)
+from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
+                    derive_seed, is_prime, random_structured)
 from thpoly.errors import DivisionByZeroError, NotPrimeError, TooLargeError
 from thpoly.kernel import (ProductStep, _chunking, _limb_plan, _product_plan,
                            _scratch, recombine)
@@ -259,6 +259,33 @@ def test_recombine_near_quotient_boundaries(p):
                 for col in digits.T.tolist()]
         got = recombine(digits.reshape(3, 1, -1), 16, p, bound)
         assert got.tolist() == want
+
+
+def test_recombine_reduced_chunk_sum_at_its_bound():
+    # C * bound >= 2**62 sums the chunks a run at a time; with bound >= p
+    # and a power of two, chunk 0 plus one run of bound-sized chunks must
+    # stay below 2**63, not reach it (here 32 chunks of 2**58)
+    p, bound = P_NTT, 1 << 58
+    rng = np.random.default_rng(3)
+    digits = rng.integers(0, bound, size=(5, 32, 7), dtype=np.int64,
+                          endpoint=True)
+    digits[:, :, 0] = bound
+    want = [sum(int(x) << 16 * d for d, x in enumerate(col)) % p
+            for col in digits.sum(axis=1, dtype=object).T.tolist()]
+    assert recombine(digits, 16, p, bound).tolist() == want
+
+
+def test_matvec_sums_chunks_in_runs():
+    # 180,000 generator columns at 2**61 - 1 make 60,000 chunks, more than
+    # one raw sum holds: the pass takes recombine's reduced chunk sum
+    f = PrimeField((1 << 61) - 1)
+    rng = f.rng(12)
+    G, H = f.rand_vec(rng, (2, 2, 180000))
+    A = THMatrix(f, ToeplitzCore(f, 2, G, H), ToeplitzCore.zero(f, 2))
+    V = f.rand_vec(rng, (2, 3))
+    C = _ref.mat_mul(f, G, H.T)                 # C - Z C Z^T = G H^T
+    C[1, 1] = (int(C[1, 1]) + int(C[0, 0])) % f.p
+    assert np.array_equal(A.matvec_block(V), _ref.mat_mul(f, C, V))
 
 
 @pytest.mark.parametrize("p", (BIG_PRIMES[0], (1 << 61) - 1, BIG_PRIMES[-1]))

@@ -50,6 +50,11 @@ def test_smx_file_io(tmp_path):
     (lambda t: t.replace("size 6", "size six"), FormatError),
     (lambda t: t + "trailing junk handled below\n", None),
     (lambda t: t.replace("tpart 2", "tpart 3"), FormatError),
+    (lambda t: "\n".join(t.splitlines()[:3]), FormatError),     # end of file
+    (lambda t: t.replace("tpart 2", "hpart 2"), FormatError),
+    (lambda t: t.replace("size 6", "size 6 6"), FormatError),
+    (lambda t: t.replace("size 6", "size 0"), FormatError),
+    (lambda t: t.replace("hpart 1", "hpart -1"), FormatError),
 ])
 def test_smx_parse_errors(mutate, exc):
     f = PrimeField(101)
@@ -78,6 +83,26 @@ def test_dmx_roundtrip():
     again = parse_dmx(text)
     assert dump_dmx(again) == text
     assert np.array_equal(again.rows, M.rows)
+
+
+@pytest.mark.parametrize("mutate,exc", [
+    (lambda t: t.replace("DMX 1", "DMX 2"), FormatError),
+    (lambda t: t.replace("field 101", "field 100"), NotPrimeError),
+    (lambda t: t.replace("size 5", "size five"), FormatError),
+    (lambda t: t + "trailing junk handled below\n", None),
+    (lambda t: t.replace("size 5", "size 0"), FormatError),
+    (lambda t: "\n".join(t.splitlines()[:-1]), FormatError),    # end of file
+    (lambda t: t.replace("size 5", "rows 5"), FormatError),
+])
+def test_dmx_parse_errors(mutate, exc):
+    f = PrimeField(101)
+    text = dump_dmx(DenseMatrix(f, f.rand_vec(f.rng(6), (5, 5))))
+    mutated = mutate(text)
+    if exc is None:
+        parse_dmx(mutated)          # extra trailing lines are ignored
+    else:
+        with pytest.raises(exc):
+            parse_dmx(mutated)
 
 
 def test_poly_line_roundtrip():

@@ -18,6 +18,11 @@ def test_mul_examples():
     f7 = PrimeField(7)
     assert Poly(f7, [1, 1]).mul(Poly(f7, [1, 6])).to_list() == [1, 0, 6]
     assert Poly(f7, [3, 1]).mul(Poly.zero(f7)).is_zero()
+    for f in (f7, PrimeField((1 << 61) - 1)):
+        counter = MultCounter()
+        assert Poly.zero(f).scale(3, counter).is_zero()
+        assert Poly.zero(f).mul(Poly(f, [3, 1]), counter).is_zero()
+        assert counter.mults == 0
 
 
 @pytest.mark.parametrize("p", [P_NTT, (1 << 31) - 1, (1 << 61) - 1])
@@ -134,6 +139,8 @@ def test_interpolate_examples():
     assert interpolate(f7, [0, 1], [1, 3]).to_list() == [1, 2]
     const = interpolate(f7, [0, 1, 2], [4, 4, 4])
     assert const.to_list() == [4]
+    counter = MultCounter()
+    assert interpolate(f7, [], [], counter).is_zero() and counter.mults == 0
     with pytest.raises(DuplicatePointError):
         interpolate(f7, [1, 1], [2, 3])
     with pytest.raises(LengthMismatchError):

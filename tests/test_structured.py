@@ -142,6 +142,13 @@ def test_compress_drops_zero_column():
     G2, H2 = compress_pair(f, G, H)
     assert G2.shape[1] == 1
     assert np.array_equal(f.matmul(G2, H2.T), f.matmul(G, H.T))
+    # width 0 and rank 0: n x 0 factors, uncharged (a zero G has no pivot)
+    for G, H in ((f.zeros((6, 0)), f.zeros((6, 0))), (f.zeros((6, 2)), H)):
+        counter = MultCounter()
+        G2, H2 = compress_pair(f, G, H, counter)
+        assert G2.shape == H2.shape == (6, 0)
+        assert G2.dtype == H2.dtype == np.int64
+        assert counter.mults == 0
 
 
 def test_compress_planted_rank():

@@ -480,6 +480,32 @@ def test_charpoly_certificates():
     assert r.is_zero()
 
 
+@pytest.mark.parametrize("bump, degree, reason", [
+    (None, 0, "generator determinant vanished"),
+    (11, 12, "trace certificate failed"),
+    (0, 12, "annihilation certificate failed"),
+])
+def test_charpoly_certificate_rejections(monkeypatch, bump, degree, reason):
+    # a determinant that vanishes everywhere, or the true charpoly with
+    # its x^(n-1) or constant coefficient bumped, is refused
+    A = random_structured(F, 12, 2, 1, 8)
+    true = dense_charpoly(DenseMatrix(F, A.reconstruct()))
+
+    def tampered(Fm, counter=None):
+        if bump is None:
+            raise SingularEverywhereError("zero at every point")
+        c = true.coeffs.copy()
+        c[bump] = (c[bump] + 1) % F.p
+        return Poly(F, c)
+
+    monkeypatch.setattr("thpoly.wiedemann.polymat_det", tampered)
+    with pytest.raises(NotGenericError) as info:
+        charpoly_generic(A, 2, 1)
+    assert info.value.degree == degree and info.value.reason == reason
+    want = Poly.zero(F) if bump is None else tampered(None)
+    assert info.value.partial == want
+
+
 def test_charpoly_field_too_small():
     f13 = PrimeField(13)
     A = random_structured(f13, 16, 2, 1, 1)
