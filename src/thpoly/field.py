@@ -274,10 +274,16 @@ class PrimeField:
         if k * (p - 1) * max(0xFFFF, (p - 1) >> 16) >= (1 << 63):
             return self.matmul_int64(A, B)
         # split one operand in 16-bit halves, the high one below
-        # max(2**16, p / 2**16): sums stay below 2**63
-        hi = B >> 16
-        lo = B & 0xFFFF
-        return (((A @ hi % p) << 16) + (A @ lo % p)) % p
+        # max(2**16, p / 2**16): sums stay below 2**63; in place, so at
+        # most two a x b arrays are live
+        out = A @ (B >> 16)
+        out %= p
+        out <<= 16
+        low = A @ (B & 0xFFFF)
+        low %= p
+        out += low
+        out %= p
+        return out
 
     def matmul_int64(self, A, B, counter: MultCounter | None = None) -> np.ndarray:
         """Exact products of int64 residue arrays, (..., a, k) times (...,

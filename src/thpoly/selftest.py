@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import wiedemann
 from .dense import (DenseMatrix, dense_charpoly, dense_minpoly,
                     dense_to_structured, displacement_rank, exhaustive_lfsr)
 from .field import PrimeField
@@ -241,16 +242,24 @@ def check_fft_kernel():
 
 
 def check_bsgs_equivalence():
+    # each giant-row route in turn: at these sizes the rule picks the
+    # dense B every time
     field = PrimeField(_P_NTT)
-    for seed in range(10):
-        n = 6 + seed
-        beta = 1 + seed % 3
-        A = random_structured(field, n, 2, 1, seed)
-        U, V = structured_projectors(field, n, beta, seed)
-        plan = BsgsPlan(beta=beta, s=1 + seed % 3, L=2 * (n // beta) + 2)
-        naive = krylov_sequence_naive(A, U, V, plan.L)
-        fast = bsgs_sequence(A, U, V, plan)
-        _expect(np.array_equal(naive.terms, fast.terms))
+    rule = wiedemann._dense_giants
+    try:
+        for seed in range(10):
+            n = 6 + seed
+            beta = 1 + seed % 3
+            A = random_structured(field, n, 2, 1, seed)
+            U, V = structured_projectors(field, n, beta, seed)
+            plan = BsgsPlan(beta=beta, s=1 + seed % 3, L=2 * (n // beta) + 2)
+            naive = krylov_sequence_naive(A, U, V, plan.L)
+            for dense in (False, True):
+                wiedemann._dense_giants = lambda *args, _dense=dense: _dense
+                fast = bsgs_sequence(A, U, V, plan)
+                _expect(np.array_equal(naive.terms, fast.terms))
+    finally:
+        wiedemann._dense_giants = rule
     return "bsgs sequence identical to the naive schedule"
 
 

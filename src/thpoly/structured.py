@@ -34,7 +34,7 @@ import numpy as np
 from .counting import MultCounter
 from .errors import (BadLengthError, CornerMismatchError,
                      DimensionMismatchError, FieldMismatchError,
-                     LengthMismatchError, TooLargeError)
+                     LengthMismatchError, ShapeMismatchError, TooLargeError)
 from .field import PrimeField
 from .kernel import pass_plan
 from .linalg import rank_factor
@@ -146,8 +146,12 @@ def compress_pair(field: PrimeField, G: np.ndarray, H: np.ndarray,
     column rank has the coefficient matrix I, so its fold is skipped, and
     `rank_factor` certifies it from alpha rows: a pair that is minimal
     already usually costs two alpha x alpha eliminations and no product.
-    G and H must have equal width.  A rank-0 G gives n x 0 factors, uncharged.
+    G and H must have equal width (else `ShapeMismatchError`).  A rank-0 G
+    gives n x 0 factors, uncharged.
     """
+    if G.shape[1] != H.shape[1]:
+        raise ShapeMismatchError(
+            f"G and H must have equal width, got {G.shape[1]} and {H.shape[1]}")
     CG, RG = rank_factor(field, G, counter)          # G = CG @ RG
     H1 = H if CG.shape[1] == G.shape[1] else field.matmul(H, RG.T, counter)
     CH, RH = rank_factor(field, H1, counter)         # H1 = CH @ RH

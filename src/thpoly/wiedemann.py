@@ -9,9 +9,11 @@ independent Krylov chains, advanced together by one structured pass per
 step.  It then computes a minimal matrix generating polynomial by an
 iterative order-basis algorithm and takes its determinant; for generic
 matrices that determinant is the characteristic polynomial.  BSGS, the
-paper's schedule, serves the scalar route only: under the counter's
-cubic matrix-product charge no stride s > 1 is cheaper than s = 1, and
-for T+H-like inputs the power A^s loses its structure.  Both routes are
+paper's schedule, serves the scalar route only, since for T+H-like
+inputs the power A^s loses its structure.  Its giant rows take the dense
+B = A^s whenever that charges less than structured passes of B
+(`_dense_giants`), so a Toeplitz-like minpoly at n = 256 charges 28.0M
+by BSGS against 33.2M by the naive sequence.  Both routes are
 Monte Carlo with cheap independent verification, f(A) b = 0 on random b
 (`verify_annihilates`).  The trial vectors ride the sequence's Krylov
 passes as extra block columns, some on the A^T chain, so verification
@@ -41,7 +43,7 @@ from .errors import (BadBlockSizeError, FieldTooSmallError,
 from .field import PrimeField, derive_seed
 from .linalg import det as dense_det
 from .poly import Poly, berlekamp_massey, interpolate
-from .structured import THMatrix
+from .structured import RECONSTRUCT_GUARD, THMatrix
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,17 @@ def _start_prefix(carry: np.ndarray, m: int, forward: int) -> KrylovPrefix:
     return KrylovPrefix(powers, forward)
 
 
+def _dense_giants(B: THMatrix, beta: int, giants: int) -> bool:
+    """Whether `bsgs_sequence` takes its giant rows against the dense B:
+    when n <= RECONSTRUCT_GUARD and r n^2 + (giants - 1) beta n^2, the
+    dense B and its rows, is strictly below (giants - 1) beta r 2 M(n),
+    the passes of B, with r = B.alpha and M(n) = `conv_charge(n, n)`.  A
+    tie, or a B of width 0, keeps the passes."""
+    n, r, rows = B.n, B.alpha, (giants - 1) * beta
+    return n <= RECONSTRUCT_GUARD and (
+        r * n * n + rows * n * n < rows * r * 2 * B.field.conv_charge(n, n))
+
+
 def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
                   counter: MultCounter | None = None,
                   carry: np.ndarray | None = None) -> BlockSequence:
@@ -247,6 +260,17 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     one int64 product (`PrimeField.matmul_int64`) with the baby steps side
     by side, charged as the beta x n x beta product of each of the L terms
     kept.
+
+    Each giant row after the first, W_j = W_(j-1) B, is either one pass
+    of B's r = B.alpha generator columns, charged beta r 2 M(n), or one
+    `matmul_int64` against the dense B (`THMatrix.reconstruct`, charged
+    r n^2 once), charged beta n^2: over its ceil(L/s) - 1 rows the dense
+    route totals r n^2 + (ceil(L/s) - 1) beta n^2.  `_dense_giants` picks
+    it when that is strictly less.  A Toeplitz-like B has width up to
+    r = (alpha + 1) s - 1, and at that width and the default stride
+    s = ceil(sqrt(2n)) the passes cost more for every n up to
+    RECONSTRUCT_GUARD: at n = 256, alpha = 2, the rows charge 5.9M, not
+    23.7M.
 
     `carry`, an n x t block of verification vectors, rides all m = s - 1
     baby steps beside V; its powers come back as the sequence's `prefix`
@@ -273,8 +297,13 @@ def bsgs_sequence(A: THMatrix, U: np.ndarray, V: np.ndarray, plan: BsgsPlan,
     W[0] = U.T
     if giants > 1:
         B = A.power(s, counter)
-        for j in range(1, giants):
-            W[j] = B._pass([W[j - 1].T], 1, counter)[0].T
+        if _dense_giants(B, beta, giants):
+            D = B.reconstruct(counter)
+            for j in range(1, giants):
+                W[j] = field.matmul_int64(W[j - 1], D, counter)
+        else:
+            for j in range(1, giants):
+                W[j] = B._pass([W[j - 1].T], 1, counter)[0].T
     if counter is not None:
         counter.add(L * beta * n * beta)
     rows = field.matmul_int64(W.reshape(giants * beta, n), babies)

@@ -261,16 +261,21 @@ def test_c09_complexity_smoke(tmp_path):
     sequence costs Theta(n^2 log n): baby steps s*alpha*M(n), the power
     A^s about 2s alpha^2 M(n) for its two Krylov blocks plus (s alpha)^3
     for one compression of its full-rank pair (n (s alpha)^2 were it to
-    shrink), giant rows (L/s)*s*alpha*M(n), and the 2-trial
-    verification chain 2n matvecs, with M(n) = O(n log n).  So
+    shrink), giant rows (L/s)*s*alpha*M(n) as passes of B = A^s, and the
+    2-trial verification chain 2n matvecs, with M(n) = O(n log n).  So
     one doubling from n1 to n2 may grow the count by at most
     (n2/n1)^2 * log2(n2)/log2(n1), which is 4 * 9/8 = 4.5 for 256 -> 512.
     That still rejects lost structure in A^s (n^2.5 is 5.66x, cubic 8x)
-    and the dense cubic baseline, which must grow by at least 7.0x.
+    and the dense cubic baseline, which must grow by at least 7.0x.  The
+    giant rows take the dense B instead, r n^2 + (L/s) n^2 for its width
+    r = (alpha+1)s - 1, only where that charges less than the passes; it
+    grows like n^2.5 (5.64x from 256 to 512, 5.9M to 33.3M), and is 27%
+    of the count at 512.
 
     A per-doubling ratio also carries the stride s = ceil(sqrt(2n)): from
-    256 to 512 s goes 23 -> 32 and the count reads 4.27x, from 128 to 256
-    (s = 16 -> 23) it reads 4.23x (5.06x while A^s was built by
+    256 to 512 s goes 23 -> 32 and the count reads 4.39x, from 128 to 256
+    (s = 16 -> 23) it reads 4.32x (4.27x and 4.23x while the giant rows
+    were always passes of B, 5.06x from 128 to 256 while A^s was built by
     square-and-multiply).  A change to the BsgsPlan stride rule must
     therefore be re-checked here at 256 -> 512; if it trips, report the
     cause rather than moving the bound or the sizes.

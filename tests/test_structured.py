@@ -12,7 +12,7 @@ from thpoly import (MultCounter, PrimeField, THMatrix, ToeplitzCore,
                     from_hankel, from_toeplitz, random_structured)
 from thpoly.errors import (BadLengthError, CornerMismatchError,
                            DimensionMismatchError, LengthMismatchError,
-                           TooLargeError)
+                           ShapeMismatchError, TooLargeError)
 from thpoly.kernel import (PassPlan, ProductStep, TransformStep, _scratch,
                            pass_plan)
 from thpoly.linalg import det, rank, rank_factor, rref
@@ -149,6 +149,16 @@ def test_compress_drops_zero_column():
         assert G2.shape == H2.shape == (6, 0)
         assert G2.dtype == H2.dtype == np.int64
         assert counter.mults == 0
+
+
+def test_compress_refuses_unequal_widths():
+    f = PrimeField(101)
+    rng = f.rng(5)
+    G, H = f.rand_vec(rng, (6, 2)), f.rand_vec(rng, (6, 3))
+    for X, Y, a, b in ((G, H, 2, 3), (H, G, 3, 2), (f.zeros((6, 0)), G, 0, 2)):
+        with pytest.raises(ShapeMismatchError,
+                           match=f"equal width, got {a} and {b}"):
+            compress_pair(f, X, Y)
 
 
 def test_compress_planted_rank():

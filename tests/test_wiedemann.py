@@ -14,6 +14,8 @@ from thpoly.errors import (BadBlockSizeError, FieldTooSmallError,
                            ShapeMismatchError, SingularEverywhereError)
 from thpoly.bench import run_case
 from thpoly.field import derive_seed
+from thpoly import wiedemann
+from thpoly.structured import RECONSTRUCT_GUARD
 from thpoly.wiedemann import KrylovPrefix, verification_vectors
 
 import _ref
@@ -120,12 +122,14 @@ def test_two_sided_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
 @pytest.mark.parametrize("p", (101, (1 << 61) - 1, (1 << 62) - 57))
 @pytest.mark.parametrize("alpha_t,alpha_h", ((2, 0), (0, 2), (2, 1)))
 @pytest.mark.parametrize("beta", (1, 2, 3))
-def test_bsgs_sequence_vs_dense(p, alpha_t, alpha_h, beta):
-    # every giant row is taken in one int64 product with the baby steps;
-    # every term must be U^T A^i V in int64 residues, charged as the
-    # s - 1 baby steps, the power and its giants - 1 passes, and the
-    # beta x n x beta product of each of the L terms
+def test_bsgs_sequence_vs_dense(monkeypatch, p, alpha_t, alpha_h, beta):
+    # the giant rows run as passes of B = A^s or against the dense B, as
+    # `_dense_giants` rules, and both routes are also forced; every term
+    # must be U^T A^i V in int64 residues on every route, charged as the
+    # s - 1 baby steps, the power, the giant rows of the route taken and
+    # the beta x n x beta product of each of the L terms
     f = PrimeField(p)
+    rule = wiedemann._dense_giants
     for n in (1, 2, 5, 17):
         if beta > n:
             continue
@@ -136,25 +140,54 @@ def test_bsgs_sequence_vs_dense(p, alpha_t, alpha_h, beta):
         for L in (2, 3, 8, 9):
             for s in sorted({1, 2, 3, L} & set(range(1, L + 1))):
                 giants = -(-L // s)
-                want = (s - 1) * A.alpha * step + L * beta * beta * n
+                base = (s - 1) * A.alpha * step + L * beta * beta * n
+                want = {False: base, True: base}
+                taken = False
                 if giants > 1:
                     power = MultCounter()
                     B = A.power(s, power)
-                    want += power.mults + (giants - 1) * B.alpha * step
-                counter = MultCounter()
-                seq = bsgs_sequence(A, U, V, BsgsPlan(beta, s, L), counter)
-                assert seq.terms.dtype == np.int64 and seq.L == L
-                assert counter.mults == want
-                power = V
-                for i in range(L):
-                    assert np.array_equal(seq.terms[i],
-                                          f.matmul(U.T.copy(), power))
-                    power = f.matmul(dense, power)
+                    rows = (giants - 1) * beta
+                    want[False] += power.mults + (giants - 1) * B.alpha * step
+                    want[True] += power.mults + (B.alpha + rows) * n * n
+                    taken = rule(B, beta, giants)
+                for route in (None, False, True):
+                    monkeypatch.setattr(
+                        wiedemann, "_dense_giants",
+                        rule if route is None else lambda *args, _r=route: _r)
+                    counter = MultCounter()
+                    seq = bsgs_sequence(A, U, V, BsgsPlan(beta, s, L), counter)
+                    assert seq.terms.dtype == np.int64 and seq.L == L
+                    assert counter.mults == want[taken if route is None
+                                                 else route]
+                    power = V
+                    for i in range(L):
+                        assert np.array_equal(seq.terms[i],
+                                              f.matmul(U.T.copy(), power))
+                        power = f.matmul(dense, power)
+
+
+def test_dense_giants_rule():
+    # dense only where it charges strictly less and B may be materialized
+    def dense(field, n, r, giants=None):
+        plan = BsgsPlan.default(n, 1)
+        B = random_structured(field, n, r, 0, 1)
+        return wiedemann._dense_giants(B, 1, giants or -(-plan.L // plan.s))
+
+    # Toeplitz-like B = A^s at the default stride, width 3 s - 1
+    for n in (256, RECONSTRUCT_GUARD, RECONSTRUCT_GUARD + 1):
+        s = BsgsPlan.default(n, 1).s
+        assert dense(F, n, 3 * s - 1) == (n <= RECONSTRUCT_GUARD)
+    assert not dense(F, 256, 0)
+    # r n^2 + n^2 against 2 r n^2 at the schoolbook charge: a tie at r = 1
+    small = PrimeField(101)
+    assert not dense(small, 17, 1, giants=2)
+    assert dense(small, 17, 2, giants=2)
 
 
 def test_bsgs_sequence_takes_one_product(monkeypatch):
     # with the power precomputed, the sequence's only products of blocks
-    # are one `matmul_int64` of all giant rows, and no `matmul`
+    # are one `matmul` to materialize B, one `matmul_int64` per giant row
+    # after the first, and one `matmul_int64` of all giant rows
     A = random_structured(F, 64, 2, 0, 3)
     u, v = structured_projectors(F, 64, 1, 4)
     plan = BsgsPlan.default(64, 1)
@@ -170,7 +203,7 @@ def test_bsgs_sequence_takes_one_product(monkeypatch):
 
         monkeypatch.setattr(PrimeField, name, logged)
     seq = bsgs_sequence(A, u, v, plan)
-    assert calls == ["matmul_int64"]
+    assert calls == ["matmul"] + ["matmul_int64"] * 10 + ["matmul_int64"]
     monkeypatch.undo()
     assert np.array_equal(seq.terms, krylov_sequence_naive(A, u, v, plan.L).terms)
 
@@ -531,7 +564,7 @@ def test_charpoly_block_count_pin(p, n, beta, mults):
     assert record.field_mults == mults
 
 
-@pytest.mark.parametrize("n, mults", [(128, 10_841_181), (256, 45_835_947)])
+@pytest.mark.parametrize("n, mults", [(128, 6_483_037), (256, 27_989_675)])
 def test_minpoly_bsgs_count_pin(n, mults):
     assert run_case(F, n, 2, 0, 1, "minpoly-bsgs", 1).field_mults == mults
 
@@ -815,9 +848,9 @@ def test_verification_rides_the_sequence_passes(monkeypatch):
 
 @pytest.mark.parametrize("diagonal, degree, mode, mults", [
     ((1, 1, 2, 2, 3, 3, 3, 5), 4, "naive", 34_703),   # 26,511 + 4 * 2 * 1024
-    ((1, 1, 2, 2, 3, 3, 3, 5), 4, "bsgs", 48_272),    # m = 3 < d: no excess
+    ((1, 1, 2, 2, 3, 3, 3, 5), 4, "bsgs", 44_688),    # m = 3 < d: no excess
     ((7,) * 8, 1, "naive", 8_813),                    # 5,229 + 7 * 2 * 256
-    ((7,) * 8, 1, "bsgs", 6_947),                     # 5,923 + 2 * 2 * 256
+    ((7,) * 8, 1, "bsgs", 6_243),                     # 5,219 + 2 * 2 * 256
 ])
 def test_minpoly_low_degree_count_excess(diagonal, degree, mode, mults):
     # a candidate of degree d below the m carried powers (naive m = n,
