@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import wiedemann
 from .dense import (DenseMatrix, dense_charpoly, dense_minpoly,
                     dense_to_structured, displacement_rank, exhaustive_lfsr)
 from .field import PrimeField
@@ -20,8 +19,8 @@ from .linalg import rank
 from .poly import Poly, berlekamp_massey, poly_gcd
 from .structured import (RECONSTRUCT_GUARD, THMatrix, ToeplitzCore,
                          from_hankel, from_toeplitz, random_structured)
-from .wiedemann import (BsgsPlan, KrylovPrefix, bsgs_sequence,
-                        charpoly_generic, krylov_sequence_naive,
+from .wiedemann import (BlockSequence, BsgsPlan, KrylovPrefix, _dense_giants,
+                        bsgs_sequence, charpoly_generic, krylov_sequence_naive,
                         minimal_matrix_generator, minpoly,
                         structured_projectors, verification_vectors,
                         verify_annihilates)
@@ -242,31 +241,29 @@ def check_fft_kernel():
 
 
 def check_bsgs_equivalence():
-    # each giant-row route in turn: at these sizes the rule picks the
-    # dense B every time
+    # both giant-row routes, as the rule picks them: the dense B on the
+    # grid and on a Hankel-like A (A^5 squares once, then takes core_power),
+    # the passes for a width-1 B with 129 rows (129 * 3,200 < 130 * 4,096)
     field = PrimeField(_P_NTT)
-    rule = wiedemann._dense_giants
-    try:
-        for seed in range(10):
-            n = 6 + seed
-            beta = 1 + seed % 3
-            A = random_structured(field, n, 2, 1, seed)
-            U, V = structured_projectors(field, n, beta, seed)
-            plan = BsgsPlan(beta=beta, s=1 + seed % 3, L=2 * (n // beta) + 2)
-            naive = krylov_sequence_naive(A, U, V, plan.L)
-            for dense in (False, True):
-                wiedemann._dense_giants = lambda *args, _dense=dense: _dense
-                fast = bsgs_sequence(A, U, V, plan)
-                _expect(np.array_equal(naive.terms, fast.terms))
-    finally:
-        wiedemann._dense_giants = rule
+    cases = []
+    for seed in range(10):
+        n, beta = 6 + seed, 1 + seed % 3
+        cases.append((random_structured(field, n, 2, 1, seed),
+                      BsgsPlan(beta, 1 + seed % 3, 2 * (n // beta) + 2), True))
+    cases += [(random_structured(field, 12, 0, 2, 10), BsgsPlan(2, 5, 14), True),
+              (random_structured(field, 64, 1, 0, 11), BsgsPlan(1, 1, 130), False)]
+    for seed, (A, plan, dense) in enumerate(cases):
+        U, V = structured_projectors(field, A.n, plan.beta, seed)
+        giants = -(-plan.L // plan.s)
+        _expect(_dense_giants(A.power(plan.s), plan.beta, giants) == dense)
+        naive = krylov_sequence_naive(A, U, V, plan.L)
+        _expect(np.array_equal(naive.terms, bsgs_sequence(A, U, V, plan).terms))
     return "bsgs sequence identical to the naive schedule"
 
 
 def check_generator_vs_bm():
     field = PrimeField(_P_SMALL)
     rng = np.random.default_rng(17)
-    from .wiedemann import BlockSequence
     for _ in range(10):
         d = int(rng.integers(1, 5))
         taps = [int(x) for x in rng.integers(0, _P_SMALL, size=d)]

@@ -13,7 +13,9 @@ with L(g) lower-triangular Toeplitz (first column g) and U(h)
 upper-triangular Toeplitz (first row h).  Each core matvec therefore
 costs two convolutions per generator column.  A general matrix is stored
 as A = P + J Q with two cores and J the index reversal; Toeplitz matrices
-have Q = 0, Hankel matrices have P = 0.  Every block product, A V, A^T V
+have Q = 0, Hankel matrices have P = 0.  A power squares and multiplies
+until its base has Q = 0, as the square (J Q J) Q of a Hankel matrix has,
+then takes `core_power`.  Every block product, A V, A^T V
 or both A V and A^T U, is one pass of `THMatrix._pass` (a core C is
 applied as the Toeplitz-like matrix C + J 0): two kernel product steps,
 whatever the generator width, batched over the input blocks, on generator
@@ -464,22 +466,20 @@ class THMatrix:
                         _core_concat(field, n, q_terms, counter))
 
     def power(self, k: int, counter: MultCounter | None = None) -> "THMatrix":
-        """A**k.  Toeplitz-like matrices (Q = 0) use the unrolled product
-        rule of `core_power`; otherwise square-and-multiply, compressing
-        after every step."""
+        """A**k by square-and-multiply, compressing after every step, until
+        the base B has Q = 0; B's remaining power B**k takes `core_power`."""
         if k < 1:
             raise ValueError("exponent must be positive")
-        if self.Q.width == 0:
-            return THMatrix(self.field, core_power(self.P, k, counter), self.Q)
-        result = None
-        base = self
-        while k:
+        result, base = None, self
+        while base.Q.width:
             if k & 1:
                 result = base if result is None else result.multiply(base, counter)
             k >>= 1
-            if k:
-                base = base.multiply(base, counter)
-        return result
+            if not k:
+                return result
+            base = base.multiply(base, counter)
+        tail = THMatrix(self.field, core_power(base.P, k, counter), base.Q)
+        return tail if result is None else result.multiply(tail, counter)
 
     def transpose(self, counter: MultCounter | None = None) -> "THMatrix":
         """(P + J Q)^T = P^T + J (J Q^T J)."""

@@ -194,8 +194,10 @@ def krylov_sequence_naive(A: THMatrix, U: np.ndarray, V: np.ndarray, L: int,
     beside U, charged as the extra block columns they are.  Their powers
     0 .. m come back as the sequence's `prefix`, one preallocated int64
     array of (m+1) n t entries, so `verify_annihilates` needs d - m
-    passes, not d, for a degree-d candidate.
+    passes, not d, for a degree-d candidate.  L must be at least 1.
     """
+    if L < 1:
+        raise ValueError("sequence length must be at least 1")
     beta = _check_blocks(A, U, V)
     field, n = A.field, A.n
     prefix = None

@@ -1,6 +1,6 @@
 """CLI transcript: stdout bytes, exit codes and output-file digests of the
-main commands on small inputs at primes on both sides of 2**31, compared
-with the fixture `cli_transcript.json`.
+main commands on small T+H-, Hankel- and Toeplitz-like inputs at primes on
+both sides of 2**31, compared with the fixture `cli_transcript.json`.
 
 Regenerate the fixture (only when an output is meant to change) with
 
@@ -23,14 +23,16 @@ FIXTURE = Path(__file__).with_name("cli_transcript.json")
 PRIMES = (101, 2013265921, (1 << 31) + 11, (1 << 32) + 15, (1 << 40) - 87,
           (1 << 61) - 1, (1 << 62) - 57)
 SIZES = (1, 5, 17)
+# (alpha_t, alpha_h): T+H-like, Hankel-like, Toeplitz-like
+ALPHAS = ((2, 1), (0, 2), (2, 0))
 
 
-def _commands(p: int, n: int):
+def _commands(p: int, n: int, alpha: tuple):
     """(argv, output file or None) of one case, paths relative to its
     directory; `verify` reads the naive minpoly's line, and a second time
     that line with its constant term bumped."""
-    gen = ["gen", "--n", n, "--alpha-t", 2, "--alpha-h", 1, "--p", p,
-           "--seed", 7 + n, "--out", "a.smx"]
+    gen = ["gen", "--n", n, "--alpha-t", alpha[0], "--alpha-h", alpha[1],
+           "--p", p, "--seed", 7 + n, "--out", "a.smx"]
     return [
         (gen, "a.smx"),
         (["minpoly", "a.smx", "--mode", "naive", "--seed", 3], None),
@@ -45,9 +47,9 @@ def _commands(p: int, n: int):
     ]
 
 
-def _transcript(p: int, n: int, root: Path) -> list:
+def _transcript(p: int, n: int, alpha: tuple, root: Path) -> list:
     records = []
-    for argv, out in _commands(p, n):
+    for argv, out in _commands(p, n, alpha):
         args = [str(root / a) if str(a).endswith((".smx", ".dmx", ".txt"))
                 else str(a) for a in argv]
         stdout = io.StringIO()
@@ -71,7 +73,13 @@ def _transcript(p: int, n: int, root: Path) -> list:
 
 
 def _cases():
-    return [(p, n) for p in PRIMES for n in SIZES]
+    """(key, p, n, alpha); the T+H-like keys are "p/n", the others
+    "p/n/alpha_t,alpha_h"."""
+    return [(f"{p}/{n}" + ("" if alpha == ALPHAS[0] else "/%d,%d" % alpha),
+             p, n, alpha) for alpha in ALPHAS for p in PRIMES for n in SIZES]
+
+
+CASES = _cases()
 
 
 @pytest.fixture(scope="module")
@@ -79,16 +87,17 @@ def fixture():
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("p,n", _cases())
-def test_cli_transcript(fixture, tmp_path, p, n):
-    assert _transcript(p, n, tmp_path) == fixture[f"{p}/{n}"]
+@pytest.mark.parametrize("key,p,n,alpha", CASES,
+                         ids=[key.replace("/", "-") for key, *_ in CASES])
+def test_cli_transcript(fixture, tmp_path, key, p, n, alpha):
+    assert _transcript(p, n, alpha, tmp_path) == fixture[key]
 
 
 if __name__ == "__main__":
     import tempfile
     out = {}
-    for p, n in _cases():
+    for key, p, n, alpha in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            out[f"{p}/{n}"] = _transcript(p, n, Path(tmp))
+            out[key] = _transcript(p, n, alpha, Path(tmp))
     FIXTURE.write_text(json.dumps(out, indent=1) + "\n")
     sys.exit(0)

@@ -74,9 +74,11 @@ def test_algebra_matches_dense(p, n, widths, seed):
 @example(p=101, n=9, alpha_t=2, alpha_h=0, k=7, seed=5)    # core_power
 @example(p=2013265921, n=9, alpha_t=1, alpha_h=1, k=6, seed=6)
 @example(p=(1 << 31) - 1, n=1, alpha_t=0, alpha_h=2, k=3, seed=7)
+@example(p=101, n=9, alpha_t=0, alpha_h=2, k=7, seed=5)    # squared, core_power
 def test_power_matches_dense(p, n, alpha_t, alpha_h, k, seed):
-    # Q = 0 takes the unrolled product rule (core_power), any other
-    # matrix squares and multiplies
+    # square-and-multiply until the base has Q = 0, whose remaining power
+    # takes the unrolled product rule (core_power): at once for a
+    # Toeplitz-like matrix, after one squaring for a Hankel-like one
     f = PrimeField(p)
     A = random_structured(f, n, alpha_t, alpha_h, seed)
     da = A.reconstruct()

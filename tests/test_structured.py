@@ -913,25 +913,45 @@ def test_toeplitz_power_cheaper_than_multiply_chain():
         assert fast.mults < chain.mults
 
 
-def test_hankel_power_keeps_square_and_multiply(monkeypatch):
+@pytest.mark.parametrize("p", [3, P_NTT, (1 << 61) - 1])
+def test_hankel_power_squares_once_then_core_power(monkeypatch, p):
+    # (J Q)^2 = (J Q J) Q is Toeplitz-like, so one squaring leaves a base
+    # whose remaining power takes the unrolled product rule
     import thpoly.structured as structured
-    f = PrimeField(101)
+    f = PrimeField(p)
     calls = []
 
-    def counting_multiply(A, B, counter=None):
-        calls.append(1)
-        return core_multiply(A, B, counter)
+    def counting_power(core, k, counter=None):
+        calls.append(k)
+        return core_power(core, k, counter)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("core_power used on a Hankel-like input")
+    monkeypatch.setattr(structured, "core_power", counting_power)
+    for n in (1, 5, 17):
+        H = random_structured(f, n, 0, 2, 32 + n)
+        assert H.kind == KIND_HANKEL
+        dense = H.reconstruct()
+        for s in (1, 2, 3, 6, 7):
+            calls.clear()
+            B = H.power(s)
+            assert np.array_equal(B.reconstruct(), _ref.mat_pow(f, dense, s))
+            assert calls == ([] if s == 1 else [s // 2]), (n, s)
 
-    monkeypatch.setattr(structured, "core_multiply", counting_multiply)
-    monkeypatch.setattr(structured, "core_power", refuse)
-    H = random_structured(f, 9, 0, 2, 32)
-    assert H.kind == KIND_HANKEL
-    got = H.power(5).reconstruct()
-    assert np.array_equal(got, _ref.mat_pow(f, H.reconstruct(), 5))
-    assert calls
+
+def test_hankel_power_cheaper_than_multiply_chain():
+    f = PrimeField(P_NTT)
+    A = random_structured(f, 64, 0, 2, 31)
+    assert A.kind == KIND_HANKEL
+    for s in (2, 7, 12):
+        fast = MultCounter()
+        B = A.power(s, fast)
+        chain = MultCounter()
+        C = A
+        for _ in range(s - 1):
+            C = C.multiply(A, chain)
+        assert np.array_equal(B.reconstruct(), C.reconstruct())
+        assert (B.P.width, B.Q.width) == (C.P.width, C.Q.width)
+        # A^2 is the one squaring on either side
+        assert fast.mults == chain.mults if s == 2 else fast.mults < chain.mults
 
 
 def test_transpose_examples():

@@ -239,6 +239,19 @@ def test_bsgs_shape_checks():
         krylov_sequence_naive(A, U[:4], V[:4], 5)
 
 
+def test_krylov_naive_refuses_degenerate_lengths():
+    f = PrimeField(101)
+    A = random_structured(f, 6, 1, 1, 18)
+    U, V = structured_projectors(f, 6, 2, 19)
+    carry = verification_vectors(f, 6, 2, 20)
+    for L, kept in ((0, carry), (-1, None), (-1, carry)):
+        with pytest.raises(ValueError, match="at least 1"):
+            krylov_sequence_naive(A, U, V, L, carry=kept)
+    for kept in (None, carry):
+        seq = krylov_sequence_naive(A, U, V, 1, carry=kept)
+        assert np.array_equal(seq.terms, f.matmul(U.T, V)[None])
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         BsgsPlan(beta=1, s=9, L=8)
@@ -567,6 +580,12 @@ def test_charpoly_block_count_pin(p, n, beta, mults):
 @pytest.mark.parametrize("n, mults", [(128, 6_483_037), (256, 27_989_675)])
 def test_minpoly_bsgs_count_pin(n, mults):
     assert run_case(F, n, 2, 0, 1, "minpoly-bsgs", 1).field_mults == mults
+
+
+@pytest.mark.parametrize("n, mults", [(128, 8_777_123), (256, 40_112_193)])
+def test_minpoly_bsgs_hankel_count_pin(n, mults):
+    # A^s squares a Hankel-like A once, then takes core_power
+    assert run_case(F, n, 0, 2, 1, "minpoly-bsgs", 1).field_mults == mults
 
 
 def test_charpoly_builds_no_power(monkeypatch):
