@@ -43,10 +43,6 @@ from .linalg import rank_factor
 
 RECONSTRUCT_GUARD = 4096
 
-KIND_TOEPLITZ = "toeplitz-like"
-KIND_HANKEL = "hankel-like"
-KIND_TH = "toeplitz+hankel-like"
-
 
 def _down_block(field: PrimeField, V: np.ndarray) -> np.ndarray:
     out = field.zeros(V.shape)
@@ -305,14 +301,6 @@ class THMatrix:
     @property
     def alpha(self) -> int:
         return self.P.width + self.Q.width
-
-    @property
-    def kind(self) -> str:
-        if self.Q.width == 0:
-            return KIND_TOEPLITZ
-        if self.P.width == 0:
-            return KIND_HANKEL
-        return KIND_TH
 
     def __repr__(self) -> str:
         return (f"THMatrix(n={self.n}, alphaT={self.P.width}, "

@@ -24,9 +24,10 @@ trials.  Every residue, from the Krylov chains that `THMatrix._pass`
 advances to the generator, its determinant and the certificates, is
 int64 for every p: a naive sequence takes the terms of many passes in
 one batched int64 product (`PrimeField.matmul_int64`), BSGS all its
-giant rows in one, verification its coefficients times each held batch
-of trial powers, and the order basis and the determinant update rows
-with the field's exact elementwise products (`PrimeField.submul`).
+giant rows in one, verification its coefficients times the carried trial
+powers in one, and verification's continued powers, the order basis and
+the determinant take the field's exact elementwise products
+(`PrimeField.submul`).
 """
 
 from __future__ import annotations
@@ -168,10 +169,10 @@ def _check_blocks(A: THMatrix, U: np.ndarray, V: np.ndarray) -> int:
     return U.shape[1]
 
 
-# Operands held for one batched product: a naive sequence's projection
-# operands, or verification's trial powers.  A fixed budget keeps O(n beta)
-# of them, not O(L n beta).  At 64 KB a block charpoly at n = 64, beta = 2
-# peaked 63 KB above its per-term products (traced heap); at 32 KB, 6 KB.
+# A naive sequence's projection operands held for one batched product.  A
+# fixed budget keeps O(n beta) of them, not O(L n beta).  At 64 KB a block
+# charpoly at n = 64, beta = 2 peaked 63 KB above its per-term products
+# (traced heap); at 32 KB, 6 KB.
 _PROJECTION_BYTES = 1 << 15
 
 
@@ -447,11 +448,11 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
     `prefix` holds powers 0 .. m of these trials' vectors, carried on the
     sequence's Krylov passes (`krylov_sequence_naive`, `bsgs_sequence`).
     With d = deg f and k = min(m, d), f(A) b = sum_i f_i A^i b is one int64
-    product (`PrimeField.matmul_int64`) of (f_0 .. f_{k-1}) with the
-    carried powers flattened to k x (n trials), plus one per held batch of
-    the powers k .. d, which d - k passes continue from A^k b over only
-    the sides that hold trials, A-side ones by A, A^T-side ones by A^T.
-    A batch holds _PROJECTION_BYTES of powers, at least one.  Without a
+    product (`PrimeField.matmul_int64`) of (f_0 .. f_k) with the carried
+    powers flattened to (k + 1) x (n trials), plus one exact elementwise
+    product (`PrimeField.submul`) per power k + 1 .. d, each added as its
+    pass makes it: d - k passes continue from A^k b over only the sides
+    that hold trials, A-side ones by A, A^T-side ones by A^T.  Without a
     prefix (k = 0) every trial is A-side and the chain makes d passes.
 
     Each coefficient costs one product per trial entry, (d+1) n trials in
@@ -470,21 +471,14 @@ def verify_annihilates(A: THMatrix, f: Poly, trials: int, seed: int,
         raise ValueError("the prefix carries other vectors than these trials")
     field, d = A.field, int(f.degree)
     k = min(prefix.m, d)
-    coeffs = f.coeffs[None]
-    S = field.matmul_int64(coeffs[:, :k], prefix.powers[:k].reshape(k, B.size),
+    S = field.matmul_int64(f.coeffs[None, :k + 1],
+                           prefix.powers[:k + 1].reshape(k + 1, B.size),
                            counter)[0]
-    held = np.zeros((min(d + 1 - k, max(1, _PROJECTION_BYTES // (8 * B.size))),
-                     B.size), dtype=np.int64)
     W, fwd = prefix.powers[k], prefix.forward
-    for i in range(k, d + 1):
-        if i > k:
-            groups = [W[:, :fwd], W[:, fwd:]] if 0 < fwd < trials else [W]
-            W = np.concatenate(A._pass(groups, 0 if fwd else 1, counter), axis=1)
-        j = (i - k) % len(held)
-        held[j] = W.reshape(-1)
-        if j + 1 == len(held) or i == d:
-            S = (S + field.matmul_int64(coeffs[:, i - j:i + 1], held[:j + 1],
-                                        counter)[0]) % field.p
+    for i in range(k + 1, d + 1):
+        groups = [W[:, :fwd], W[:, fwd:]] if 0 < fwd < trials else [W]
+        W = np.concatenate(A._pass(groups, 0 if fwd else 1, counter), axis=1)
+        S = field.submul(S, -f.coeffs[i], W.reshape(-1), counter)
     return not np.any(S)
 
 
@@ -541,8 +535,8 @@ def charpoly_generic(A: THMatrix, beta: int, seed: int) -> AnnihilatorReport:
     """
     field = A.field
     n = A.n
-    if field.p <= n + 1:
-        raise FieldTooSmallError(f"need p > n + 1 = {n + 1}, got {field.p}")
+    if field.p < n + 1:
+        raise FieldTooSmallError(f"need p >= n + 1 = {n + 1}, got {field.p}")
     counter = MultCounter()
     U, V = structured_projectors(field, n, beta,
                                  derive_seed(seed, "projectors"))

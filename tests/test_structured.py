@@ -16,8 +16,7 @@ from thpoly.errors import (BadLengthError, CornerMismatchError,
 from thpoly.kernel import (PassPlan, ProductStep, TransformStep, _scratch,
                            pass_plan)
 from thpoly.linalg import det, rank, rank_factor, rref
-from thpoly.structured import (KIND_HANKEL, KIND_TH, KIND_TOEPLITZ,
-                               _up_block)
+from thpoly.structured import _up_block
 
 import _ref
 
@@ -77,7 +76,7 @@ def test_from_hankel_unit_corner():
     H = from_hankel(f, [1, 0, 0, 0, 0, 0, 0])
     dense = H.reconstruct()
     assert dense[0, 0] == 1 and int(dense.sum()) == 1
-    assert H.kind == KIND_HANKEL
+    assert H.P.width == 0
 
 
 def test_from_hankel_all_ones():
@@ -104,9 +103,9 @@ def test_from_hankel_bad_length():
 
 def test_random_structured_kinds_and_determinism():
     f = PrimeField(101)
-    assert random_structured(f, 8, 2, 0, 1).kind == KIND_TOEPLITZ
-    assert random_structured(f, 8, 0, 2, 1).kind == KIND_HANKEL
-    assert random_structured(f, 8, 1, 1, 1).kind == KIND_TH
+    for widths in ((2, 0), (0, 2), (1, 1)):
+        A = random_structured(f, 8, *widths, 1)
+        assert (A.P.width, A.Q.width) == widths
     zero = random_structured(f, 8, 0, 0, 1)
     assert zero.alpha == 0
     assert not zero.reconstruct().any()
@@ -845,7 +844,7 @@ def test_multiply_examples():
     assert np.array_equal(A.multiply(eye).reconstruct(), A.reconstruct())
     J = THMatrix(f, ToeplitzCore.zero(f, 8), ToeplitzCore.identity(f, 8))
     JJ = J.multiply(J)
-    assert JJ.kind == KIND_TOEPLITZ
+    assert JJ.Q.width == 0
     assert np.array_equal(JJ.reconstruct(), np.eye(8, dtype=np.int64))
     B = random_structured(f, 8, 1, 1, 19)
     assert np.array_equal(A.multiply(B).reconstruct(),
@@ -890,7 +889,7 @@ def test_toeplitz_power_unrolled_vs_dense(p):
             dense = A.reconstruct()
             for s in (1, 2, 3, 7, 11):
                 B = A.power(s)
-                assert B.kind == KIND_TOEPLITZ
+                assert B.Q.width == 0
                 assert np.array_equal(B.reconstruct(), _ref.mat_pow(f, dense, s))
                 if s == 1:
                     assert B.P is A.P              # returned as given
@@ -928,7 +927,7 @@ def test_hankel_power_squares_once_then_core_power(monkeypatch, p):
     monkeypatch.setattr(structured, "core_power", counting_power)
     for n in (1, 5, 17):
         H = random_structured(f, n, 0, 2, 32 + n)
-        assert H.kind == KIND_HANKEL
+        assert H.P.width == 0
         dense = H.reconstruct()
         for s in (1, 2, 3, 6, 7):
             calls.clear()
@@ -940,7 +939,7 @@ def test_hankel_power_squares_once_then_core_power(monkeypatch, p):
 def test_hankel_power_cheaper_than_multiply_chain():
     f = PrimeField(P_NTT)
     A = random_structured(f, 64, 0, 2, 31)
-    assert A.kind == KIND_HANKEL
+    assert A.P.width == 0
     for s in (2, 7, 12):
         fast = MultCounter()
         B = A.power(s, fast)

@@ -557,6 +557,21 @@ def test_charpoly_field_too_small():
     A = random_structured(f13, 16, 2, 1, 1)
     with pytest.raises(FieldTooSmallError):
         charpoly_generic(A, 2, 1)
+    # p = n has only n of the n + 1 interpolation points
+    A = random_structured(f13, 13, 2, 1, 1)
+    with pytest.raises(FieldTooSmallError, match="need p >= n \\+ 1 = 14"):
+        charpoly_generic(A, 2, 1)
+
+
+@pytest.mark.parametrize("n, p", [(6, 7), (100, 101)])
+def test_charpoly_at_p_n_plus_one(n, p):
+    # the n + 1 interpolation points 0 .. n are every residue of the field
+    field = PrimeField(p)
+    A = random_structured(field, n, 2, 1, 1)
+    report = charpoly_generic(A, 2, 1)
+    assert report.verified
+    assert report.polynomial == dense_charpoly(DenseMatrix(field,
+                                                           A.reconstruct()))
 
 
 def test_charpoly_deterministic():
@@ -726,23 +741,25 @@ def test_verify_prefix_rejects_every_bumped_coefficient(monkeypatch, forward):
         assert passes == [groups] * (d - d // 2)
 
 
-@pytest.mark.parametrize("p", [101, P_NTT, (1 << 61) - 1, (1 << 62) - 57])
+@pytest.mark.parametrize("p", [101, P_NTT, (1 << 31) + 11, (1 << 61) - 1,
+                               (1 << 62) - 57])
 def test_verify_batch_edges(monkeypatch, p):
-    # batches of 1, 2 or 3 powers give every candidate the verdict, count
-    # and passes of one batch, with the trials on A^T, split or on A, and
-    # m = 0, 1, d // 2 or d powers carried
+    # with the trials on A^T, split or on A, and m = 0, 1, d // 2 or d
+    # powers carried, every candidate gets its verdict, one pass per
+    # continued power over the chains that hold trials, and (d + 1) n t
+    # coefficient products plus t column products per continued pass.
+    # 2**31 + 11 is the first prime where `submul` takes the quotient step
     field = PrimeField(p)
-    A = random_structured(field, 7, 2, 1, 101)
+    n, trials = 7, 3
+    A = random_structured(field, n, 2, 1, 101)
     mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
-    d, trials = int(mp.degree), 3
-    B = verification_vectors(field, 7, trials, 9)
+    d = int(mp.degree)
+    B = verification_vectors(field, n, trials, 9)
     candidates = [mp]
     for i in range(d + 1):
         bumped = mp.to_list()
         bumped[i] = (bumped[i] + i + 1) % p
         candidates.append(Poly(field, bumped))
-    prefixes = [carried_prefix(A, B, m, forward)
-                for m in sorted({0, 1, d // 2, d}) for forward in (0, 1, trials)]
     passes = []
     one_pass = THMatrix._pass
 
@@ -750,42 +767,56 @@ def test_verify_batch_edges(monkeypatch, p):
         passes.append((first, tuple(X.shape[1] for X in blocks)))
         return one_pass(self, blocks, first, counter)
 
-    def run(f, prefix):
-        counter = MultCounter()
-        passes.clear()
-        verdict = verify_annihilates(A, f, trials, 9, counter, prefix)
-        return verdict, counter.mults, list(passes)
-
     monkeypatch.setattr(THMatrix, "_pass", logged)
-    want = [[run(f, prefix) for f in candidates] for prefix in prefixes]
-    for runs, prefix in zip(want, prefixes):
-        assert [verdict for verdict, _, _ in runs] == [True] + [False] * (d + 1)
-        assert all(len(logs) == d - prefix.m for _, _, logs in runs)
-    for batch in (1, 2, 3):
-        monkeypatch.setattr("thpoly.wiedemann._PROJECTION_BYTES",
-                            batch * 8 * B.size)
-        assert [[run(f, prefix) for f in candidates]
-                for prefix in prefixes] == want
+    groups = {0: (1, (3,)), 1: (0, (1, 2)), trials: (0, (3,))}
+    for m in sorted({0, 1, d // 2, d}):
+        for forward in (0, 1, trials):
+            prefix = carried_prefix(A, B, m, forward)
+            want = (d + 1) * n * trials + (d - m) * trials * column_charge(A)
+            verdicts = []
+            for f in candidates:
+                counter = MultCounter()
+                passes.clear()
+                verdicts.append(verify_annihilates(A, f, trials, 9, counter,
+                                                   prefix))
+                assert passes == [groups[forward]] * (d - m)
+                assert counter.mults == want
+            assert verdicts == [True] + [False] * (d + 1)
 
 
 def test_verify_without_field_dtype_arithmetic(monkeypatch):
-    # at p = 2**61 - 1 verification takes every coefficient in batched
-    # int64 matrix products, with or without a prefix, never in an
-    # elementwise field product
+    # at p = 2**61 - 1 verification keeps every residue int64, with or
+    # without a prefix: the carried powers in one `matmul_int64`, each
+    # continued power in `submul`'s int64 product, never a Python-int dot
     field = PrimeField((1 << 61) - 1)
     A = random_structured(field, 9, 2, 1, 102)
     mp = dense_minpoly(DenseMatrix(field, A.reconstruct()))
     wrong = Poly(field, [(int(mp.coeffs[0]) + 1) % field.p] + mp.to_list()[1:])
     prefix = carried_prefix(A, verification_vectors(field, 9, 2, 10), 4, 1)
+    seen = set()
+
+    def int64_only(name):
+        method = getattr(PrimeField, name)
+
+        def checked(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            for x in (*args, out):
+                if isinstance(x, (np.ndarray, np.generic)):
+                    assert x.dtype == np.int64, name
+            seen.add(name)
+            return out
+        return checked
 
     def refused(*args, **kwargs):
-        raise AssertionError("field-dtype arithmetic in verification")
+        raise AssertionError("Python-int arithmetic in verification")
 
-    monkeypatch.setattr(PrimeField, "_product", refused)
+    for name in ("_product", "matmul_int64"):
+        monkeypatch.setattr(PrimeField, name, int64_only(name))
     monkeypatch.setattr(PrimeField, "dot", refused)
     for carried in (None, prefix):
         assert verify_annihilates(A, mp, 2, 10, prefix=carried)
         assert not verify_annihilates(A, wrong, 2, 10, prefix=carried)
+    assert seen == {"_product", "matmul_int64"}
 
 
 def test_verify_prefix_of_other_vectors_refused():
